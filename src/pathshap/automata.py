@@ -27,7 +27,8 @@ class Dfa:
 
     State 0 is always the dead (absorbing, non-accepting) state.  ``useful``
     holds the states both reachable from the start and co-reachable to an
-    accepting state; the dead state is never useful.
+    accepting state; the dead state is never useful.  ``useful_moves`` keeps
+    only the transitions into useful states, for the product search.
     """
 
     def __init__(
@@ -44,6 +45,11 @@ class Dfa:
         self.start = start
         self.accepting = frozenset(accepting)
         self.useful = self._useful_states()
+        # per state, the symbols that lead to a useful state, and where
+        self.useful_moves: dict[int, dict[str, int]] = {q: {} for q in self.states}
+        for (q, a), nxt in self.transition.items():
+            if nxt in self.useful:
+                self.useful_moves[q][a] = nxt
 
     def step(self, state: int, symbol: str) -> int:
         return self.transition.get((state, symbol), 0)

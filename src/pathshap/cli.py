@@ -53,7 +53,12 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--delta", type=float, default=0.01)
             c.add_argument("--seed", type=int, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
-        c.add_argument("--cap", type=int, default=game_mod.SUBSET_CAP)
+        if name == "answers":
+            c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
+                           help="most answers (and intermediate join rows) to list")
+        else:
+            c.add_argument("--cap", type=int, default=game_mod.SUBSET_CAP,
+                           help="most players for exact subset enumeration")
         c.add_argument("--budget", type=int, default=1_000_000)
     return p
 

@@ -8,6 +8,7 @@ between the exact, counting and sampling engines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,15 @@ from .errors import (
 )
 from .game import CoalitionGame, SampledEstimate, ShapleyReport
 from .graph import Edge, LabeledGraph
-from .query import Assignment, Crpq, eval_crpq_bound
+from .query import (
+    Assignment,
+    Crpq,
+    OutLists,
+    bind_atoms,
+    eval_crpq_bound,
+    holds_on_mask,
+    out_lists,
+)
 
 
 @dataclass(frozen=True)
@@ -92,40 +101,39 @@ def edge_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Players are the endogenous edges; the valuation is the query on the
     coalition's edges together with the exogenous ones, baseline-shifted."""
     _check_binding(g, q, mu)
-    exo = g.exo_edges
-    baseline = eval_crpq_bound(g, q, mu, edge_ok=exo.__contains__)
-
-    def valuation(coalition: frozenset[str]) -> int:
-        if baseline:
-            return 0
-        allowed = coalition | exo
-        return 1 if eval_crpq_bound(g, q, mu, edge_ok=allowed.__contains__) else 0
-
-    return CoalitionGame(sorted(g.endo_edges), valuation)
+    players = sorted(g.endo_edges)
+    bits = {p: 1 << i for i, p in enumerate(players)}
+    out = out_lists(g, lambda e: bits.get(e.id, 0))
+    return _mask_game(players, q, mu, out, 0)
 
 
 def vertex_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Vertex analogue: removing a vertex removes its incident edges, and a
     coalition missing a bound endogenous vertex is losing."""
     _check_binding(g, q, mu)
-    bound = {mu[v] for v in q.variables}
+    players = sorted(g.endo_vertices)
+    bits = {p: 1 << i for i, p in enumerate(players)}
+    out = out_lists(g, lambda e: bits.get(e.source, 0) | bits.get(e.target, 0))
+    bound = 0
+    for var in q.variables:
+        bound |= bits.get(mu[var], 0)
+    return _mask_game(players, q, mu, out, bound)
 
-    def query_on(keep: frozenset[str]) -> int:
-        if not bound <= keep:
-            return 0
-        edge_ok = lambda eid: (
-            (e := g.edges_by_id[eid]).source in keep and e.target in keep
-        )
-        return 1 if eval_crpq_bound(g, q, mu, edge_ok=edge_ok) else 0
 
-    baseline = query_on(g.exo_vertices)
-
-    def valuation(coalition: frozenset[str]) -> int:
-        if baseline:
-            return 0
-        return query_on(coalition | g.exo_vertices)
-
-    return CoalitionGame(sorted(g.endo_vertices), valuation)
+def _mask_game(
+    players: list[str], q: Crpq, mu: Assignment, out: OutLists, bound: int
+) -> CoalitionGame:
+    """The game whose coalition wins when it holds every bit of ``bound`` and
+    the query holds on the edges whose need mask it covers; constant 0 when
+    the empty coalition (the exogenous part alone) already wins."""
+    atoms = bind_atoms(q, mu)
+    if bound:
+        holds = lambda mask: not bound & ~mask and holds_on_mask(out, atoms, mask)
+    else:
+        holds = functools.partial(holds_on_mask, out, atoms)
+    if holds(0):
+        return CoalitionGame(players, mask_valuation=lambda mask: 0)
+    return CoalitionGame(players, mask_valuation=holds)
 
 
 def _check_binding(g: LabeledGraph, q: Crpq, mu: Assignment) -> None:

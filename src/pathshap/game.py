@@ -1,23 +1,22 @@
 """Generic Shapley machinery over monotone 0/1 coalition games.
 
 Coalitions are frozensets of player ids on the public surface and bitmasks
-internally.  Valuations are memoized per game (bounded LRU), since
-permutation prefixes repeat heavily.
+(bit i = the i-th player) inside.  The exact engine sweeps a truth table of
+all 2^n masks once; the samplers memoize valuations per game (bounded LRU),
+since permutation prefixes repeat heavily.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationOverflow
 
 SUBSET_CAP = 22
-PERMUTATION_CAP = 9
 VALUATION_CACHE_SIZE = 1 << 20
 
 
@@ -25,33 +24,50 @@ class CoalitionGame:
     """Ordered players plus a 0/1 valuation over coalitions.
 
     The valuation must satisfy v(empty) == 0 (baseline shifts belong to the
-    instantiating code) and is assumed monotone.
+    instantiating code) and must be monotone.  Give it on frozensets of
+    players (``valuation``) or on bitmasks (``mask_valuation``); the other
+    form is derived once, so both attributes are always there.
     """
 
-    def __init__(self, players: Sequence[str], valuation: Callable[[frozenset[str]], int]):
+    def __init__(
+        self,
+        players: Sequence[str],
+        valuation: Optional[Callable[[frozenset[str]], int]] = None,
+        *,
+        mask_valuation: Optional[Callable[[int], int]] = None,
+    ):
+        if (valuation is None) == (mask_valuation is None):
+            raise ValueError("give exactly one of valuation and mask_valuation")
         self.players = tuple(players)
-        self.valuation = valuation
         self._index = {p: i for i, p in enumerate(self.players)}
+        if mask_valuation is None:
+            mask_valuation = lambda mask: valuation(
+                frozenset(p for i, p in enumerate(self.players) if mask >> i & 1)
+            )
+        if valuation is None:
+            valuation = lambda coalition: mask_valuation(self.mask_of(coalition))
+        self.valuation = valuation
+        self.mask_valuation = mask_valuation
         self._cache: dict[int, int] = {}
 
     def value_of_mask(self, mask: int) -> int:
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
-        coalition = frozenset(
-            p for i, p in enumerate(self.players) if mask & (1 << i)
-        )
-        value = 1 if self.valuation(coalition) else 0
+        value = 1 if self.mask_valuation(mask) else 0
         if len(self._cache) >= VALUATION_CACHE_SIZE:
             self._cache.clear()
         self._cache[mask] = value
         return value
 
     def value(self, coalition: Iterable[str]) -> int:
+        return self.value_of_mask(self.mask_of(coalition))
+
+    def mask_of(self, coalition: Iterable[str]) -> int:
         mask = 0
         for p in coalition:
             mask |= 1 << self._index[p]
-        return self.value_of_mask(mask)
+        return mask
 
     def player_bit(self, player: str) -> int:
         return 1 << self._index[player]
@@ -74,7 +90,7 @@ class SampledEstimate:
 
 @dataclass(frozen=True)
 class ShapleyReport:
-    method: str  # exact-subset | exact-permutation | exact-poly | mc-additive | mc-multiplicative
+    method: str  # exact-subset | exact-poly | mc-additive | mc-multiplicative
     values: dict[str, Union[Fraction, SampledEstimate]]
     flags: tuple[str, ...] = ()
 
@@ -85,71 +101,60 @@ def sample_count(eps: float, delta: float) -> int:
 
 
 def shapley_exact_subset(g: CoalitionGame, a: str, cap: int = SUBSET_CAP) -> Fraction:
-    """Subset-form exact value with big-integer factorial weights."""
-    n = len(g.players)
-    if n > cap:
-        raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
-    bit = g.player_bit(a)
-    others = [1 << i for i, p in enumerate(g.players) if p != a]
-    total = Fraction(0)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    for size in range(n):
-        weight = Fraction(fact[size] * fact[n - size - 1], fact[n])
-        for combo in itertools.combinations(others, size):
-            mask = 0
-            for b in combo:
-                mask |= b
-            marginal = g.value_of_mask(mask | bit) - g.value_of_mask(mask)
-            if marginal:
-                total += weight * marginal
-    return total
+    """Exact value of one player."""
+    return _shapley_by_size(g, a, cap)[a]
 
 
 def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
-    """Subset-form values for every player in one sweep over all coalitions."""
+    """Exact values of every player."""
+    return _shapley_by_size(g, None, cap)
+
+
+def _shapley_by_size(g: CoalitionGame, focus: Optional[str], cap: int) -> dict[str, Fraction]:
+    """Exact values from winning coalitions counted by size.
+
+    With W(k) the size-k winning coalitions and W_a(k) those among them that
+    contain a, phi(a) = sum_k k!(n-k-1)!/n! * (W_a(k+1) - (W(k) - W_a(k))):
+    the size-k coalitions without a that win once a joins, minus those that
+    win without a.  One sweep over the masks in increasing order fills a
+    truth table, holding |mask| + 1 for a winning mask and 0 for a losing
+    one; a mask whose lowest bit removed already wins needs no valuation,
+    since the game is monotone.  The counts are integers and each value is
+    one Fraction over n!.
+    """
     n = len(g.players)
     if n > cap:
         raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
-    fact = [math.factorial(i) for i in range(n + 1)]
-    totals = {p: Fraction(0) for p in g.players}
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size == n:
+    wins = g.mask_valuation
+    full = 1 << n
+    table = bytearray(full)
+    for mask in range(full):
+        if table[mask & (mask - 1)] or wins(mask):
+            table[mask] = mask.bit_count() + 1
+    winning = [table.count(k + 1) for k in range(n + 1)]
+    weights = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+    denominator = math.factorial(n)
+    values = {}
+    for i, p in enumerate(g.players):
+        if focus is not None and p != focus:
             continue
-        weight = Fraction(fact[size] * fact[n - size - 1], fact[n])
-        base = g.value_of_mask(mask)
-        for i, p in enumerate(g.players):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            marginal = g.value_of_mask(mask | bit) - base
-            if marginal:
-                totals[p] += weight * marginal
-    return totals
+        with_p = _masks_with_bit(table, 1 << i)
+        containing = [0] + [with_p.count(k + 1) for k in range(1, n + 1)]
+        total = sum(
+            weights[k] * (containing[k + 1] - winning[k] + containing[k])
+            for k in range(n)
+        )
+        values[p] = Fraction(total, denominator)
+    return values
 
 
-def shapley_exact_permutation(g: CoalitionGame, a: str, cap: int = PERMUTATION_CAP) -> Fraction:
-    """Permutation-form exact value (enumeration oracle role)."""
-    return shapley_exact_permutation_all(g, cap)[a]
-
-
-def shapley_exact_permutation_all(g: CoalitionGame, cap: int = PERMUTATION_CAP) -> dict[str, Fraction]:
-    n = len(g.players)
-    if n > cap:
-        raise EnumerationOverflow(f"{n} players exceeds permutation enumeration cap {cap}")
-    counts = {p: 0 for p in g.players}
-    bits = [1 << i for i in range(n)]
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        previous = 0
-        for i in perm:
-            mask |= bits[i]
-            current = g.value_of_mask(mask)
-            if current != previous:
-                counts[g.players[i]] += current - previous
-            previous = current
-    total_perms = math.factorial(n)
-    return {p: Fraction(c, total_perms) for p, c in counts.items()}
+def _masks_with_bit(table: bytearray, bit: int) -> bytes:
+    """The table entries of the masks that contain ``bit``, in some order:
+    ``bit`` strided slices or len/(2 bit) runs, whichever are fewer."""
+    step = 2 * bit
+    if bit * bit < len(table):
+        return b"".join(table[lo::step] for lo in range(bit, step))
+    return b"".join(table[lo:lo + bit] for lo in range(bit, len(table), step))
 
 
 def _trial_rng(seed: int, player: str, trial: int) -> random.Random:

@@ -1,24 +1,29 @@
 """RPQ and CRPQ evaluation over labeled graphs.
 
-Atom evaluation is breadth-first reachability over the product of the graph
-and the atom's DFA.  A pair (u, u) answers an atom whose language contains
-the empty word via the empty path; this convention is isolated behind
-``EPSILON_SELF_ANSWER`` so it can be flipped in one place.
+Atom evaluation is reachability over the product of the graph and the
+atom's DFA, by one search over per-vertex out-lists that carry a need mask
+per edge: the same loop evaluates the query on the whole graph, on a
+filtered graph and on every coalition of an edge or vertex game.  A pair
+(u, u) answers an atom whose language contains the empty word via the empty
+path; this convention is isolated behind ``EPSILON_SELF_ANSWER`` so it can
+be flipped in one place.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import automata, regex as rx
 from .automata import Dfa, LanguageProfile
 from .errors import EnumerationOverflow, QuerySyntaxError, UnknownVertex
-from .graph import LabeledGraph
+from .graph import Edge, LabeledGraph
 
 # Whether (u, u) is an answer of an epsilon-accepting atom via the empty path.
 EPSILON_SELF_ANSWER = True
+
+# Most answers (and intermediate join rows) enumerate_answers will produce.
+ANSWER_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -137,27 +142,69 @@ def parse_binding(text: str, q: Crpq) -> Assignment:
 
 # --- evaluation ------------------------------------------------------------
 
-def _product_reach(
-    g: LabeledGraph,
-    s: str,
-    d: Dfa,
-    edge_ok: Optional[Callable[[str], bool]] = None,
-) -> set[tuple[str, int]]:
-    """All (vertex, state) pairs reachable from (s, start) in the product."""
+# Per vertex, its out-edges as (need_mask, target, label).  The search takes
+# an edge only when its need mask lies inside the coalition mask, so one list
+# serves every coalition of a game; need 0 marks an edge that is always there.
+OutLists = dict[str, list[tuple[int, str, str]]]
+
+
+def out_lists(g: LabeledGraph, need: Callable[[Edge], int]) -> OutLists:
+    return {v: [(need(e), e.target, e.label) for e in g.out_edges(v)] for v in g.vertices}
+
+
+def _filtered(g: LabeledGraph, edge_ok: Optional[Callable[[str], bool]]) -> OutLists:
+    """Out-lists for the evaluation at mask 0: a rejected edge needs a bit."""
+    if edge_ok is None:
+        return out_lists(g, lambda e: 0)
+    return out_lists(g, lambda e: 0 if edge_ok(e.id) else 1)
+
+
+def _accepting_reach(out: OutLists, s: str, d: Dfa, mask: int) -> Iterator[str]:
+    """The product search: the vertex of every (vertex, state) pair reachable
+    from (s, start) whose state accepts, each pair once, lazily."""
+    moves = d.useful_moves
+    accepting = d.accepting
+    missing = ~mask
     start = (s, d.start)
+    if d.start in accepting:
+        yield s
     seen = {start}
-    frontier = deque((start,))
-    while frontier:
-        v, q = frontier.popleft()
-        for e in g.out_edges(v):
-            if edge_ok is not None and not edge_ok(e.id):
+    stack = [start]
+    while stack:
+        v, q = stack.pop()
+        step = moves[q]
+        for need, target, label in out[v]:
+            if need & missing:
                 continue
-            nxt = (e.target, d.step(q, e.label))
-            if nxt[1] in d.useful or nxt[1] in d.accepting:
+            nq = step.get(label)
+            if nq is not None:
+                nxt = (target, nq)
                 if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+                    stack.append(nxt)
+                    if nq in accepting:
+                        yield target
+
+
+def bind_atoms(q: Crpq, mu: Assignment) -> list[tuple[str, str, Dfa]]:
+    """(source vertex, target vertex, automaton) of every atom under mu."""
+    return [(mu[a.source_var], mu[a.target_var], a.dfa) for a in q.atoms]
+
+
+def holds_on_mask(out: OutLists, atoms: list[tuple[str, str, Dfa]], mask: int) -> bool:
+    """The bound atoms all hold on the edges whose need mask lies inside ``mask``."""
+    for s, t, d in atoms:
+        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+            continue
+        if t not in _accepting_reach(out, s, d, mask):
+            return False
+    return True
+
+
+def _check_vertices(g: LabeledGraph, *vertices: str) -> None:
+    for v in vertices:
+        if v not in g.vertices:
+            raise UnknownVertex(v)
 
 
 def eval_rpq(
@@ -168,15 +215,8 @@ def eval_rpq(
     edge_ok: Optional[Callable[[str], bool]] = None,
 ) -> bool:
     """True iff some path from s to t (possibly empty) matches the automaton."""
-    for v in (s, t):
-        if v not in g.vertices:
-            raise UnknownVertex(v)
-    if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
-        return True
-    for v, q in _product_reach(g, s, d, edge_ok):
-        if v == t and q in d.accepting:
-            return True
-    return False
+    _check_vertices(g, s, t)
+    return holds_on_mask(_filtered(g, edge_ok), [(s, t, d)], 0)
 
 
 def eval_crpq_bound(
@@ -186,25 +226,23 @@ def eval_crpq_bound(
     edge_ok: Optional[Callable[[str], bool]] = None,
 ) -> bool:
     """A fully bound conjunction decomposes atom-wise."""
-    return all(
-        eval_rpq(g, mu[a.source_var], mu[a.target_var], a.dfa, edge_ok)
-        for a in q.atoms
-    )
+    for a in q.atoms:
+        _check_vertices(g, mu[a.source_var], mu[a.target_var])
+    return holds_on_mask(_filtered(g, edge_ok), bind_atoms(q, mu), 0)
 
 
 def atom_relation(g: LabeledGraph, d: Dfa) -> set[tuple[str, str]]:
     """All (s, t) pairs the atom connects; one product sweep per source."""
+    out = _filtered(g, None)
     pairs: set[tuple[str, str]] = set()
     for s in g.vertices:
         if EPSILON_SELF_ANSWER and d.start in d.accepting:
             pairs.add((s, s))
-        for v, q in _product_reach(g, s, d):
-            if q in d.accepting:
-                pairs.add((s, v))
+        pairs.update((s, v) for v in _accepting_reach(out, s, d, 0))
     return pairs
 
 
-def enumerate_answers(g: LabeledGraph, q: Crpq, cap: int = 100_000) -> list[tuple[str, ...]]:
+def enumerate_answers(g: LabeledGraph, q: Crpq, cap: int = ANSWER_CAP) -> list[tuple[str, ...]]:
     """All satisfying assignments as tuples in the query's variable order,
     sorted lexicographically."""
     relations = [

@@ -13,7 +13,10 @@ import random
 from fractions import Fraction
 
 from pathshap import regex as rx
+from pathshap.errors import EnumerationOverflow
 from pathshap.graph import Edge, LabeledGraph
+
+PERMUTATION_CAP = 9
 
 
 def ast_matches(ast, word: tuple[str, ...], alphabet: frozenset[str]) -> bool:
@@ -149,6 +152,32 @@ def brute_shapley(players, valuation) -> dict[str, Fraction]:
     return values
 
 
+def shapley_exact_permutation(g, a: str, cap: int = PERMUTATION_CAP) -> Fraction:
+    """Permutation-form exact value of one player of a CoalitionGame."""
+    return shapley_exact_permutation_all(g, cap)[a]
+
+
+def shapley_exact_permutation_all(g, cap: int = PERMUTATION_CAP) -> dict[str, Fraction]:
+    """Permutation-form exact values: each player's share of the n! orders
+    in which its arrival turns the prefix from losing to winning."""
+    n = len(g.players)
+    if n > cap:
+        raise EnumerationOverflow(f"{n} players exceeds permutation enumeration cap {cap}")
+    counts = {p: 0 for p in g.players}
+    bits = [1 << i for i in range(n)]
+    for perm in itertools.permutations(range(n)):
+        mask = 0
+        previous = 0
+        for i in perm:
+            mask |= bits[i]
+            current = g.value_of_mask(mask)
+            if current != previous:
+                counts[g.players[i]] += current - previous
+            previous = current
+    total_perms = math.factorial(n)
+    return {p: Fraction(c, total_perms) for p, c in counts.items()}
+
+
 def random_monotone_game(rng: random.Random, players):
     """Random monotone 0/1 valuation given by random minimal winning sets."""
     players = list(players)
@@ -171,6 +200,7 @@ def random_labeled_graph(
     labels=("a", "b"),
     exo_prob: float = 0.25,
     allow_self_loops: bool = False,
+    exo_vertex_prob: float = 0.0,
 ) -> LabeledGraph:
     vertices = [f"u{i}" for i in range(n_vertices)]
     pairs = [
@@ -188,4 +218,7 @@ def random_labeled_graph(
         edges.append(Edge(eid, src, rng.choice(labels), dst))
         if rng.random() >= exo_prob:
             endo.add(eid)
-    return LabeledGraph(vertices, edges, endo, vertices)
+    endo_vertices = vertices
+    if exo_vertex_prob:
+        endo_vertices = [v for v in vertices if rng.random() >= exo_vertex_prob]
+    return LabeledGraph(vertices, edges, endo, endo_vertices)

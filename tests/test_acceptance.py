@@ -14,7 +14,7 @@ from pathshap import cli, explain, game, query
 from pathshap.errors import NonDisjointStructure
 from pathshap.graph import Edge, LabeledGraph, load_graph
 
-from helpers import random_labeled_graph, random_monotone_game
+from helpers import random_labeled_graph, random_monotone_game, shapley_exact_permutation_all
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
@@ -96,7 +96,7 @@ def test_criterion_2_definition_agreement():
         valuation = random_monotone_game(rng, players)
         g = game.CoalitionGame(players, valuation)
         subset = game.shapley_exact_subset_all(g)
-        permutation = game.shapley_exact_permutation_all(g)
+        permutation = shapley_exact_permutation_all(g)
         assert subset == permutation, trial
         if len(players) <= 6:
             _axiom_check(g, subset, valuation)
@@ -116,7 +116,7 @@ def test_criterion_2_definition_agreement():
             graph = LabeledGraph(vertices, edges, [e.id for e in edges], vertices)
             cg = explain.edge_game(graph, q, mu)
             subset = game.shapley_exact_subset_all(cg)
-            assert subset == game.shapley_exact_permutation_all(cg)
+            assert subset == shapley_exact_permutation_all(cg)
             _axiom_check(cg, subset, cg.valuation)
             count += 1
     assert count == 240
@@ -147,7 +147,7 @@ def test_criterion_3_polynomial_algorithm():
         expr = " | ".join(" ".join(w) for w in words)
         q = crpq(f"(x, {expr}, y)", frozenset("ab"))
         mu = query.Assignment({"x": s, "y": t})
-        oracle = game.shapley_exact_permutation_all(explain.edge_game(g, q, mu))
+        oracle = shapley_exact_permutation_all(explain.edge_game(g, q, mu))
 
         for eid in sorted(g.endo_edges):
             try:

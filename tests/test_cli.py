@@ -82,6 +82,16 @@ def test_answers_overflow_exit_3(fig_graph_text):
     assert code == 3
 
 
+def test_answers_default_cap_is_not_the_player_cap(tmp_path):
+    # a 10-vertex a-chain has 55 answers of (x, a*, y), more than the
+    # 22-player subset cap that shapley uses by default
+    path = tmp_path / "chain10.graph"
+    path.write_text("".join(f"u{i} a u{i + 1} n\n" for i in range(9)))
+    code, out = run(["answers", "--graph", str(path), "--query", "(x, a*, y)"])
+    assert code == 0
+    assert len(out.splitlines()) == 55
+
+
 # --- shapley ----------------------------------------------------------------
 
 def test_shapley_table_golden(fig_graph_text):

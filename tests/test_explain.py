@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathshap import explain, game, query
 from pathshap.errors import (
@@ -13,7 +16,7 @@ from pathshap.errors import (
     NonDisjointStructure,
     NoPlayers,
 )
-from pathshap.graph import load_graph
+from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
 from helpers import brute_enabling_count, random_labeled_graph
 
@@ -75,6 +78,59 @@ def test_vertex_game_exact_values(fig_graph):
         assert values[v] == Fraction(1, 4)
     for v in ("v2", "v4"):
         assert values[v] == 0
+
+
+GAME_QUERIES = ["(x, a b*, y)", "(x, (a|b)* b, y)", "(x, .*, y)", "(x, a, y) & (y, b*, z)"]
+
+
+def _holds_on(sub, q, mu):
+    """The query on a subgraph; a bound vertex outside it fails the query."""
+    if any(mu[v] not in sub.vertices for v in q.variables):
+        return False
+    return query.eval_crpq_bound(sub, q, mu)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qtext=st.sampled_from(GAME_QUERIES),
+    exo_prob=st.sampled_from([0.0, 0.3, 0.7]),
+)
+@settings(max_examples=80, deadline=None)
+def test_mask_valuations_match_subgraph_definition(seed, qtext, exo_prob):
+    """Edge and vertex games give, on every coalition, the baseline-shifted
+    query on edge_subgraph / vertex_subgraph."""
+    rng = random.Random(seed)
+    g = random_labeled_graph(
+        rng, rng.randint(2, 4), rng.randint(1, 7), exo_prob=exo_prob,
+        allow_self_loops=True, exo_vertex_prob=exo_prob,
+    )
+    q = crpq(qtext, frozenset("ab"))
+    mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
+    for build, subgraph in ((explain.edge_game, edge_subgraph), (explain.vertex_game, vertex_subgraph)):
+        cg = build(g, q, mu)
+        baseline = _holds_on(subgraph(g, ()), q, mu)
+        for size in range(len(cg.players) + 1):
+            for combo in itertools.combinations(cg.players, size):
+                coalition = frozenset(combo)
+                expected = 0 if baseline else int(_holds_on(subgraph(g, coalition), q, mu))
+                assert cg.value(coalition) == expected, (build.__name__, sorted(coalition))
+                assert int(cg.valuation(coalition)) == expected
+
+
+def test_mask_valuations_cover_baseline_games():
+    # the property above meets games whose exogenous part alone answers:
+    # every coalition of such a game is losing
+    g = load_graph("u1 a u2 x\nu2 b u3 n\nv u1 x\nv u2 x\n")
+    q = crpq("(x, a b*, y)")
+    mu = bind("x=u1,y=u2", q)
+    for build, subgraph in ((explain.edge_game, edge_subgraph), (explain.vertex_game, vertex_subgraph)):
+        cg = build(g, q, mu)
+        assert cg.players and _holds_on(subgraph(g, ()), q, mu)
+        assert all(
+            cg.value(frozenset(c)) == 0
+            for size in range(len(cg.players) + 1)
+            for c in itertools.combinations(cg.players, size)
+        )
 
 
 # --- short-word categorization and counting ---------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 from pathshap import explain, game, query
 from pathshap.errors import EnumerationOverflow
 
-from helpers import brute_shapley, random_monotone_game
+from helpers import (
+    brute_shapley,
+    random_monotone_game,
+    shapley_exact_permutation,
+    shapley_exact_permutation_all,
+)
 
 
 def make_game(players, winners):
@@ -23,7 +29,7 @@ def make_game(players, winners):
 def test_two_player_chain_splits_evenly():
     g = make_game(["e1", "e2"], [{"e1", "e2"}])
     assert game.shapley_exact_subset(g, "e1") == Fraction(1, 2)
-    assert game.shapley_exact_permutation(g, "e2") == Fraction(1, 2)
+    assert shapley_exact_permutation(g, "e2") == Fraction(1, 2)
 
 
 def test_dictator_and_null_player():
@@ -46,17 +52,17 @@ def test_engines_match_textbook_sum_on_random_games():
         g = game.CoalitionGame(players, valuation)
         expected = brute_shapley(players, valuation)
         assert game.shapley_exact_subset_all(g) == expected, trial
-        assert game.shapley_exact_permutation_all(g) == expected, trial
+        assert shapley_exact_permutation_all(g) == expected, trial
 
 
 @st.composite
-def monotone_games(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def monotone_games(draw, max_players=5, max_winners=3):
+    n = draw(st.integers(min_value=1, max_value=max_players))
     players = [f"p{i}" for i in range(n)]
     winners = draw(
         st.lists(
             st.sets(st.sampled_from(players), min_size=1).map(frozenset),
-            max_size=3,
+            max_size=max_winners,
         )
     )
     return players, winners
@@ -68,8 +74,47 @@ def test_engines_agree_property(players_winners):
     players, winners = players_winners
     g = make_game(players, winners)
     values = game.shapley_exact_subset_all(g)
-    assert values == game.shapley_exact_permutation_all(g)
+    assert values == shapley_exact_permutation_all(g)
     assert sum(values.values()) == g.value(frozenset(players))
+
+
+@given(monotone_games(max_players=8, max_winners=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_size_counting_engine_matches_textbook_sum(players_winners, data):
+    players, winners = players_winners
+    g = make_game(players, winners)
+    expected = brute_shapley(players, g.valuation)
+    assert game.shapley_exact_subset_all(g) == expected
+    focus = data.draw(st.sampled_from(players))
+    assert game.shapley_exact_subset(g, focus) == expected[focus]
+
+
+def test_overflow_before_any_table_or_valuation():
+    calls = []
+    g = game.CoalitionGame(
+        [f"p{i}" for i in range(40)], mask_valuation=lambda mask: calls.append(mask) or 0
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationOverflow):
+            game.shapley_exact_subset_all(g)
+        with pytest.raises(EnumerationOverflow):
+            game.shapley_exact_subset(g, "p0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 1 << 20  # a 2^40-entry table would be a terabyte
+
+
+def test_game_takes_exactly_one_valuation_form():
+    with pytest.raises(ValueError):
+        game.CoalitionGame(["a"])
+    with pytest.raises(ValueError):
+        game.CoalitionGame(["a"], lambda b: 0, mask_valuation=lambda m: 0)
+    g = game.CoalitionGame(["a", "b"], mask_valuation=lambda m: m == 3)
+    assert g.valuation(frozenset({"a", "b"})) and not g.valuation(frozenset({"b"}))
+    assert g.value({"a", "b"}) == 1 and g.value({"a"}) == 0
 
 
 def test_shapley_axioms_on_random_games():
@@ -90,7 +135,7 @@ def test_enumeration_caps():
     with pytest.raises(EnumerationOverflow):
         game.shapley_exact_subset(g, "p0", cap=10)
     with pytest.raises(EnumerationOverflow):
-        game.shapley_exact_permutation_all(g, cap=9)
+        shapley_exact_permutation_all(g, cap=9)
 
 
 def test_permutation_oracle_on_running_example_edge(fig_graph):
@@ -98,7 +143,7 @@ def test_permutation_oracle_on_running_example_edge(fig_graph):
     q = query.compile_crpq("(x, a b*, y)", fig_graph.alphabet)
     mu = query.parse_binding("x=v1,y=v6", q)
     g = explain.edge_game(fig_graph, q, mu)
-    assert game.shapley_exact_permutation(g, "v2->v6") == Fraction(1, 4)
+    assert shapley_exact_permutation(g, "v2->v6") == Fraction(1, 4)
 
 
 # --- sampling ---------------------------------------------------------------
