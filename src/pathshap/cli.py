@@ -53,13 +53,13 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--delta", type=float, default=0.01)
             c.add_argument("--seed", type=int, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
+            c.add_argument("--cap", type=int, default=game_mod.SUBSET_CAP,
+                           help="most players for exact subset enumeration")
         if name == "answers":
             c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
                            help="most answers (and intermediate join rows) to list")
-        else:
-            c.add_argument("--cap", type=int, default=game_mod.SUBSET_CAP,
-                           help="most players for exact subset enumeration")
-        c.add_argument("--budget", type=int, default=1_000_000)
+        if name == "nonzero":
+            c.add_argument("--budget", type=int, default=1_000_000, help="search node budget")
     return p
 
 
@@ -155,7 +155,6 @@ def _cmd_shapley(args, out) -> int:
         delta=args.delta,
         seed=args.seed,
         subset_cap=args.cap,
-        budget=args.budget,
     )
     report = explain.solve(req)
     _render_report(report, args.format, out)

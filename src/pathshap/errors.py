@@ -37,10 +37,6 @@ class EnumerationOverflow(PathShapError):
     """An enumeration exceeded its configured cap."""
 
 
-class NonDisjointStructure(PathShapError):
-    """The short-word closed-form counter's disjointness precondition fails."""
-
-
 class InfiniteLanguage(PathShapError):
     """A finite-language-only operation was asked about an infinite atom."""
 

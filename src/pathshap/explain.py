@@ -1,9 +1,10 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
-Builds the coalition games, runs the closed-form counter for single-atom
-queries whose words have length at most two, provides the gap-based
-multiplicative wrapper and the simple-path positivity test, and dispatches
-between the exact, counting and sampling engines.
+Builds the coalition games, counts exact values from one blocking
+polynomial for single-atom queries whose words have length at most two,
+provides the gap-based multiplicative wrapper and the simple-path
+positivity test, and dispatches between the exact, counting and sampling
+engines.
 """
 
 from __future__ import annotations
@@ -11,17 +12,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from . import game as game_mod
-from .automata import Dfa, Word
+from .automata import Dfa, Word, words_up_to
 from .errors import (
     BudgetExceeded,
     InfiniteLanguage,
     InvalidPlayerSet,
-    NonDisjointStructure,
     NoPlayers,
     UnknownVertex,
 )
@@ -50,15 +51,6 @@ class ExplainRequest:
     delta: float = 0.01
     seed: int = 0
     subset_cap: int = game_mod.SUBSET_CAP
-    budget: int = 1_000_000
-
-
-@dataclass(frozen=True)
-class EdgeCategorization:
-    permitted: frozenset[str]
-    on_path1: frozenset[str]
-    on_path2x: frozenset[str]
-    on_path2e_pairs: frozenset[frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,34 @@ def _check_binding(g: LabeledGraph, q: Crpq, mu: Assignment) -> None:
             raise UnknownVertex(mu[var])
 
 
-# --- short-word matching structure -----------------------------------------
+# --- short-word exact Shapley ----------------------------------------------
+
+@dataclass(frozen=True)
+class BlockingStructure:
+    """The losing coalitions of a single short-word atom's edge game.
+
+    ``poly[k]`` counts, for k = 0..m, the size-k sets of endogenous edges
+    that complete no matching path together with the exogenous edges.  Such
+    a set avoids every ``sole`` edge and is independent in the conflict
+    graph ``adj``, which joins the two endogenous edges of every other
+    match, so B(x) = (1+x)^free · Π_C I_C(x), where I_C(x) counts the
+    independent sets of conflict component C by size.  ``poly`` is zero when
+    the exogenous edges alone complete a match.  ``disjoint`` holds when no
+    endogenous edge lies on two matches that have an endogenous edge and no
+    self-loop lies on a matching length-2 path.
+    """
+
+    poly: list[int]
+    disjoint: bool
+    players: frozenset[str]  # the endogenous edges
+    sole: frozenset[str]  # the only endogenous edge of some match
+    components: dict[frozenset[str], list[int]]  # C -> I_C
+    adj: dict[str, set[str]]  # the conflict graph
+
+    @property
+    def largest(self) -> int:
+        return max(map(len, self.components), default=0)
+
 
 def _short_words(words: Iterable[Word]) -> list[Word]:
     out = [w for w in words if 1 <= len(w) <= 2]
@@ -167,77 +186,76 @@ def _matching_paths(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> l
     return paths
 
 
-def categorize_edges(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> EdgeCategorization:
-    """Classify endogenous edges by the matching short paths they sit on.
-
-    Raises NonDisjointStructure whenever an endogenous edge participates in
-    more than one matching path, or a self-loop sits on a length-2 match;
-    the component-based counter handles those shapes instead.
-    """
-    paths = _matching_paths(g, s, t, words)
-    on_path1: set[str] = set()
-    on_path2x: set[str] = set()
+def blocking_structure(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> BlockingStructure:
+    """The blocking polynomial of the edge game of one short-word atom from
+    s to t, from one pass over its matching paths."""
+    m = len(g.endo_edges)
+    sole: set[str] = set()
     pairs: set[frozenset[str]] = set()
-    occurrences: dict[str, int] = {}
-    for path in paths:
-        if len(path) == 2 and any(e.source == e.target for e in path):
-            raise NonDisjointStructure("self-loop on a matching length-2 path")
-        endo = [e.id for e in path if e.id in g.endo_edges]
+    on_paths: Counter[str] = Counter()
+    loop = False
+    for path in _matching_paths(g, s, t, words):
+        loop = loop or (len(path) == 2 and any(e.source == e.target for e in path))
+        endo = frozenset(e.id for e in path if e.id in g.endo_edges)
         if not endo:
-            continue  # completed by exogenous edges alone; handled by callers
-        for eid in endo:
-            occurrences[eid] = occurrences.get(eid, 0) + 1
-        if len(path) == 1:
-            on_path1.add(endo[0])
-        elif len(endo) == 1:
-            on_path2x.add(endo[0])
+            return BlockingStructure([0] * (m + 1), True, g.endo_edges, frozenset(), {}, {})
+        on_paths.update(endo)
+        if len(endo) == 1:
+            sole |= endo
         else:
-            pairs.add(frozenset(endo))
-    clashing = sorted(e for e, n in occurrences.items() if n > 1)
-    if clashing:
-        raise NonDisjointStructure(f"edges on multiple matching paths: {clashing}")
-    members = on_path1 | on_path2x | {e for p in pairs for e in p}
-    return EdgeCategorization(
-        permitted=g.endo_edges - members,
-        on_path1=frozenset(on_path1),
-        on_path2x=frozenset(on_path2x),
-        on_path2e_pairs=frozenset(pairs),
-    )
+            pairs.add(endo)
+    # a pair with a sole edge never completes in a losing coalition
+    adj: dict[str, set[str]] = {}
+    for a, b in (p for p in pairs if not p & sole):
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    free = m - len(sole) - len(adj)
+    poly = [math.comb(free, i) for i in range(free + 1)]
+    components: dict[frozenset[str], list[int]] = {}
+    for component in _components(adj):
+        components[component] = _independent_set_counts(component, adj)
+        poly = _poly_mul(poly, components[component])
+    poly += [0] * (m + 1 - len(poly))
+    disjoint = not loop and all(n == 1 for n in on_paths.values())
+    return BlockingStructure(poly, disjoint, g.endo_edges, frozenset(sole), components, adj)
 
 
-def count_blocking(c: EdgeCategorization, k: int) -> int:
-    """Size-k endogenous subsets completing no match: avoid the always-bad
-    categories and take at most one edge per endogenous pair."""
-    if k < 0:
-        return 0
-    free = len(c.permitted)
-    p = len(c.on_path2e_pairs)
-    total = 0
-    for i in range(k + 1):
-        j = k - i
-        total += math.comb(free, i) * math.comb(p, j) * (2 ** j)
-    return total
+def shapley_short_rpq(structure: BlockingStructure, players: Iterable[str]) -> dict[str, Fraction]:
+    """Exact values of the given endogenous edges from the blocking structure.
 
+    A player's difference polynomial D counts by size the coalitions without
+    it that lose but win once it joins; its value is
+    Σₖ k!(n−k−1)!·D[k] / n!.  The sole endogenous edge of a match turns every
+    losing coalition into a winning one, so D = B.  A member p of conflict
+    component C wins with the coalitions whose part in C is independent in
+    C−p but not in C−p−N(p), so D = (B ÷ I_C)·(I_{C−p} − I_{C−p−N(p)}).
+    Every other edge is null.
+    """
+    n = len(structure.players)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    component_of = {p: c for c in structure.components for p in c}
+    others: dict[frozenset[str], list[int]] = {}  # C -> B ÷ I_C
+    values: dict[str, Fraction] = {}
+    for p in players:
+        if p not in structure.players:
+            raise InvalidPlayerSet(f"{p} is not an endogenous edge")
+        if p in structure.sole:
+            diff = structure.poly
+        elif p in component_of:
+            c = component_of[p]
+            if c not in others:
+                others[c] = _poly_div(structure.poly, structure.components[c])
+            rest = c - {p}
+            without = _independent_set_counts(rest, structure.adj)  # I_{C−p}
+            apart = _independent_set_counts(rest - structure.adj[p], structure.adj)  # I_{C−p−N(p)}
+            step = [a - b for a, b in itertools.zip_longest(without, apart, fillvalue=0)]
+            diff = _poly_mul(others[c], step)
+        else:
+            diff = []
+        total = sum(fact[k] * fact[n - 1 - k] * d for k, d in enumerate(diff[:n]))
+        values[p] = Fraction(total, fact[n])
+    return values
 
-def has_exogenous_match(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> bool:
-    return any(
-        all(e.id in g.exo_edges for e in path)
-        for path in _matching_paths(g, s, t, words)
-    )
-
-
-def count_enabling(g: LabeledGraph, s: str, t: str, words: Iterable[Word], k: int) -> int:
-    """Size-k endogenous subsets that, with the exogenous edges, connect a
-    matching path; complement counting against the closed form."""
-    m_n = len(g.endo_edges)
-    if k < 0 or k > m_n:
-        return 0
-    if has_exogenous_match(g, s, t, words):
-        return math.comb(m_n, k)
-    return math.comb(m_n, k) - count_blocking(categorize_edges(g, s, t, words), k)
-
-
-# --- component-based fallback counter --------------------------------------
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -248,7 +266,21 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _independent_set_counts(vertices: frozenset[str], adj: dict[str, frozenset[str]]) -> list[int]:
+def _poly_div(a: list[int], b: list[int]) -> list[int]:
+    """a ÷ b, for b with constant term 1 that divides a: long division from
+    the lowest power up."""
+    rem = list(a)
+    out = []
+    for i in range(len(a) - len(b) + 1):
+        c = rem[i]
+        out.append(c)
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return out
+
+
+def _independent_set_counts(vertices: frozenset[str], adj: dict[str, set[str]]) -> list[int]:
     """coeff[k] = number of independent size-k subsets of the given vertices."""
     memo: dict[frozenset[str], tuple[int, ...]] = {}
 
@@ -270,43 +302,8 @@ def _independent_set_counts(vertices: frozenset[str], adj: dict[str, frozenset[s
     return list(count(vertices))
 
 
-def blocking_structure(
-    g: LabeledGraph, s: str, t: str, words: Iterable[Word]
-) -> Optional[tuple[list[int], int]]:
-    """Blocking-count polynomial and largest conflict-component size.
-
-    Returns None when exogenous edges alone complete a match (nothing
-    blocks).  Handles arbitrary overlap between matching paths by counting
-    fixed-size independent sets in the conflict graph, component-wise.
-    """
-    paths = _matching_paths(g, s, t, words)
-    forbidden: set[str] = set()
-    pair_reqs: set[frozenset[str]] = set()
-    for path in paths:
-        endo = {e.id for e in path if e.id in g.endo_edges}
-        if not endo:
-            return None
-        if len(endo) == 1:
-            forbidden.add(next(iter(endo)))
-        else:
-            pair_reqs.add(frozenset(endo))
-    pair_reqs = {p for p in pair_reqs if not p & forbidden}
-    conflict_vertices = {e for p in pair_reqs for e in p}
-    adj: dict[str, frozenset[str]] = {
-        v: frozenset(w for p in pair_reqs if v in p for w in p if w != v)
-        for v in conflict_vertices
-    }
-    free = len(g.endo_edges) - len(forbidden) - len(conflict_vertices)
-    poly = [math.comb(free, i) for i in range(free + 1)]
-    largest = 0
-    for component in _components(conflict_vertices, adj):
-        largest = max(largest, len(component))
-        poly = _poly_mul(poly, _independent_set_counts(component, adj))
-    return poly, largest
-
-
-def _components(vertices: set[str], adj: dict[str, frozenset[str]]) -> list[frozenset[str]]:
-    remaining = set(vertices)
+def _components(adj: dict[str, set[str]]) -> list[frozenset[str]]:
+    remaining = set(adj)
     out = []
     while remaining:
         root = min(remaining)
@@ -321,65 +318,6 @@ def _components(vertices: set[str], adj: dict[str, frozenset[str]]) -> list[froz
         remaining -= seen
         out.append(frozenset(seen))
     return out
-
-
-def count_enabling_general(g: LabeledGraph, s: str, t: str, words: Iterable[Word], k: int) -> int:
-    m_n = len(g.endo_edges)
-    if k < 0 or k > m_n:
-        return 0
-    structure = blocking_structure(g, s, t, words)
-    if structure is None:
-        return math.comb(m_n, k)
-    poly, _ = structure
-    blocked = poly[k] if k < len(poly) else 0
-    return math.comb(m_n, k) - blocked
-
-
-# --- short-word exact Shapley ----------------------------------------------
-
-def _reclassify_exogenous(g: LabeledGraph, eid: str) -> LabeledGraph:
-    return LabeledGraph(g.vertices, g.edges, g.endo_edges - {eid}, g.endo_vertices)
-
-
-def _delete_edge(g: LabeledGraph, eid: str) -> LabeledGraph:
-    return LabeledGraph(
-        g.vertices,
-        (e for e in g.edges if e.id != eid),
-        g.endo_edges - {eid},
-        g.endo_vertices,
-    )
-
-
-def shapley_short_rpq(
-    g: LabeledGraph,
-    s: str,
-    t: str,
-    words: Iterable[Word],
-    eid: str,
-    counter: str = "closed",
-) -> Fraction:
-    """Exact value of an endogenous edge for a single short-word atom.
-
-    Recombines per-size enabling counts of the two derived graphs (the edge
-    made exogenous vs. deleted) under the permutation weight
-    k!(m-k-1)!/m! with m the original endogenous count.  counter selects the
-    closed form ("closed", raising NonDisjointStructure when its
-    precondition fails) or the component-based one ("components").
-    """
-    if eid not in g.endo_edges:
-        raise InvalidPlayerSet(f"{eid} is not an endogenous edge")
-    wordlist = list(words)
-    m_n = len(g.endo_edges)
-    count = count_enabling if counter == "closed" else count_enabling_general
-    g_exo = _reclassify_exogenous(g, eid)
-    g_del = _delete_edge(g, eid)
-    fact = [math.factorial(i) for i in range(m_n + 1)]
-    total = Fraction(0)
-    for k in range(m_n):
-        diff = count(g_exo, s, t, wordlist, k) - count(g_del, s, t, wordlist, k)
-        if diff:
-            total += Fraction(fact[k] * fact[m_n - k - 1], fact[m_n]) * diff
-    return total
 
 
 # --- gap bound and multiplicative wrapper ----------------------------------
@@ -651,23 +589,11 @@ def solve(req: ExplainRequest) -> ShapleyReport:
 
 
 def _solve_exact_poly(req: ExplainRequest, targets: list[str], flags: list[str]) -> ShapleyReport:
-    from .automata import words_up_to
-
     atom = req.query.atoms[0]
-    s = req.binding[atom.source_var]
-    t = req.binding[atom.target_var]
     words = [w for w in words_up_to(atom.dfa, 2) if w]
-    counter = "closed"
-    values: dict[str, Fraction] = {}
-    try:
-        for p in targets:
-            values[p] = shapley_short_rpq(req.graph, s, t, words, p, counter)
-    except NonDisjointStructure:
-        counter = "components"
-        structure = blocking_structure(req.graph, s, t, words)
-        largest = structure[1] if structure is not None else 0
-        flags.append(f"non-disjoint-fallback:largest-component={largest}")
-        values = {
-            p: shapley_short_rpq(req.graph, s, t, words, p, counter) for p in targets
-        }
-    return ShapleyReport("exact-poly", values, tuple(flags))
+    structure = blocking_structure(
+        req.graph, req.binding[atom.source_var], req.binding[atom.target_var], words
+    )
+    if not structure.disjoint:
+        flags.append(f"non-disjoint-fallback:largest-component={structure.largest}")
+    return ShapleyReport("exact-poly", shapley_short_rpq(structure, targets), tuple(flags))

@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from pathshap import cli, explain, game, query
-from pathshap.errors import NonDisjointStructure
 from pathshap.graph import Edge, LabeledGraph, load_graph
 
 from helpers import random_labeled_graph, random_monotone_game, shapley_exact_permutation_all
@@ -125,11 +124,11 @@ def test_criterion_2_definition_agreement():
 
 
 def test_criterion_3_polynomial_algorithm():
-    """Closed-form counter (and its general fallback) match the exact engine
-    on 500 random short-word instances; exact rational equality."""
+    """The blocking-polynomial counter matches the permutation oracle on 500
+    random short-word instances; exact rational equality."""
     rng = random.Random(3)
     word_pool = [("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")]
-    checked = disjoint = fallback = 0
+    checked = disjoint = overlapping = 0
     while checked < 500:
         g = random_labeled_graph(
             rng,
@@ -149,19 +148,17 @@ def test_criterion_3_polynomial_algorithm():
         mu = query.Assignment({"x": s, "y": t})
         oracle = shapley_exact_permutation_all(explain.edge_game(g, q, mu))
 
-        for eid in sorted(g.endo_edges):
-            try:
-                got = explain.shapley_short_rpq(g, s, t, words, eid, counter="closed")
-                disjoint += 1
-            except NonDisjointStructure:
-                got = explain.shapley_short_rpq(g, s, t, words, eid, counter="components")
-                fallback += 1
-            general = explain.shapley_short_rpq(g, s, t, words, eid, counter="components")
-            assert got == general == oracle[eid], (checked, eid)
+        structure = explain.blocking_structure(g, s, t, words)
+        if structure.disjoint:
+            disjoint += 1
+        else:
+            overlapping += 1
+        got = explain.shapley_short_rpq(structure, sorted(g.endo_edges))
+        assert got == oracle, checked
         checked += 1
-    assert disjoint > 0 and fallback > 0  # both formula paths exercised
+    assert disjoint > 0 and overlapping > 0  # both structure shapes exercised
     _report(f"criterion 3 PASS: counting algorithm == permutation oracle on "
-            f"500 instances ({disjoint} disjoint edges, {fallback} fallback edges)")
+            f"500 instances ({disjoint} disjoint, {overlapping} overlapping structures)")
 
 
 def test_criterion_4_additive_sampler_calibration(fig_graph):

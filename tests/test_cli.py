@@ -65,6 +65,21 @@ def test_eval_errors_exit_2(fig_graph_text):
     assert code == 2
 
 
+def test_parser_rejects_options_a_command_does_not_read(fig_graph_text, capsys):
+    base = ["--graph", str(fig_graph_text), "--query", "(x, a, y)"]
+    for argv in (
+        ["eval", *base, "--bind", "x=v1,y=v2", "--cap", "3"],
+        ["eval", *base, "--bind", "x=v1,y=v2", "--budget", "5"],
+        ["answers", *base, "--budget", "5"],
+        ["nonzero", *base, "--bind", "x=v1,y=v2", "--focus", "v1->v2", "--cap", "3"],
+        ["shapley", *base, "--bind", "x=v1,y=v2", "--budget", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv, out=io.StringIO())
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # --- answers ----------------------------------------------------------------
 
 def test_answers_sorted_rows(fig_graph_text):

@@ -13,7 +13,6 @@ from pathshap.errors import (
     EnumerationOverflow,
     InfiniteLanguage,
     InvalidPlayerSet,
-    NonDisjointStructure,
     NoPlayers,
 )
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
@@ -133,55 +132,56 @@ def test_mask_valuations_cover_baseline_games():
         )
 
 
-# --- short-word categorization and counting ---------------------------------
+# --- short-word blocking structure -----------------------------------------
 
 def test_categorize_edges_running_example(fig_graph):
-    c = explain.categorize_edges(fig_graph, "v1", "v4", [("a", "b")])
-    assert c.on_path2e_pairs == {frozenset({"v1->v2", "v2->v4"})}
-    assert not c.on_path1 and not c.on_path2x
-    assert len(c.permitted) == 7
+    c = explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")])
+    assert c.disjoint
+    assert set(c.components) == {frozenset({"v1->v2", "v2->v4"})}
+    assert not c.sole
+    # seven free edges times one pair: (1+x)^7 (1+2x), padded to the 9 players
+    assert c.poly == [1, 9, 35, 77, 105, 91, 49, 15, 2, 0]
 
 
 def test_categorize_edges_on_path1_and_2x():
     g = load_graph("u1 a u3 n\nu1 b u2 x\nu2 c u3 n\n")
-    c = explain.categorize_edges(g, "u1", "u3", [("a",), ("b", "c")])
-    assert c.on_path1 == {"u1->u3"}
-    assert c.on_path2x == {"u2->u3"}
-    assert not c.permitted and not c.on_path2e_pairs
+    c = explain.blocking_structure(g, "u1", "u3", [("a",), ("b", "c")])
+    assert c.disjoint
+    assert c.sole == {"u1->u3", "u2->u3"}
+    assert not c.components
+    assert c.poly == [1, 0, 0]
 
 
 def test_categorize_edges_rejects_self_loop_match():
     g = load_graph(LOOPY)
-    with pytest.raises(NonDisjointStructure):
-        explain.categorize_edges(g, "u1", "u2", LOOPY_WORDS)
+    assert not explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS).disjoint
     g2 = load_graph("u1 a u1 n\n")
-    with pytest.raises(NonDisjointStructure):
-        explain.categorize_edges(g2, "u1", "u1", [("a", "a")])
+    assert not explain.blocking_structure(g2, "u1", "u1", [("a", "a")]).disjoint
 
 
 def test_count_blocking_closed_form(fig_graph):
-    c = explain.categorize_edges(fig_graph, "v1", "v4", [("a", "b")])
+    c = explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")])
     m = len(fig_graph.endo_edges)
     for k in range(m + 1):
-        blocked = explain.count_blocking(c, k)
-        enabled = explain.count_enabling(fig_graph, "v1", "v4", [("a", "b")], k)
-        assert blocked + enabled == math.comb(m, k)
+        enabled = math.comb(m, k) - c.poly[k]
         assert enabled == brute_enabling_count(fig_graph, "v1", "v4", [("a", "b")], k)
 
 
 def test_count_enabling_chain():
     g = load_graph("u1 a u2 n\nu2 b u3 n\n")
     words = [("a", "b")]
-    assert explain.count_enabling(g, "u1", "u3", words, 0) == 0
-    assert explain.count_enabling(g, "u1", "u3", words, 1) == 0
-    assert explain.count_enabling(g, "u1", "u3", words, 2) == 1
+    poly = explain.blocking_structure(g, "u1", "u3", words).poly
+    assert [math.comb(2, k) - poly[k] for k in range(3)] == [0, 0, 1]
+    assert [brute_enabling_count(g, "u1", "u3", words, k) for k in range(3)] == [0, 0, 1]
 
 
 def test_count_enabling_exogenous_match():
     g = load_graph("u1 a u2 x\nu2 b u3 x\nu4 a u5 n\nu5 b u6 n\n")
+    poly = explain.blocking_structure(g, "u1", "u3", [("a", "b")]).poly
     # the exogenous pair already matches: every subset enables
     for k in range(3):
-        assert explain.count_enabling(g, "u1", "u3", [("a", "b")], k) == math.comb(2, k)
+        assert math.comb(2, k) - poly[k] == math.comb(2, k)
+        assert brute_enabling_count(g, "u1", "u3", [("a", "b")], k) == math.comb(2, k)
 
 
 def test_count_enabling_general_matches_brute_force():
@@ -193,49 +193,58 @@ def test_count_enabling_general_matches_brute_force():
         )
         vs = sorted(g.vertices)
         s, t = rng.choice(vs), rng.choice(vs)
-        for k in range(len(g.endo_edges) + 1):
-            assert explain.count_enabling_general(g, s, t, words, k) == (
+        m = len(g.endo_edges)
+        poly = explain.blocking_structure(g, s, t, words).poly
+        for k in range(m + 1):
+            assert math.comb(m, k) - poly[k] == (
                 brute_enabling_count(g, s, t, words, k)
             ), (trial, s, t, k)
 
 
 def test_blocking_structure_none_on_exogenous_match():
     g = load_graph("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n")
-    assert explain.blocking_structure(g, "u1", "u3", [("a", "b")]) is None
+    structure = explain.blocking_structure(g, "u1", "u3", [("a", "b")])
+    # no coalition loses, so no edge decides
+    assert structure.poly == [0, 0]
+    assert explain.shapley_short_rpq(structure, ["u1->u3"]) == {"u1->u3": 0}
 
 
 def test_blocking_structure_component_size():
     g = load_graph(LOOPY)
     structure = explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS)
-    assert structure is not None
-    poly, largest = structure
     # the middle edge conflicts with both loops: one component of size 3
-    assert largest == 3
+    assert structure.largest == 3
+    assert not structure.disjoint
     # blocking counts: independent sets of the path loop-edge-loop
-    assert poly == [1, 3, 1]
+    assert structure.poly == [1, 3, 1, 0]
 
 
 # --- short-word exact Shapley -----------------------------------------------
 
+def short_values(g, s, t, words, players=None):
+    structure = explain.blocking_structure(g, s, t, words)
+    return explain.shapley_short_rpq(structure, sorted(g.endo_edges) if players is None else players)
+
+
 def test_shapley_short_two_edge_chain():
     g = load_graph("u1 a u2 n\nu2 b u3 n\n")
-    for eid in ("u1->u2", "u2->u3"):
-        assert explain.shapley_short_rpq(g, "u1", "u3", [("a", "b")], eid) == Fraction(1, 2)
+    assert short_values(g, "u1", "u3", [("a", "b")]) == {
+        "u1->u2": Fraction(1, 2), "u2->u3": Fraction(1, 2),
+    }
 
 
 def test_shapley_short_requires_endogenous_edge():
     g = load_graph("u1 a u2 x\nu2 b u3 n\n")
     with pytest.raises(InvalidPlayerSet):
-        explain.shapley_short_rpq(g, "u1", "u3", [("a", "b")], "u1->u2")
+        short_values(g, "u1", "u3", [("a", "b")], ["u1->u2"])
 
 
 def test_shapley_short_matches_subset_oracle_disjoint(fig_graph):
     q = crpq("(x, a b, y)")
     mu = bind("x=v1,y=v4", q)
     oracle = game.shapley_exact_subset_all(explain.edge_game(fig_graph, q, mu))
-    for eid in fig_graph.endo_edges:
-        got = explain.shapley_short_rpq(fig_graph, "v1", "v4", [("a", "b")], eid)
-        assert got == oracle[eid], eid
+    assert explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")]).disjoint
+    assert short_values(fig_graph, "v1", "v4", [("a", "b")]) == oracle
 
 
 def test_shapley_short_components_counter_on_overlap():
@@ -243,11 +252,8 @@ def test_shapley_short_components_counter_on_overlap():
     q = crpq("(x, a b | c a, y)", g.alphabet)
     mu = bind("x=u1,y=u2", q)
     oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, mu))
-    with pytest.raises(NonDisjointStructure):
-        explain.shapley_short_rpq(g, "u1", "u2", LOOPY_WORDS, "u1->u2", counter="closed")
-    for eid in g.endo_edges:
-        got = explain.shapley_short_rpq(g, "u1", "u2", LOOPY_WORDS, eid, counter="components")
-        assert got == oracle[eid], eid
+    assert not explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS).disjoint
+    assert short_values(g, "u1", "u2", LOOPY_WORDS) == oracle
 
 
 def test_shapley_short_self_loop_twice():
@@ -255,9 +261,7 @@ def test_shapley_short_self_loop_twice():
     q = crpq("(x, a a, y)", g.alphabet)
     mu = bind("x=u1,y=u1", q)
     oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, mu))
-    for eid in g.endo_edges:
-        got = explain.shapley_short_rpq(g, "u1", "u1", [("a", "a")], eid, counter="components")
-        assert got == oracle[eid], eid
+    assert short_values(g, "u1", "u1", [("a", "a")]) == oracle
 
 
 # --- gap bound and multiplicative wrapper -----------------------------------
@@ -387,6 +391,31 @@ def test_solve_exact_poly_non_disjoint_fallback():
     q = crpq("(x, a b | c a, y)", g.alphabet)
     oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, bind("x=u1,y=u2", q)))
     assert report.values == oracle
+
+
+def test_solve_exact_poly_flags_do_not_depend_on_focus():
+    # the u2 loop read twice matches on its own; the flag describes the
+    # request graph, so asking for the loop alone keeps it
+    g = load_graph(LOOPY)
+    everyone = explain.solve(request(g, "(x, b b, y)", "x=u2,y=u2"))
+    alone = explain.solve(request(g, "(x, b b, y)", "x=u2,y=u2", focus="u2->u2"))
+    assert everyone.method == alone.method == "exact-poly"
+    assert alone.flags == everyone.flags == ("non-disjoint-fallback:largest-component=0",)
+    assert alone.values == {"u2->u2": 1}
+
+
+def test_solve_exact_poly_finds_matching_paths_once(monkeypatch):
+    calls = []
+    original = explain._matching_paths
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(explain, "_matching_paths", counted)
+    report = explain.solve(request(load_graph(LOOPY), "(x, a b | c a, y)", "x=u1,y=u2"))
+    assert report.method == "exact-poly"
+    assert len(calls) == 1
 
 
 def test_solve_focus_restricts_output(fig_graph):
