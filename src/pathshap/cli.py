@@ -7,7 +7,7 @@ inputs, flags and seed.
 
 Exit codes: 0 success, 2 parse/validation error, 3 enumeration overflow,
 4 multiplicative approximation requested for an infinite language, 5 search
-budget exhausted.
+budget exhausted or sampler trial cap exceeded.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ class InfiniteLanguage(PathShapError):
 
 
 class BudgetExceeded(PathShapError):
-    """A bounded search exhausted its node budget; the answer is unknown."""
+    """A bounded search exhausted its node budget, or a sampler would need
+    more than its trial cap; the answer is unknown."""
 
 
 class NoPlayers(PathShapError):

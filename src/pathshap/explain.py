@@ -336,6 +336,12 @@ def gap_bound(q: Crpq, m_n: int) -> GapBound:
     return GapBound(k_sum, m_n, Fraction(1, denominator))
 
 
+def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
+    """Additive tolerance gap*eps/(1+eps) of the (1+eps) wrapper: within it,
+    every value of at least the gap is estimated within a factor 1+eps."""
+    return float(gb.gap) * eps / (1.0 + eps)
+
+
 def shapley_multiplicative(
     g: CoalitionGame,
     a: str,
@@ -344,12 +350,23 @@ def shapley_multiplicative(
     delta: float,
     seed: int,
 ) -> MultiplicativeEstimate:
+    """Multiplicative estimate of one player; see ``shapley_multiplicative_all``."""
+    return shapley_multiplicative_all(g, [a], gb, eps, delta, seed)[a]
+
+
+def shapley_multiplicative_all(
+    g: CoalitionGame,
+    targets: Iterable[str],
+    gb: GapBound,
+    eps: float,
+    delta: float,
+    seed: int,
+) -> dict[str, MultiplicativeEstimate]:
     """Multiplicative (1+eps) guarantee from the additive sampler: run it at
-    tolerance gap*eps/(1+eps) and snap estimates below gap/2 to zero."""
+    ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
     eps = min(eps, 0.99)
-    eps_add = float(gb.gap) * eps / (1.0 + eps)
-    raw = game_mod.shapley_mc(g, a, eps_add, delta, seed)
-    return MultiplicativeEstimate(raw, gb.gap, eps)
+    raw = game_mod.shapley_mc_all(g, targets, multiplicative_tolerance(gb, eps), delta, seed)
+    return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
 
 
 # --- nonzero machinery -----------------------------------------------------
@@ -554,11 +571,17 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             mode = "exact-poly"
         elif len(players) <= req.subset_cap:
             mode = "exact-subset"
-        elif all_finite:
-            mode = "approx-multiplicative"
-        else:
+        elif not all_finite:
             mode = "approx-additive"
             flags.append("no-multiplicative-guarantee")
+        else:
+            gb = gap_bound(req.query, len(players))
+            trials = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
+            if trials <= game_mod.TRIAL_CAP:
+                mode = "approx-multiplicative"
+            else:
+                mode = "approx-additive"
+                flags.append(f"no-multiplicative-guarantee:trials={trials}")
     elif mode == "exact":
         mode = "exact-poly" if single_short2 else "exact-subset"
 
@@ -571,19 +594,16 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         else:
             values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
         return ShapleyReport("exact-subset", values, tuple(flags))
+    # the trial cap is checked before the game is built: building it values
+    # the empty coalition
     if mode == "approx-additive":
-        game = _build_game(req)
-        values = {
-            p: game_mod.shapley_mc(game, p, eps, req.delta, req.seed) for p in targets
-        }
+        game_mod.capped_sample_count(eps, req.delta)
+        values = game_mod.shapley_mc_all(_build_game(req), targets, eps, req.delta, req.seed)
         return ShapleyReport("mc-additive", values, tuple(flags))
     if mode == "approx-multiplicative":
         gb = gap_bound(req.query, len(players))
-        game = _build_game(req)
-        values = {
-            p: shapley_multiplicative(game, p, gb, eps, req.delta, req.seed)
-            for p in targets
-        }
+        game_mod.capped_sample_count(multiplicative_tolerance(gb, eps), req.delta)
+        values = shapley_multiplicative_all(_build_game(req), targets, gb, eps, req.delta, req.seed)
         return ShapleyReport("mc-multiplicative", values, tuple(flags))
     raise ValueError(f"unknown mode {req.mode!r}")
 

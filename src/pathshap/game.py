@@ -2,8 +2,9 @@
 
 Coalitions are frozensets of player ids on the public surface and bitmasks
 (bit i = the i-th player) inside.  The exact engine sweeps a truth table of
-all 2^n masks once; the samplers memoize valuations per game (bounded LRU),
-since permutation prefixes repeat heavily.
+all 2^n masks once; the sampler memoizes valuations per game in a dict that
+is cleared when it reaches ``VALUATION_CACHE_SIZE`` entries, since
+permutation prefixes repeat heavily.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import EnumerationOverflow
+from .errors import BudgetExceeded, EnumerationOverflow
 
 SUBSET_CAP = 22
+TRIAL_CAP = 10**7
 VALUATION_CACHE_SIZE = 1 << 20
 
 
@@ -95,9 +99,22 @@ class ShapleyReport:
     flags: tuple[str, ...] = ()
 
 
-def sample_count(eps: float, delta: float) -> int:
-    """Hoeffding trial count for an additive (eps, delta) guarantee."""
-    return math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))
+def sample_count(eps: float, delta: float) -> Union[int, float]:
+    """Hoeffding trial count for an additive (eps, delta) guarantee;
+    ``math.inf`` when eps is too small for the count to be a float (a
+    multiplicative tolerance from a gap below the float range)."""
+    try:
+        return math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def capped_sample_count(eps: float, delta: float) -> int:
+    """``sample_count``, refused with ``BudgetExceeded`` above ``TRIAL_CAP``."""
+    trials = sample_count(eps, delta)
+    if trials > TRIAL_CAP:
+        raise BudgetExceeded(f"{trials} sampler trials exceeds trial cap {TRIAL_CAP}")
+    return trials
 
 
 def shapley_exact_subset(g: CoalitionGame, a: str, cap: int = SUBSET_CAP) -> Fraction:
@@ -157,17 +174,6 @@ def _masks_with_bit(table: bytearray, bit: int) -> bytes:
     return b"".join(table[lo:lo + bit] for lo in range(bit, len(table), step))
 
 
-def _trial_rng(seed: int, player: str, trial: int) -> random.Random:
-    # string seeding hashes via sha512 in CPython: stable across runs/platforms
-    return random.Random(f"{seed}:{player}:{trial}")
-
-
-def _fisher_yates(rng: random.Random, items: list) -> None:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-
-
 def shapley_mc(
     g: CoalitionGame,
     a: str,
@@ -175,29 +181,53 @@ def shapley_mc(
     delta: float,
     seed: int,
 ) -> SampledEstimate:
-    """Additive Monte-Carlo estimate over Hoeffding-many permutation trials.
+    """Additive Monte-Carlo estimate of one player; the same draw as
+    ``shapley_mc_all`` gives that player for the same seed."""
+    return shapley_mc_all(g, [a], eps, delta, seed)[a]
 
-    Each trial draws an independent uniform permutation from its own
-    deterministic substream, takes the prefix before the player as the
-    coalition, and scores whether the player's marginal contribution is 1.
+
+def shapley_mc_all(
+    g: CoalitionGame,
+    targets: Iterable[str],
+    eps: float,
+    delta: float,
+    seed: int,
+) -> dict[str, SampledEstimate]:
+    """Additive Monte-Carlo estimates from one stream of Hoeffding-many
+    permutations.
+
+    ``random.Random(seed)`` shuffles the list of player bits in place once
+    per trial.  In a monotone 0/1 game with v(empty) = 0 and v(N) = 1 every
+    permutation has exactly one pivot, the player whose arrival makes the
+    prefix win, and the pivot is the only player with marginal 1; a binary
+    search over the prefixes finds it in O(log n) valuations.  So each
+    player's estimate is still the mean of independent Bernoulli samples of
+    its own marginal, and one permutation serves every player.  If v(N) = 0
+    nothing is drawn and every estimate is 0.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    n = sample_count(eps, delta)
-    bit = g.player_bit(a)
-    successes = 0
-    order_template = [1 << i for i in range(len(g.players))]
-    for trial in range(n):
-        order = list(order_template)
-        _fisher_yates(_trial_rng(seed, a, trial), order)
-        mask = 0
-        for b in order:
-            if b == bit:
-                break
-            mask |= b
-        if g.value_of_mask(mask | bit) - g.value_of_mask(mask) == 1:
-            successes += 1
-    return SampledEstimate(successes, n, eps, delta, seed)
+    trials = capped_sample_count(eps, delta)
+    value = g.value_of_mask
+    order = [1 << i for i in range(len(g.players))]
+    pivots: dict[int, int] = {}
+    if value((1 << len(order)) - 1):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            rng.shuffle(order)
+            prefixes = list(accumulate(order, or_))
+            lo, hi = 0, len(prefixes) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if value(prefixes[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            pivots[order[lo]] = pivots.get(order[lo], 0) + 1
+    return {
+        p: SampledEstimate(pivots.get(g.player_bit(p), 0), trials, eps, delta, seed)
+        for p in targets
+    }
 
 
 def shapley_nonzero(

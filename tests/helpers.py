@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles (direct language
 semantics, path enumeration, subset enumeration, the textbook subset-form
-Shapley sum) so the tests never trust the code paths they check.
+Shapley sum, per-player marginals over a permutation stream) so the tests never trust the code paths they check.
 """
 
 from __future__ import annotations
@@ -176,6 +176,22 @@ def shapley_exact_permutation_all(g, cap: int = PERMUTATION_CAP) -> dict[str, Fr
             previous = current
     total_perms = math.factorial(n)
     return {p: Fraction(c, total_perms) for p, c in counts.items()}
+
+
+def pivot_oracle_counts(players, valuation, trials: int, seed: int) -> dict[str, int]:
+    """Every player's count of marginal-1 trials over the permutation stream
+    of ``game.shapley_mc_all``: ``random.Random(seed)`` shuffles the player
+    list in place once per trial.  Each player's marginal
+    v(prefix | {a}) - v(prefix) is valued directly, in a linear scan."""
+    order = list(players)
+    counts = {p: 0 for p in order}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        rng.shuffle(order)
+        for i, a in enumerate(order):
+            prefix = frozenset(order[:i])
+            counts[a] += valuation(prefix | {a}) - valuation(prefix)
+    return counts
 
 
 def random_monotone_game(rng: random.Random, players):

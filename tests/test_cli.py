@@ -260,6 +260,20 @@ def test_nonzero_false_for_stray_edge(tmp_path):
     assert (code, out) == (0, "false\n")
 
 
+def test_shapley_over_trial_cap_exit_5(tmp_path):
+    path = tmp_path / "strays.graph"
+    path.write_text(CHAIN3 + "".join(f"w{i} a w{i + 1} n\n" for i in range(20)))
+    argv = ["shapley", "--graph", str(path), "--query", "(x, a b c, y)", "--bind", "x=u1,y=u4"]
+    code, out = run(argv + ["--mode", "approx-multiplicative"])
+    assert (code, out) == (5, "")
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["method"] == "mc-additive"
+    assert report["flags"][0].startswith("no-multiplicative-guarantee:trials=")
+
+
 def test_nonzero_unknown_on_budget_exit_5(fig_graph_text):
     code, out = run(
         [

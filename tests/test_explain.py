@@ -476,6 +476,54 @@ def test_solve_auto_falls_back_to_additive_sampling():
     assert "no-multiplicative-guarantee" in report.flags
 
 
+# the chain plus 20 stray edges: 23 players, above the subset cap, where the
+# (1+eps) wrapper at eps=0.05, delta=0.01 needs about 1.3e11 trials
+CHAIN3_STRAYS = CHAIN3 + "".join(f"w{i} a w{i + 1} n\n" for i in range(20))
+
+
+def test_solve_auto_falls_back_to_additive_over_trial_cap():
+    g = load_graph(CHAIN3_STRAYS)
+    req = request(g, "(x, a b c, y)", "x=u1,y=u4", seed=5)
+    gb = explain.gap_bound(req.query, 23)
+    trials = game.sample_count(explain.multiplicative_tolerance(gb, 0.05), 0.01)
+    assert trials > game.TRIAL_CAP
+    report = explain.solve(req)
+    assert report.method == "mc-additive"
+    assert report.flags == (f"no-multiplicative-guarantee:trials={trials}",)
+    assert all(est.samples == game.sample_count(0.05, 0.01) for est in report.values.values())
+    assert sum(est.successes for est in report.values.values()) == report.values["u1->u2"].samples
+
+
+def test_solve_over_trial_cap_when_the_gap_underflows_a_float():
+    # one word of length 180 on 180 players: gap 1/180! is below 1e-308
+    g = load_graph("".join(f"u{i} a u{i + 1} n\n" for i in range(180)))
+    qtext = "(x, " + " ".join(["a"] * 180) + ", y)"
+    req = request(g, qtext, "x=u0,y=u180", eps=0.5, delta=0.5)
+    assert explain.multiplicative_tolerance(explain.gap_bound(req.query, 180), 0.5) == 0.0
+    report = explain.solve(req)
+    assert report.method == "mc-additive"
+    assert report.flags == ("no-multiplicative-guarantee:trials=inf",)
+    with pytest.raises(BudgetExceeded):
+        explain.solve(request(g, qtext, "x=u0,y=u180", mode="approx-multiplicative"))
+
+
+@pytest.mark.parametrize(
+    "mode, eps", [("approx-multiplicative", 0.05), ("approx-additive", 1e-4)]
+)
+def test_solve_explicit_sampler_over_trial_cap_before_any_valuation(monkeypatch, mode, eps):
+    calls = []
+    holds = explain.holds_on_mask
+    monkeypatch.setattr(
+        explain, "holds_on_mask", lambda *args: calls.append(args[-1]) or holds(*args)
+    )
+    g = load_graph(CHAIN3_STRAYS)
+    with pytest.raises(BudgetExceeded):
+        explain.solve(request(g, "(x, a b c, y)", "x=u1,y=u4", mode=mode, eps=eps))
+    assert calls == []
+    explain.solve(request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-additive", eps=0.3))
+    assert calls  # the counter sees the valuations of a request under the cap
+
+
 def test_solve_auto_multiplicative_for_finite_languages():
     g = load_graph(CHAIN3)
     req = request(

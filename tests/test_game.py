@@ -3,14 +3,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathshap import explain, game, query
-from pathshap.errors import EnumerationOverflow
+from pathshap.errors import BudgetExceeded, EnumerationOverflow
 
 from helpers import (
     brute_shapley,
+    pivot_oracle_counts,
     random_monotone_game,
     shapley_exact_permutation,
     shapley_exact_permutation_all,
@@ -177,6 +178,53 @@ def test_mc_deterministic_per_seed():
     assert first == second
     other = game.shapley_mc(g, "b", 0.1, 0.05, seed=43)
     assert other.samples == first.samples  # same contract, different draw
+
+
+@given(
+    monotone_games(max_players=8, max_winners=4),
+    st.sampled_from([0.2, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example((["p0", "p1", "p2"], []), 0.3, 7)  # null game
+@example((["p0", "p1", "p2"], [frozenset({"p1"})]), 0.3, 7)  # dictator
+@settings(max_examples=60, deadline=None)
+def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
+    players, winners = players_winners
+    g = make_game(players, winners)
+    estimates = game.shapley_mc_all(g, players, eps, 0.1, seed)
+    trials = game.sample_count(eps, 0.1)
+    expected = pivot_oracle_counts(players, g.valuation, trials, seed)
+    assert {p: est.successes for p, est in estimates.items()} == expected
+    assert all(est.samples == trials for est in estimates.values())
+
+
+def test_mc_focus_equals_all_players_estimate():
+    g = make_game(list("abcdef"), [{"a", "b"}, {"c", "d", "e"}, {"b", "f"}])
+    every = game.shapley_mc_all(g, g.players, 0.1, 0.05, seed=9)
+    for p in g.players:
+        assert game.shapley_mc(g, p, 0.1, 0.05, seed=9) == every[p]
+
+
+def test_mc_all_players_successes_sum_to_samples():
+    g = make_game(list("abcdefg"), [{"a", "b"}, {"c", "d"}, {"e", "f", "g"}])
+    every = game.shapley_mc_all(g, g.players, 0.1, 0.05, seed=3)
+    samples = game.sample_count(0.1, 0.05)
+    assert sum(est.successes for est in every.values()) == samples
+    assert all(est.samples == samples for est in every.values())
+
+
+def test_mc_refuses_over_trial_cap_before_any_valuation():
+    calls = []
+    g = game.CoalitionGame(
+        [f"p{i}" for i in range(23)], mask_valuation=lambda mask: calls.append(mask) or 1
+    )
+    eps = 1e-4
+    assert game.sample_count(eps, 0.05) > game.TRIAL_CAP
+    with pytest.raises(BudgetExceeded):
+        game.shapley_mc_all(g, g.players, eps, 0.05, seed=0)
+    with pytest.raises(BudgetExceeded):
+        game.shapley_mc(g, "p0", eps, 0.05, seed=0)
+    assert calls == []
 
 
 def test_mc_close_to_exact():
