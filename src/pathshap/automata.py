@@ -286,10 +286,7 @@ def words_up_to(d: Dfa, n: int, cap: int = 100_000) -> set[Word]:
         nxt: list[tuple[int, Word]] = []
         seen: set[tuple[int, Word]] = set()
         for state, word in frontier:
-            for a in sorted(d.alphabet):
-                target = d.step(state, a)
-                if target not in d.useful and target not in d.accepting:
-                    continue
+            for a, target in sorted(d.useful_moves[state].items()):
                 item = (target, word + (a,))
                 if item in seen:
                     continue

@@ -165,13 +165,12 @@ def _cmd_nonzero(args, out) -> int:
     g, q, mu = _load_inputs(args, need_binding=True)
     if args.focus is None:
         raise PathShapError("nonzero needs --focus <player id>")
-    players = sorted(g.endo_edges if args.player_kind == "edge" else g.endo_vertices)
-    if args.focus not in players:
+    # the game before the baseline shift: when the exogenous part alone wins,
+    # every coalition wins without the focus and the verdict is false, as in
+    # the shifted game
+    game = explain._request_game(g, q, mu, args.player_kind)
+    if args.focus not in game.players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
-    if args.player_kind == "edge":
-        game = explain.edge_game(g, q, mu)
-    else:
-        game = explain.vertex_game(g, q, mu)
     supports = explain.candidate_supports(g, q, mu, args.player_kind, budget=args.budget)
     try:
         verdict = game_mod.shapley_nonzero(game, args.focus, supports)

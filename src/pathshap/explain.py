@@ -24,16 +24,14 @@ from .errors import (
     InfiniteLanguage,
     InvalidPlayerSet,
     NoPlayers,
-    UnknownVertex,
 )
 from .game import CoalitionGame, SampledEstimate, ShapleyReport
 from .graph import Edge, LabeledGraph
 from .query import (
     Assignment,
     Crpq,
-    OutLists,
+    _check_vertices,
     bind_atoms,
-    eval_crpq_bound,
     holds_on_mask,
     out_lists,
 )
@@ -92,46 +90,45 @@ class MultiplicativeEstimate:
 def edge_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Players are the endogenous edges; the valuation is the query on the
     coalition's edges together with the exogenous ones, baseline-shifted."""
-    _check_binding(g, q, mu)
-    players = sorted(g.endo_edges)
-    bits = {p: 1 << i for i, p in enumerate(players)}
-    out = out_lists(g, lambda e: bits.get(e.id, 0))
-    return _mask_game(players, q, mu, out, 0)
+    return _baseline_shifted(_request_game(g, q, mu, "edge"))
 
 
 def vertex_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Vertex analogue: removing a vertex removes its incident edges, and a
     coalition missing a bound endogenous vertex is losing."""
-    _check_binding(g, q, mu)
-    players = sorted(g.endo_vertices)
+    return _baseline_shifted(_request_game(g, q, mu, "vertex"))
+
+
+def _request_game(g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str) -> CoalitionGame:
+    """The request's players, sorted, and the mask predicate before the
+    baseline shift: a coalition wins when it holds every bound endogenous
+    vertex and the query holds on the edges whose need mask it covers.  An
+    edge needs its own bit, or in the vertex game the bits of its
+    endpoints; at mask 0 the predicate is the query on the exogenous part."""
+    _check_vertices(g, *(mu[v] for v in q.variables))
+    players = sorted(g.endo_edges if player_kind == "edge" else g.endo_vertices)
     bits = {p: 1 << i for i, p in enumerate(players)}
-    out = out_lists(g, lambda e: bits.get(e.source, 0) | bits.get(e.target, 0))
     bound = 0
-    for var in q.variables:
-        bound |= bits.get(mu[var], 0)
-    return _mask_game(players, q, mu, out, bound)
-
-
-def _mask_game(
-    players: list[str], q: Crpq, mu: Assignment, out: OutLists, bound: int
-) -> CoalitionGame:
-    """The game whose coalition wins when it holds every bit of ``bound`` and
-    the query holds on the edges whose need mask it covers; constant 0 when
-    the empty coalition (the exogenous part alone) already wins."""
+    if player_kind == "edge":
+        out = out_lists(g, lambda e: bits.get(e.id, 0))
+    else:
+        out = out_lists(g, lambda e: bits.get(e.source, 0) | bits.get(e.target, 0))
+        for var in q.variables:
+            bound |= bits.get(mu[var], 0)
     atoms = bind_atoms(q, mu)
     if bound:
         holds = lambda mask: not bound & ~mask and holds_on_mask(out, atoms, mask)
     else:
         holds = functools.partial(holds_on_mask, out, atoms)
-    if holds(0):
-        return CoalitionGame(players, mask_valuation=lambda mask: 0)
     return CoalitionGame(players, mask_valuation=holds)
 
 
-def _check_binding(g: LabeledGraph, q: Crpq, mu: Assignment) -> None:
-    for var in q.variables:
-        if mu[var] not in g.vertices:
-            raise UnknownVertex(mu[var])
+def _baseline_shifted(game: CoalitionGame) -> CoalitionGame:
+    """The game, or constant 0 when the empty coalition (the exogenous part
+    alone) already wins."""
+    if game.mask_valuation(0):
+        return CoalitionGame(game.players, mask_valuation=lambda mask: 0)
+    return game
 
 
 # --- short-word exact Shapley ----------------------------------------------
@@ -175,8 +172,7 @@ def _matching_paths(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> l
     language.  A self-loop traversed twice yields a one-edge length-2 path."""
     wordset = set(_short_words(words))
     paths: list[tuple[Edge, ...]] = []
-    if s not in g.vertices or t not in g.vertices:
-        raise UnknownVertex(s if s not in g.vertices else t)
+    _check_vertices(g, s, t)
     for e1 in g.out_edges(s):
         if e1.target == t and (e1.label,) in wordset:
             paths.append((e1,))
@@ -230,6 +226,10 @@ def shapley_short_rpq(structure: BlockingStructure, players: Iterable[str]) -> d
     component C wins with the coalitions whose part in C is independent in
     C−p but not in C−p−N(p), so D = (B ÷ I_C)·(I_{C−p} − I_{C−p−N(p)}).
     Every other edge is null.
+
+    Unlike the other engines this one takes the players to value: each
+    component member costs two independent-set recounts of its component,
+    so valuing every player would cost a one-player request real work.
     """
     n = len(structure.players)
     fact = [math.factorial(i) for i in range(n + 1)]
@@ -342,30 +342,14 @@ def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
     return float(gb.gap) * eps / (1.0 + eps)
 
 
-def shapley_multiplicative(
-    g: CoalitionGame,
-    a: str,
-    gb: GapBound,
-    eps: float,
-    delta: float,
-    seed: int,
-) -> MultiplicativeEstimate:
-    """Multiplicative estimate of one player; see ``shapley_multiplicative_all``."""
-    return shapley_multiplicative_all(g, [a], gb, eps, delta, seed)[a]
-
-
 def shapley_multiplicative_all(
-    g: CoalitionGame,
-    targets: Iterable[str],
-    gb: GapBound,
-    eps: float,
-    delta: float,
-    seed: int,
+    g: CoalitionGame, gb: GapBound, eps: float, delta: float, seed: int
 ) -> dict[str, MultiplicativeEstimate]:
-    """Multiplicative (1+eps) guarantee from the additive sampler: run it at
-    ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
+    """Multiplicative (1+eps) estimates of every player from the additive
+    sampler: run it at ``multiplicative_tolerance`` and snap estimates below
+    gap/2 to zero."""
     eps = min(eps, 0.99)
-    raw = game_mod.shapley_mc_all(g, targets, multiplicative_tolerance(gb, eps), delta, seed)
+    raw = game_mod.shapley_mc_all(g, multiplicative_tolerance(gb, eps), delta, seed)
     return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
 
 
@@ -382,9 +366,7 @@ def edge_on_simple_path(
     e = g.edges_by_id.get(eid)
     if e is None:
         raise InvalidPlayerSet(f"unknown edge {eid}")
-    for v in (s, t):
-        if v not in g.vertices:
-            raise UnknownVertex(v)
+    _check_vertices(g, s, t)
     if s == t or e.target == s or e.source == t:
         return False
     nodes_left = [budget]
@@ -445,9 +427,10 @@ def _atom_witness_paths(
             raise BudgetExceeded("witness-path enumeration budget exhausted")
         if v == t and q in d.accepting:
             results.append(tuple(path))
+        moves = d.useful_moves[q]
         for edge in g.out_edges(v):
-            nq = d.step(q, edge.label)
-            if nq not in d.useful and nq not in d.accepting:
+            nq = moves.get(edge.label)
+            if nq is None:
                 continue
             key = (edge.target, nq)
             if key in visited:
@@ -472,7 +455,7 @@ def candidate_supports(
     """Candidate winning coalitions: per atom, every product-simple matching
     path; across atoms, every combination.  Covers all minimal winning
     coalitions for both the edge and the vertex game."""
-    _check_binding(g, q, mu)
+    _check_vertices(g, *(mu[v] for v in q.variables))
     shared = [budget]
     per_atom: list[list[tuple[Edge, ...]]] = []
     for atom in q.atoms:
@@ -501,39 +484,17 @@ def candidate_supports(
 
 # --- dispatcher ------------------------------------------------------------
 
-def _players_of(req: ExplainRequest) -> list[str]:
-    g = req.graph
-    pool = g.endo_edges if req.player_kind == "edge" else g.endo_vertices
-    return sorted(pool)
-
-
-def _build_game(req: ExplainRequest) -> CoalitionGame:
-    if req.player_kind == "edge":
-        return edge_game(req.graph, req.query, req.binding)
-    return vertex_game(req.graph, req.query, req.binding)
-
-
-def _baseline_holds(req: ExplainRequest) -> bool:
-    g, q, mu = req.graph, req.query, req.binding
-    if req.player_kind == "edge":
-        return eval_crpq_bound(g, q, mu, edge_ok=g.exo_edges.__contains__)
-    keep = g.exo_vertices
-    if not {mu[v] for v in q.variables} <= keep:
-        return False
-    edge_ok = lambda eid: (
-        (e := g.edges_by_id[eid]).source in keep and e.target in keep
-    )
-    return eval_crpq_bound(g, q, mu, edge_ok=edge_ok)
-
-
 def solve(req: ExplainRequest) -> ShapleyReport:
-    """Pick the cheapest sound method for the request and run it."""
+    """Pick the cheapest sound method for the request and run it; the
+    engines value every player, and a ``focus`` request keeps its player's
+    value."""
     if req.player_kind not in ("edge", "vertex"):
         raise ValueError(f"unknown player kind {req.player_kind!r}")
-    if not (0 < req.delta < 1) or req.eps <= 0:
+    # written so that a NaN eps or delta fails
+    if not (0 < req.delta < 1 and req.eps > 0):
         raise ValueError("eps must be positive and delta must lie in (0, 1)")
-    _check_binding(req.graph, req.query, req.binding)
-    players = _players_of(req)
+    game = _request_game(req.graph, req.query, req.binding, req.player_kind)
+    players = game.players
     if not players:
         raise NoPlayers(f"no endogenous {req.player_kind} players")
     if req.focus is not None and req.focus not in players:
@@ -554,7 +515,15 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if any(a.profile.is_empty for a in req.query.atoms):
         flags.append("empty-language-atom")
         return ShapleyReport("exact-subset", {p: Fraction(0) for p in targets}, tuple(flags))
-    if _baseline_holds(req):
+    gb = gap_bound(req.query, len(players)) if all_finite else None
+    # an explicit sampler mode is refused over the trial cap before the
+    # baseline search, the request's first valuation; a gap below the float
+    # range gives tolerance 0.0, which the sampler would reject as a bad eps
+    if req.mode == "approx-additive":
+        game_mod.capped_sample_count(eps, req.delta)
+    elif req.mode == "approx-multiplicative":
+        game_mod.capped_sample_count(multiplicative_tolerance(gb, eps), req.delta)
+    if game.mask_valuation(0):
         flags.append("answer-exogenous")
         return ShapleyReport("exact-subset", {p: Fraction(0) for p in targets}, tuple(flags))
 
@@ -575,7 +544,6 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             mode = "approx-additive"
             flags.append("no-multiplicative-guarantee")
         else:
-            gb = gap_bound(req.query, len(players))
             trials = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
             if trials <= game_mod.TRIAL_CAP:
                 mode = "approx-multiplicative"
@@ -588,27 +556,20 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if mode == "exact-poly":
         return _solve_exact_poly(req, targets, flags)
     if mode == "exact-subset":
-        game = _build_game(req)
-        if req.focus is not None:
-            values = {req.focus: game_mod.shapley_exact_subset(game, req.focus, req.subset_cap)}
-        else:
-            values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
-        return ShapleyReport("exact-subset", values, tuple(flags))
-    # the trial cap is checked before the game is built: building it values
-    # the empty coalition
-    if mode == "approx-additive":
-        game_mod.capped_sample_count(eps, req.delta)
-        values = game_mod.shapley_mc_all(_build_game(req), targets, eps, req.delta, req.seed)
-        return ShapleyReport("mc-additive", values, tuple(flags))
-    if mode == "approx-multiplicative":
-        gb = gap_bound(req.query, len(players))
-        game_mod.capped_sample_count(multiplicative_tolerance(gb, eps), req.delta)
-        values = shapley_multiplicative_all(_build_game(req), targets, gb, eps, req.delta, req.seed)
-        return ShapleyReport("mc-multiplicative", values, tuple(flags))
-    raise ValueError(f"unknown mode {req.mode!r}")
+        method = "exact-subset"
+        values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
+    elif mode == "approx-additive":
+        method = "mc-additive"
+        values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)
+    elif mode == "approx-multiplicative":
+        method = "mc-multiplicative"
+        values = shapley_multiplicative_all(game, gb, eps, req.delta, req.seed)
+    else:
+        raise ValueError(f"unknown mode {req.mode!r}")
+    return ShapleyReport(method, {p: values[p] for p in targets}, tuple(flags))
 
 
-def _solve_exact_poly(req: ExplainRequest, targets: list[str], flags: list[str]) -> ShapleyReport:
+def _solve_exact_poly(req: ExplainRequest, targets: Iterable[str], flags: list[str]) -> ShapleyReport:
     atom = req.query.atoms[0]
     words = [w for w in words_up_to(atom.dfa, 2) if w]
     structure = blocking_structure(

@@ -73,9 +73,6 @@ class CoalitionGame:
             mask |= 1 << self._index[p]
         return mask
 
-    def player_bit(self, player: str) -> int:
-        return 1 << self._index[player]
-
 
 @dataclass(frozen=True)
 class SampledEstimate:
@@ -117,18 +114,8 @@ def capped_sample_count(eps: float, delta: float) -> int:
     return trials
 
 
-def shapley_exact_subset(g: CoalitionGame, a: str, cap: int = SUBSET_CAP) -> Fraction:
-    """Exact value of one player."""
-    return _shapley_by_size(g, a, cap)[a]
-
-
 def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
-    """Exact values of every player."""
-    return _shapley_by_size(g, None, cap)
-
-
-def _shapley_by_size(g: CoalitionGame, focus: Optional[str], cap: int) -> dict[str, Fraction]:
-    """Exact values from winning coalitions counted by size.
+    """Exact values of every player, from winning coalitions counted by size.
 
     With W(k) the size-k winning coalitions and W_a(k) those among them that
     contain a, phi(a) = sum_k k!(n-k-1)!/n! * (W_a(k+1) - (W(k) - W_a(k))):
@@ -153,8 +140,6 @@ def _shapley_by_size(g: CoalitionGame, focus: Optional[str], cap: int) -> dict[s
     denominator = math.factorial(n)
     values = {}
     for i, p in enumerate(g.players):
-        if focus is not None and p != focus:
-            continue
         with_p = _masks_with_bit(table, 1 << i)
         containing = [0] + [with_p.count(k + 1) for k in range(1, n + 1)]
         total = sum(
@@ -174,27 +159,11 @@ def _masks_with_bit(table: bytearray, bit: int) -> bytes:
     return b"".join(table[lo:lo + bit] for lo in range(bit, len(table), step))
 
 
-def shapley_mc(
-    g: CoalitionGame,
-    a: str,
-    eps: float,
-    delta: float,
-    seed: int,
-) -> SampledEstimate:
-    """Additive Monte-Carlo estimate of one player; the same draw as
-    ``shapley_mc_all`` gives that player for the same seed."""
-    return shapley_mc_all(g, [a], eps, delta, seed)[a]
-
-
 def shapley_mc_all(
-    g: CoalitionGame,
-    targets: Iterable[str],
-    eps: float,
-    delta: float,
-    seed: int,
+    g: CoalitionGame, eps: float, delta: float, seed: int
 ) -> dict[str, SampledEstimate]:
-    """Additive Monte-Carlo estimates from one stream of Hoeffding-many
-    permutations.
+    """Additive Monte-Carlo estimates of every player from one stream of
+    Hoeffding-many permutations.
 
     ``random.Random(seed)`` shuffles the list of player bits in place once
     per trial.  In a monotone 0/1 game with v(empty) = 0 and v(N) = 1 every
@@ -225,8 +194,8 @@ def shapley_mc_all(
                     lo = mid + 1
             pivots[order[lo]] = pivots.get(order[lo], 0) + 1
     return {
-        p: SampledEstimate(pivots.get(g.player_bit(p), 0), trials, eps, delta, seed)
-        for p in targets
+        p: SampledEstimate(pivots.get(1 << i, 0), trials, eps, delta, seed)
+        for i, p in enumerate(g.players)
     }
 
 

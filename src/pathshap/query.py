@@ -202,6 +202,7 @@ def holds_on_mask(out: OutLists, atoms: list[tuple[str, str, Dfa]], mask: int) -
 
 
 def _check_vertices(g: LabeledGraph, *vertices: str) -> None:
+    """Raise ``UnknownVertex`` for the first of the vertices that g lacks."""
     for v in vertices:
         if v not in g.vertices:
             raise UnknownVertex(v)
@@ -226,8 +227,7 @@ def eval_crpq_bound(
     edge_ok: Optional[Callable[[str], bool]] = None,
 ) -> bool:
     """A fully bound conjunction decomposes atom-wise."""
-    for a in q.atoms:
-        _check_vertices(g, mu[a.source_var], mu[a.target_var])
+    _check_vertices(g, *(mu[v] for v in q.variables))
     return holds_on_mask(_filtered(g, edge_ok), bind_atoms(q, mu), 0)
 
 

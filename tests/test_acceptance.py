@@ -171,7 +171,7 @@ def test_criterion_4_additive_sampler_calibration(fig_graph):
     runs = 2000
     failures = 0
     for seed in range(runs):
-        est = game.shapley_mc(cg, "v3->v5", eps=0.1, delta=0.05, seed=seed)
+        est = game.shapley_mc_all(cg, eps=0.1, delta=0.05, seed=seed)["v3->v5"]
         assert est.samples == 185  # ceil(ln(40) / 0.02)
         if abs(est.value - exact) > Fraction(1, 10):
             failures += 1
@@ -194,7 +194,7 @@ def test_criterion_5_multiplicative_wrapper():
     failures = 0
     runs = 1000
     for seed in range(runs):
-        est = explain.shapley_multiplicative(cg, "u2->u3", gb, eps=0.5, delta=0.05, seed=seed)
+        est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=seed)["u2->u3"]
         if not lo <= est.value <= hi:
             failures += 1
     assert failures / runs <= 0.05
@@ -203,9 +203,9 @@ def test_criterion_5_multiplicative_wrapper():
     cg_null = explain.edge_game(stray, q, mu)
     gb_null = explain.gap_bound(q, len(stray.endo_edges))
     for seed in range(100):
-        est = explain.shapley_multiplicative(
-            cg_null, "u5->u6", gb_null, eps=0.5, delta=0.05, seed=seed
-        )
+        est = explain.shapley_multiplicative_all(
+            cg_null, gb_null, eps=0.5, delta=0.05, seed=seed
+        )["u5->u6"]
         assert est.value == 0
     _report(f"criterion 5 PASS: multiplicative wrapper failure rate "
             f"{failures}/{runs} <= 0.05; null player exactly 0 in 100/100 runs")

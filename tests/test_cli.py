@@ -231,6 +231,22 @@ def test_shapley_exact_over_cap_exit_3(fig_graph_text):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx-additive"])
+def test_shapley_nan_eps_exit_2(fig_graph_text, mode, capsys):
+    code, out = run(
+        [
+            "shapley",
+            "--graph", str(fig_graph_text),
+            "--query", "(x, a b c, y)",
+            "--bind", "x=v1,y=v6",
+            "--mode", mode,
+            "--eps", "nan",
+        ]
+    )
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: eps must be positive and delta must lie in (0, 1)\n"
+
+
 # --- nonzero ----------------------------------------------------------------
 
 def test_nonzero_verdicts(fig_graph_text):

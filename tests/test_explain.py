@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathshap import explain, game, query
@@ -288,7 +288,7 @@ def test_multiplicative_null_player_snaps_to_zero():
     q = crpq("(x, a b c, y)", g.alphabet)
     cg = explain.edge_game(g, q, bind("x=u1,y=u4", q))
     gb = explain.gap_bound(q, len(g.endo_edges))
-    est = explain.shapley_multiplicative(cg, "u5->u6", gb, eps=0.5, delta=0.05, seed=3)
+    est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=3)["u5->u6"]
     assert est.value == 0
 
 
@@ -298,7 +298,7 @@ def test_multiplicative_within_factor_on_chain():
     cg = explain.edge_game(g, q, bind("x=u1,y=u4", q))
     gb = explain.gap_bound(q, 3)
     assert gb.gap == Fraction(1, 6)
-    est = explain.shapley_multiplicative(cg, "u1->u2", gb, eps=0.5, delta=0.05, seed=11)
+    est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=11)["u1->u2"]
     exact = Fraction(1, 3)
     assert exact / Fraction(3, 2) <= est.value <= exact * Fraction(3, 2)
 
@@ -423,6 +423,65 @@ def test_solve_focus_restricts_output(fig_graph):
     assert set(report.values) == {"v3->v5"}
     with pytest.raises(InvalidPlayerSet):
         explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", focus="v9->v9"))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qtext=st.sampled_from(["(x, a, y)", "(x, a b | b, y)", "(x, a, y) & (y, b, z)"]),
+    player_kind=st.sampled_from(["edge", "vertex"]),
+    mode=st.sampled_from(["exact", "approx-additive", "approx-multiplicative"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_solve_focus_is_the_all_players_report_restricted(seed, qtext, player_kind, mode):
+    """solve selects the focus from every player's value: same method,
+    flags and value as the all-players report."""
+    rng = random.Random(seed)
+    g = random_labeled_graph(
+        rng, rng.randint(2, 4), rng.randint(1, 5), exo_prob=0.3,
+        allow_self_loops=True, exo_vertex_prob=0.3,
+    )
+    q = crpq(qtext, frozenset("ab"))
+    mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
+    players = sorted(g.endo_edges if player_kind == "edge" else g.endo_vertices)
+    assume(players)
+    kw = dict(player_kind=player_kind, mode=mode, eps=0.5, delta=0.1, seed=seed)
+    everyone = explain.solve(explain.ExplainRequest(g, q, mu, **kw))
+    for p in players:
+        alone = explain.solve(explain.ExplainRequest(g, q, mu, focus=p, **kw))
+        assert (alone.method, alone.flags) == (everyone.method, everyone.flags)
+        assert alone.values == {p: everyone.values[p]}
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx-additive"])
+def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, fig_graph, mode):
+    """One request builds its out-lists once and searches the empty
+    coalition once before the engine runs."""
+    builds, baseline, at_engine = [], [], []
+
+    def counted_out_lists(g, need, original=query.out_lists):
+        builds.append(g)
+        return original(g, need)
+
+    def counted_holds(out, atoms, mask, original=query.holds_on_mask):
+        if mask == 0:
+            baseline.append(mask)
+        return original(out, atoms, mask)
+
+    def entering(original):
+        def engine(*args, **kwargs):
+            at_engine.append(len(baseline))
+            return original(*args, **kwargs)
+        return engine
+
+    for module in (query, explain):
+        monkeypatch.setattr(module, "out_lists", counted_out_lists)
+        monkeypatch.setattr(module, "holds_on_mask", counted_holds)
+    for name in ("shapley_exact_subset_all", "shapley_mc_all"):
+        monkeypatch.setattr(game, name, entering(getattr(game, name)))
+    req = request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode=mode, eps=0.1, delta=0.05)
+    assert explain.solve(req).method in ("exact-subset", "mc-additive")
+    assert len(builds) == 1
+    assert at_engine == [1]
 
 
 def test_solve_vertex_kind_uses_generic_engine(fig_graph):

@@ -29,19 +29,20 @@ def make_game(players, winners):
 
 def test_two_player_chain_splits_evenly():
     g = make_game(["e1", "e2"], [{"e1", "e2"}])
-    assert game.shapley_exact_subset(g, "e1") == Fraction(1, 2)
+    assert game.shapley_exact_subset_all(g)["e1"] == Fraction(1, 2)
     assert shapley_exact_permutation(g, "e2") == Fraction(1, 2)
 
 
 def test_dictator_and_null_player():
     g = make_game(["d", "n"], [{"d"}])
-    assert game.shapley_exact_subset(g, "d") == 1
-    assert game.shapley_exact_subset(g, "n") == 0
+    values = game.shapley_exact_subset_all(g)
+    assert values["d"] == 1
+    assert values["n"] == 0
 
 
 def test_subset_all_matches_per_player():
     g = make_game(list("abcd"), [{"a", "b"}, {"c"}])
-    per_player = {p: game.shapley_exact_subset(g, p) for p in g.players}
+    per_player = {p: shapley_exact_permutation(g, p) for p in g.players}
     assert game.shapley_exact_subset_all(g) == per_player
 
 
@@ -79,15 +80,12 @@ def test_engines_agree_property(players_winners):
     assert sum(values.values()) == g.value(frozenset(players))
 
 
-@given(monotone_games(max_players=8, max_winners=4), st.data())
+@given(monotone_games(max_players=8, max_winners=4))
 @settings(max_examples=60, deadline=None)
-def test_size_counting_engine_matches_textbook_sum(players_winners, data):
+def test_size_counting_engine_matches_textbook_sum(players_winners):
     players, winners = players_winners
     g = make_game(players, winners)
-    expected = brute_shapley(players, g.valuation)
-    assert game.shapley_exact_subset_all(g) == expected
-    focus = data.draw(st.sampled_from(players))
-    assert game.shapley_exact_subset(g, focus) == expected[focus]
+    assert game.shapley_exact_subset_all(g) == brute_shapley(players, g.valuation)
 
 
 def test_overflow_before_any_table_or_valuation():
@@ -99,8 +97,6 @@ def test_overflow_before_any_table_or_valuation():
     try:
         with pytest.raises(EnumerationOverflow):
             game.shapley_exact_subset_all(g)
-        with pytest.raises(EnumerationOverflow):
-            game.shapley_exact_subset(g, "p0")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -134,7 +130,7 @@ def test_enumeration_caps():
     players = [f"p{i}" for i in range(12)]
     g = make_game(players, [set(players)])
     with pytest.raises(EnumerationOverflow):
-        game.shapley_exact_subset(g, "p0", cap=10)
+        game.shapley_exact_subset_all(g, cap=10)
     with pytest.raises(EnumerationOverflow):
         shapley_exact_permutation_all(g, cap=9)
 
@@ -159,25 +155,25 @@ def test_mc_validates_parameters():
     g = make_game(["a", "b"], [{"a"}])
     for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
         with pytest.raises(ValueError):
-            game.shapley_mc(g, "a", eps, delta, seed=0)
+            game.shapley_mc_all(g, eps, delta, seed=0)
 
 
 def test_mc_exact_on_degenerate_games():
     null = make_game(["a", "b"], [])
-    est = game.shapley_mc(null, "a", 0.3, 0.1, seed=1)
+    est = game.shapley_mc_all(null, 0.3, 0.1, seed=1)["a"]
     assert est.successes == 0 and est.value == 0
     dictator = make_game(["a", "b", "c"], [{"a"}])
-    est = game.shapley_mc(dictator, "a", 0.3, 0.1, seed=1)
+    est = game.shapley_mc_all(dictator, 0.3, 0.1, seed=1)["a"]
     assert est.value == 1
 
 
 def test_mc_deterministic_per_seed():
     g = make_game(list("abcde"), [{"a", "b"}, {"c", "d", "e"}])
-    first = game.shapley_mc(g, "b", 0.1, 0.05, seed=42)
-    second = game.shapley_mc(g, "b", 0.1, 0.05, seed=42)
+    first = game.shapley_mc_all(g, 0.1, 0.05, seed=42)
+    second = game.shapley_mc_all(g, 0.1, 0.05, seed=42)
     assert first == second
-    other = game.shapley_mc(g, "b", 0.1, 0.05, seed=43)
-    assert other.samples == first.samples  # same contract, different draw
+    other = game.shapley_mc_all(g, 0.1, 0.05, seed=43)
+    assert other["b"].samples == first["b"].samples  # same contract, different draw
 
 
 @given(
@@ -191,23 +187,16 @@ def test_mc_deterministic_per_seed():
 def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
     players, winners = players_winners
     g = make_game(players, winners)
-    estimates = game.shapley_mc_all(g, players, eps, 0.1, seed)
+    estimates = game.shapley_mc_all(g, eps, 0.1, seed)
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(players, g.valuation, trials, seed)
     assert {p: est.successes for p, est in estimates.items()} == expected
     assert all(est.samples == trials for est in estimates.values())
 
 
-def test_mc_focus_equals_all_players_estimate():
-    g = make_game(list("abcdef"), [{"a", "b"}, {"c", "d", "e"}, {"b", "f"}])
-    every = game.shapley_mc_all(g, g.players, 0.1, 0.05, seed=9)
-    for p in g.players:
-        assert game.shapley_mc(g, p, 0.1, 0.05, seed=9) == every[p]
-
-
 def test_mc_all_players_successes_sum_to_samples():
     g = make_game(list("abcdefg"), [{"a", "b"}, {"c", "d"}, {"e", "f", "g"}])
-    every = game.shapley_mc_all(g, g.players, 0.1, 0.05, seed=3)
+    every = game.shapley_mc_all(g, 0.1, 0.05, seed=3)
     samples = game.sample_count(0.1, 0.05)
     assert sum(est.successes for est in every.values()) == samples
     assert all(est.samples == samples for est in every.values())
@@ -221,18 +210,16 @@ def test_mc_refuses_over_trial_cap_before_any_valuation():
     eps = 1e-4
     assert game.sample_count(eps, 0.05) > game.TRIAL_CAP
     with pytest.raises(BudgetExceeded):
-        game.shapley_mc_all(g, g.players, eps, 0.05, seed=0)
-    with pytest.raises(BudgetExceeded):
-        game.shapley_mc(g, "p0", eps, 0.05, seed=0)
+        game.shapley_mc_all(g, eps, 0.05, seed=0)
     assert calls == []
 
 
 def test_mc_close_to_exact():
     players = list("abc")
     g = make_game(players, [{"a", "b"}, {"a", "c"}])
-    exact = game.shapley_exact_subset(g, "a")  # 2/3
+    exact = game.shapley_exact_subset_all(g)["a"]  # 2/3
     assert exact == Fraction(2, 3)
-    est = game.shapley_mc(g, "a", 0.05, 0.01, seed=0)
+    est = game.shapley_mc_all(g, 0.05, 0.01, seed=0)["a"]
     assert abs(est.value - exact) <= Fraction(1, 20)
 
 
