@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
                            help="most answers (and intermediate join rows) to list")
         if name == "nonzero":
-            c.add_argument("--budget", type=int, default=1_000_000, help="search node budget")
+            c.add_argument("--budget", type=int, default=1_000_000, help="lineage search steps")
     return p
 
 
@@ -168,7 +168,7 @@ def _cmd_nonzero(args, out) -> int:
     # the game before the baseline shift: when the exogenous part alone wins,
     # every coalition wins without the focus and the verdict is false, as in
     # the shifted game
-    game = explain._request_game(g, q, mu, args.player_kind)
+    game, _ = explain._request_game(g, q, mu, args.player_kind)
     if args.focus not in game.players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
     supports = explain.candidate_supports(g, q, mu, args.player_kind, budget=args.budget)

@@ -1,10 +1,9 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
-Builds the coalition games, counts exact values from one blocking
-polynomial for single-atom queries whose words have length at most two,
-provides the gap-based multiplicative wrapper and the simple-path
-positivity test, and dispatches between the exact, counting and sampling
-engines.
+Builds the coalition games and their lineage, counts exact values from one
+blocking polynomial for single-atom queries whose words have length at most
+two, provides the gap-based multiplicative wrapper and the positivity
+tests, and dispatches between the exact, counting and sampling engines.
 """
 
 from __future__ import annotations
@@ -15,17 +14,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import game as game_mod
-from .automata import Dfa, Word, words_up_to
+from .automata import Word, words_up_to
 from .errors import (
     BudgetExceeded,
     InfiniteLanguage,
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import CoalitionGame, SampledEstimate, ShapleyReport
+from .game import CoalitionGame, SampledEstimate, ShapleyReport, _poly_mul
 from .graph import Edge, LabeledGraph
 from .query import (
     Assignment,
@@ -33,6 +32,7 @@ from .query import (
     _check_vertices,
     bind_atoms,
     holds_on_mask,
+    lineage,
     out_lists,
 )
 
@@ -90,21 +90,24 @@ class MultiplicativeEstimate:
 def edge_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Players are the endogenous edges; the valuation is the query on the
     coalition's edges together with the exogenous ones, baseline-shifted."""
-    return _baseline_shifted(_request_game(g, q, mu, "edge"))
+    return _baseline_shifted(_request_game(g, q, mu, "edge")[0])
 
 
 def vertex_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
     """Vertex analogue: removing a vertex removes its incident edges, and a
     coalition missing a bound endogenous vertex is losing."""
-    return _baseline_shifted(_request_game(g, q, mu, "vertex"))
+    return _baseline_shifted(_request_game(g, q, mu, "vertex")[0])
 
 
-def _request_game(g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str) -> CoalitionGame:
+def _request_game(
+    g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str
+) -> tuple[CoalitionGame, Callable[[list[int]], list[int]]]:
     """The request's players, sorted, and the mask predicate before the
     baseline shift: a coalition wins when it holds every bound endogenous
     vertex and the query holds on the edges whose need mask it covers.  An
     edge needs its own bit, or in the vertex game the bits of its
-    endpoints; at mask 0 the predicate is the query on the exogenous part."""
+    endpoints; at mask 0 the predicate is the query on the exogenous part.
+    Beside it ``lineage(budget)``, its minimal winning masks (query.lineage)."""
     _check_vertices(g, *(mu[v] for v in q.variables))
     players = sorted(g.endo_edges if player_kind == "edge" else g.endo_vertices)
     bits = {p: 1 << i for i, p in enumerate(players)}
@@ -120,7 +123,7 @@ def _request_game(g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str) ->
         holds = lambda mask: not bound & ~mask and holds_on_mask(out, atoms, mask)
     else:
         holds = functools.partial(holds_on_mask, out, atoms)
-    return CoalitionGame(players, mask_valuation=holds)
+    return CoalitionGame(players, mask_valuation=holds), functools.partial(lineage, out, atoms, bound)
 
 
 def _baseline_shifted(game: CoalitionGame) -> CoalitionGame:
@@ -161,6 +164,7 @@ class BlockingStructure:
 
 
 def _short_words(words: Iterable[Word]) -> list[Word]:
+    words = list(words)
     out = [w for w in words if 1 <= len(w) <= 2]
     if any(len(w) > 2 for w in words):
         raise ValueError("language contains a word longer than two symbols")
@@ -255,15 +259,6 @@ def shapley_short_rpq(structure: BlockingStructure, players: Iterable[str]) -> d
         total = sum(fact[k] * fact[n - 1 - k] * d for k, d in enumerate(diff[:n]))
         values[p] = Fraction(total, fact[n])
     return values
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_div(a: list[int], b: list[int]) -> list[int]:
@@ -410,41 +405,6 @@ def edge_on_simple_path(
     return to_edge(s, {s})
 
 
-def _atom_witness_paths(
-    g: LabeledGraph, s: str, t: str, d: Dfa, budget: list[int]
-) -> list[tuple[Edge, ...]]:
-    """All accepting s-to-t paths with no repeated (vertex, state) pair.
-
-    Cutting product-state cycles preserves acceptance and only removes
-    edges, so these cover every minimal witness.
-    """
-    results: list[tuple[Edge, ...]] = []
-    path: list[Edge] = []
-
-    def walk(v: str, q: int, visited: set[tuple[str, int]]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("witness-path enumeration budget exhausted")
-        if v == t and q in d.accepting:
-            results.append(tuple(path))
-        moves = d.useful_moves[q]
-        for edge in g.out_edges(v):
-            nq = moves.get(edge.label)
-            if nq is None:
-                continue
-            key = (edge.target, nq)
-            if key in visited:
-                continue
-            visited.add(key)
-            path.append(edge)
-            walk(edge.target, nq, visited)
-            path.pop()
-            visited.remove(key)
-
-    walk(s, d.start, {(s, d.start)})
-    return results
-
-
 def candidate_supports(
     g: LabeledGraph,
     q: Crpq,
@@ -452,34 +412,11 @@ def candidate_supports(
     player_kind: str = "edge",
     budget: int = 200_000,
 ) -> Iterator[frozenset[str]]:
-    """Candidate winning coalitions: per atom, every product-simple matching
-    path; across atoms, every combination.  Covers all minimal winning
-    coalitions for both the edge and the vertex game."""
-    _check_vertices(g, *(mu[v] for v in q.variables))
-    shared = [budget]
-    per_atom: list[list[tuple[Edge, ...]]] = []
-    for atom in q.atoms:
-        paths = _atom_witness_paths(g, mu[atom.source_var], mu[atom.target_var], atom.dfa, shared)
-        if not paths:
-            return
-        per_atom.append(paths)
-    bound = {mu[v] for v in q.variables}
-    seen: set[frozenset[str]] = set()
-    for combo in itertools.product(*per_atom):
-        if player_kind == "edge":
-            support = frozenset(
-                e.id for path in combo for e in path if e.id in g.endo_edges
-            )
-        else:
-            touched = set(bound)
-            for path in combo:
-                for e in path:
-                    touched.add(e.source)
-                    touched.add(e.target)
-            support = frozenset(touched & g.endo_vertices)
-        if support not in seen:
-            seen.add(support)
-            yield support
+    """The minimal winning coalitions of the game before the baseline shift,
+    from the request's lineage; ``budget`` caps the search steps."""
+    game, lineage = _request_game(g, q, mu, player_kind)
+    for mask in lineage([budget]):
+        yield frozenset(p for i, p in enumerate(game.players) if mask >> i & 1)
 
 
 # --- dispatcher ------------------------------------------------------------
@@ -493,7 +430,7 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     # written so that a NaN eps or delta fails
     if not (0 < req.delta < 1 and req.eps > 0):
         raise ValueError("eps must be positive and delta must lie in (0, 1)")
-    game = _request_game(req.graph, req.query, req.binding, req.player_kind)
+    game, lineage = _request_game(req.graph, req.query, req.binding, req.player_kind)
     players = game.players
     if not players:
         raise NoPlayers(f"no endogenous {req.player_kind} players")
@@ -556,8 +493,15 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if mode == "exact-poly":
         return _solve_exact_poly(req, targets, flags)
     if mode == "exact-subset":
-        method = "exact-subset"
-        values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
+        # the lineage gets as many steps as the sweep has masks
+        game_mod.check_subset_cap(len(players), req.subset_cap)
+        budget = [1 << len(players)]
+        try:
+            method = "exact-lineage"
+            values = game_mod.shapley_lineage_all(players, lineage(budget), budget)
+        except BudgetExceeded:
+            method = "exact-subset"
+            values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
     elif mode == "approx-additive":
         method = "mc-additive"
         values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)

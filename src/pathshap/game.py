@@ -1,10 +1,10 @@
 """Generic Shapley machinery over monotone 0/1 coalition games.
 
 Coalitions are frozensets of player ids on the public surface and bitmasks
-(bit i = the i-th player) inside.  The exact engine sweeps a truth table of
-all 2^n masks once; the sampler memoizes valuations per game in a dict that
-is cleared when it reaches ``VALUATION_CACHE_SIZE`` entries, since
-permutation prefixes repeat heavily.
+(bit i = the i-th player) inside.  The exact engines count a game's lineage
+by size or sweep a truth table of all 2^n masks once; the sampler memoizes
+valuations per game in a dict cleared at ``VALUATION_CACHE_SIZE`` entries,
+since permutation prefixes repeat heavily.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -91,7 +92,7 @@ class SampledEstimate:
 
 @dataclass(frozen=True)
 class ShapleyReport:
-    method: str  # exact-subset | exact-poly | mc-additive | mc-multiplicative
+    method: str  # exact-lineage | exact-subset | exact-poly | mc-additive | mc-multiplicative
     values: dict[str, Union[Fraction, SampledEstimate]]
     flags: tuple[str, ...] = ()
 
@@ -127,12 +128,11 @@ def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[st
     one Fraction over n!.
     """
     n = len(g.players)
-    if n > cap:
-        raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
+    check_subset_cap(n, cap)
     wins = g.mask_valuation
     full = 1 << n
     table = bytearray(full)
-    for mask in range(full):
+    for mask in range(1, full):  # v(empty) = 0
         if table[mask & (mask - 1)] or wins(mask):
             table[mask] = mask.bit_count() + 1
     winning = [table.count(k + 1) for k in range(n + 1)]
@@ -148,6 +148,106 @@ def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[st
         )
         values[p] = Fraction(total, denominator)
     return values
+
+
+def shapley_lineage_all(
+    players: Sequence[str], terms: Sequence[int], budget: list[int]
+) -> dict[str, Fraction]:
+    """Exact values of every player from the game's lineage: its minimal
+    winning masks, a monotone DNF over the player bits.
+
+    The losing coalitions are counted by size as a polynomial L.  Terms
+    that share no player split into components whose polynomials multiply;
+    a component of several terms branches on its most frequent player a,
+    L = L|a=0 + x*L|a=1, with a memo over the residual term sets.  A player
+    a turns the coalitions without it counted by L|a=0 - L|a=1 into winning
+    ones, so phi(a) = sum_k k!(n-k-1)!/n! * (L|a=0[k] - L|a=1[k]): the
+    sweep's formula, one Fraction over n! per player.  Every new count
+    spends one step of ``budget[0]``; below zero the count stops with
+    ``BudgetExceeded``.
+    """
+    memo: dict[frozenset[int], list[int]] = {}
+
+    def losing(terms: frozenset[int]) -> list[int]:
+        """L over the terms' players, for nonzero terms."""
+        if terms in memo:
+            return memo[terms]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded("lineage counter budget exhausted")
+        groups = _term_components(terms)
+        support = reduce(or_, terms)
+        width = support.bit_count()
+        if len(groups) > 1:
+            poly = reduce(_poly_mul, map(losing, groups))
+        elif len(terms) == 1:
+            poly = _binomials(width)[:-1] + [0]  # every subset but the term itself
+        else:
+            most = max(range(support.bit_length()), key=lambda i: sum(t >> i & 1 for t in terms))
+            off, on = conditioned(terms, 1 << most, width - 1)
+            poly = [x + y for x, y in zip(off + [0], [0] + on)]
+        memo[terms] = poly
+        return poly
+
+    def within(terms: frozenset[int], width: int) -> list[int]:
+        """L over ``width`` players, the terms' players among them."""
+        if 0 in terms:
+            return [0] * (width + 1)
+        poly = losing(terms) if terms else [1]
+        return _poly_mul(poly, _binomials(width + 1 - len(poly)))
+
+    def conditioned(terms: frozenset[int], bit: int, width: int) -> tuple[list[int], list[int]]:
+        """L|a=0 and L|a=1 over ``width`` players, the terms' others among them."""
+        return (within(frozenset(t for t in terms if not t & bit), width),
+                within(frozenset(minimal_masks(t & ~bit for t in terms)), width))
+
+    n = len(players)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    values = {}
+    for i, p in enumerate(players):
+        off, on = conditioned(frozenset(terms), 1 << i, n - 1)
+        total = sum(fact[k] * fact[n - 1 - k] * (x - y) for k, (x, y) in enumerate(zip(off, on)))
+        values[p] = Fraction(total, fact[n])
+    del losing, within, conditioned  # they refer to each other: free the memo now
+    return values
+
+
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The masks that contain no other of the masks, sorted by size."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if all(c | m != m for c in out):
+            out.append(m)
+    return out
+
+
+def _term_components(terms: frozenset[int]) -> list[frozenset[int]]:
+    """The terms grouped into components that share no player."""
+    groups: list[tuple[int, frozenset[int]]] = []  # (players, terms)
+    for t in terms:
+        near = [(p, group) for p, group in groups if p & t]
+        joined = (reduce(or_, (p for p, _ in near), t), frozenset([t]).union(*(g for _, g in near)))
+        groups = [(p, group) for p, group in groups if not p & t] + [joined]
+    return [group for _, group in groups]
+
+
+def _binomials(k: int) -> list[int]:
+    """(1 + x)^k."""
+    return [math.comb(k, i) for i in range(k + 1)]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def check_subset_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
 
 
 def _masks_with_bit(table: bytearray, bit: int) -> bytes:

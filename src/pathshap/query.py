@@ -3,20 +3,23 @@
 Atom evaluation is reachability over the product of the graph and the
 atom's DFA, by one search over per-vertex out-lists that carry a need mask
 per edge: the same loop evaluates the query on the whole graph, on a
-filtered graph and on every coalition of an edge or vertex game.  A pair
-(u, u) answers an atom whose language contains the empty word via the empty
-path; this convention is isolated behind ``EPSILON_SELF_ANSWER`` so it can
-be flipped in one place.
+filtered graph and on every coalition of an edge or vertex game, and
+``lineage`` searches the same lists for a game's minimal winning masks.  A
+pair (u, u) answers an atom whose language contains the empty word via the
+empty path; this convention is isolated behind ``EPSILON_SELF_ANSWER`` so it
+can be flipped in one place.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import automata, regex as rx
 from .automata import Dfa, LanguageProfile
-from .errors import EnumerationOverflow, QuerySyntaxError, UnknownVertex
+from .errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, UnknownVertex
+from .game import minimal_masks
 from .graph import Edge, LabeledGraph
 
 # Whether (u, u) is an answer of an epsilon-accepting atom via the empty path.
@@ -199,6 +202,57 @@ def holds_on_mask(out: OutLists, atoms: list[tuple[str, str, Dfa]], mask: int) -
         if t not in _accepting_reach(out, s, d, mask):
             return False
     return True
+
+
+def lineage(out: OutLists, atoms: list[tuple[str, str, Dfa]], bound: int, budget: list[int]) -> list[int]:
+    """The query's lineage, a monotone DNF: the minimal masks on which the
+    bound atoms all hold, each with the ``bound`` bits, sorted by size; the
+    pairwise unions of the atoms' terms.  Every relaxation and pairing
+    spends a step of ``budget[0]``, and below zero ``BudgetExceeded``."""
+    terms = [bound]
+    for s, t, d in atoms:
+        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+            continue
+        found = _atom_lineage(out, s, t, d, budget)
+        _spend(budget, len(terms) * len(found))
+        terms = minimal_masks(a | b for a in terms for b in found)
+        if not terms:
+            break
+    return terms
+
+
+def _atom_lineage(out: OutLists, s: str, t: str, d: Dfa, budget: list[int]) -> list[int]:
+    """Semi-naive search of the product: each (vertex, state) pair keeps the
+    antichain of the need masks of the walks reaching it from (s, start).
+    Masks pop smallest first, so one still in its antichain is final and is
+    pushed along each edge once; one a smaller mask superseded is dropped."""
+    moves = d.useful_moves
+    chains = {(s, d.start): [0]}
+    work = [(0, 0, s, d.start)]
+    while work:
+        _, mask, v, q = heapq.heappop(work)
+        if mask not in chains[v, q]:
+            continue
+        step = moves[q]
+        for need, target, label in out[v]:
+            nq = step.get(label)
+            if nq is None:
+                continue
+            _spend(budget, 1)
+            m = mask | need
+            chain = chains.setdefault((target, nq), [])
+            if any(c | m == m for c in chain):
+                continue
+            chain[:] = [c for c in chain if c | m != c]
+            chain.append(m)
+            heapq.heappush(work, (m.bit_count(), m, target, nq))
+    return minimal_masks(m for q in d.accepting for m in chains.get((t, q), ()))
+
+
+def _spend(budget: list[int], steps: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise BudgetExceeded("lineage search budget exhausted")
 
 
 def _check_vertices(g: LabeledGraph, *vertices: str) -> None:

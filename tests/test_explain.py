@@ -17,7 +17,7 @@ from pathshap.errors import (
 )
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
-from helpers import brute_enabling_count, random_labeled_graph
+from helpers import brute_enabling_count, brute_shapley, random_labeled_graph
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
@@ -219,6 +219,14 @@ def test_blocking_structure_component_size():
     assert structure.poly == [1, 3, 1, 0]
 
 
+def test_blocking_structure_reads_a_one_shot_iterable_once():
+    # the long word must be refused from a generator as from a list
+    g = load_graph(CHAIN3)
+    for words in ([("a", "b", "c")], iter([("a", "b", "c")])):
+        with pytest.raises(ValueError):
+            explain.blocking_structure(g, "u1", "u4", words)
+
+
 # --- short-word exact Shapley -----------------------------------------------
 
 def short_values(g, s, t, words, players=None):
@@ -365,11 +373,83 @@ def test_nonzero_with_infinite_language():
         assert game.shapley_nonzero(cg, eid, supports) == expected, eid
 
 
+# --- lineage ----------------------------------------------------------------
+
+LINEAGE_QUERIES = GAME_QUERIES + ["(x, a a* | b, y)", "(x, (a b)*, y)", "(x, a, y) & (x, b a, z)"]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qtext=st.sampled_from(LINEAGE_QUERIES),
+    player_kind=st.sampled_from(["edge", "vertex"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lineage_values_match_the_oracles(seed, qtext, player_kind):
+    """The lineage is the game's minimal winning coalitions, and counting it
+    by size gives the textbook values and the sweep's, with self-loops,
+    exogenous edges and vertices, CRPQs and epsilon-accepting atoms."""
+    rng = random.Random(seed)
+    g = random_labeled_graph(
+        rng, rng.randint(2, 5), rng.randint(1, 9), exo_prob=0.3,
+        allow_self_loops=True, exo_vertex_prob=0.3,
+    )
+    q = crpq(qtext, frozenset("ab"))
+    mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
+    request_game, lineage = explain._request_game(g, q, mu, player_kind)
+    players = request_game.players
+    assume(players)
+    minimal = set()
+    for mask in range(1 << len(players)):
+        wins = request_game.mask_valuation
+        if wins(mask) and not any(wins(mask & ~(1 << i)) for i in range(len(players)) if mask >> i & 1):
+            minimal.add(frozenset(p for i, p in enumerate(players) if mask >> i & 1))
+    assert set(explain.candidate_supports(g, q, mu, player_kind)) == minimal
+
+    budget = [10**6]
+    values = game.shapley_lineage_all(players, lineage(budget), budget)
+    cg = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, q, mu)
+    assert values == brute_shapley(players, cg.valuation) == game.shapley_exact_subset_all(cg)
+    report = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode="exact"))
+    assert report.values == values
+
+
+# a 2-player chain behind six exogenous edges: the lineage search needs more
+# than the sweep's 2^2 masks
+BEHIND_EXO = "".join(f"u{i} a u{i + 1} x\n" for i in range(6)) + "u6 b u7 n\nu7 c u8 n\n"
+
+
+def test_solve_falls_back_to_the_sweep_over_the_lineage_budget():
+    g = load_graph(BEHIND_EXO)
+    report = explain.solve(request(g, "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
+    assert report.method == "exact-subset"
+    assert report.values == {"u6->u7": Fraction(1, 2), "u7->u8": Fraction(1, 2)}
+    q = crpq("(x, a* b c, y)", g.alphabet)
+    _, lineage = explain._request_game(g, q, bind("x=u0,y=u8", q), "edge")
+    budget = [100]
+    assert game.shapley_lineage_all(["u6->u7", "u7->u8"], lineage(budget), budget) == report.values
+    with pytest.raises(BudgetExceeded):
+        lineage([4])
+
+
+def test_sweep_fallback_searches_the_empty_coalition_once(monkeypatch):
+    empty = []
+
+    def counted_holds(out, atoms, mask, original=query.holds_on_mask):
+        if mask == 0:
+            empty.append(mask)
+        return original(out, atoms, mask)
+
+    monkeypatch.setattr(explain, "holds_on_mask", counted_holds)
+    report = explain.solve(request(load_graph(BEHIND_EXO), "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
+    assert report.method == "exact-subset"
+    assert len(empty) == 1
+
+
 # --- dispatcher -------------------------------------------------------------
 
 def test_solve_golden_word_query(fig_graph):
     report = explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6"))
-    assert report.method == "exact-subset"  # three-symbol word: not short2
+    assert report.method == "exact-lineage"  # three-symbol word: not short2
     for eid in ("v1->v3", "v3->v5", "v5->v6"):
         assert report.values[eid] == Fraction(1, 3)
     assert sum(report.values.values()) == 1
@@ -476,10 +556,10 @@ def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, f
     for module in (query, explain):
         monkeypatch.setattr(module, "out_lists", counted_out_lists)
         monkeypatch.setattr(module, "holds_on_mask", counted_holds)
-    for name in ("shapley_exact_subset_all", "shapley_mc_all"):
+    for name in ("shapley_lineage_all", "shapley_exact_subset_all", "shapley_mc_all"):
         monkeypatch.setattr(game, name, entering(getattr(game, name)))
     req = request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode=mode, eps=0.1, delta=0.05)
-    assert explain.solve(req).method in ("exact-subset", "mc-additive")
+    assert explain.solve(req).method in ("exact-lineage", "mc-additive")
     assert len(builds) == 1
     assert at_engine == [1]
 
@@ -488,7 +568,7 @@ def test_solve_vertex_kind_uses_generic_engine(fig_graph):
     report = explain.solve(
         request(fig_graph, "(x, a b, y)", "x=v1,y=v4", player_kind="vertex")
     )
-    assert report.method == "exact-subset"
+    assert report.method == "exact-lineage"
     for v in ("v1", "v2", "v4"):
         assert report.values[v] == Fraction(1, 3)
     assert report.values["v6"] == 0

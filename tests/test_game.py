@@ -88,6 +88,27 @@ def test_size_counting_engine_matches_textbook_sum(players_winners):
     assert game.shapley_exact_subset_all(g) == brute_shapley(players, g.valuation)
 
 
+@given(monotone_games(max_players=9, max_winners=6))
+@example(([f"p{i}" for i in range(6)], [frozenset({"p4", "p5"}), frozenset({"p3", "p5"})]))
+@settings(max_examples=100, deadline=None)
+def test_lineage_counter_matches_textbook_sum(players_winners):
+    players, winners = players_winners
+    g = make_game(players, winners)
+    terms = game.minimal_masks(g.mask_of(w) for w in winners)
+    assert all(t | u != t for t in terms for u in terms if t != u)
+    assert game.shapley_lineage_all(players, terms, [10**6]) == brute_shapley(players, g.valuation)
+
+
+def test_lineage_counter_spends_its_budget():
+    players = [f"p{i}" for i in range(4)]
+    terms = [0b0011, 0b0110, 0b1100]
+    budget = [100]
+    values = game.shapley_lineage_all(players, terms, budget)
+    assert sum(values.values()) == 1 and budget[0] < 100
+    with pytest.raises(BudgetExceeded):
+        game.shapley_lineage_all(players, terms, [1])
+
+
 def test_overflow_before_any_table_or_valuation():
     calls = []
     g = game.CoalitionGame(
