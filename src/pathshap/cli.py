@@ -168,11 +168,11 @@ def _cmd_nonzero(args, out) -> int:
     # the game before the baseline shift: when the exogenous part alone wins,
     # every coalition wins without the focus and the verdict is false, as in
     # the shifted game
-    game, _ = explain._request_game(g, q, mu, args.player_kind)
+    game, lineage = explain._request_game(g, q, mu, args.player_kind)
     if args.focus not in game.players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
-    supports = explain.candidate_supports(g, q, mu, args.player_kind, budget=args.budget)
     try:
+        supports = map(game.coalition_of, lineage([args.budget]))
         verdict = game_mod.shapley_nonzero(game, args.focus, supports)
     except BudgetExceeded:
         out.write("unknown\n")

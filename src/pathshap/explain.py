@@ -415,8 +415,7 @@ def candidate_supports(
     """The minimal winning coalitions of the game before the baseline shift,
     from the request's lineage; ``budget`` caps the search steps."""
     game, lineage = _request_game(g, q, mu, player_kind)
-    for mask in lineage([budget]):
-        yield frozenset(p for i, p in enumerate(game.players) if mask >> i & 1)
+    yield from map(game.coalition_of, lineage([budget]))
 
 
 # --- dispatcher ------------------------------------------------------------
@@ -493,9 +492,10 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if mode == "exact-poly":
         return _solve_exact_poly(req, targets, flags)
     if mode == "exact-subset":
-        # the lineage gets as many steps as the sweep has masks
+        # four lineage steps per mask of the sweep: measured, a step costs
+        # at most ~0.5 us and ~10 bytes, a mask 0.2-5 us and ~3 bytes (README)
         game_mod.check_subset_cap(len(players), req.subset_cap)
-        budget = [1 << len(players)]
+        budget = [4 << len(players)]
         try:
             method = "exact-lineage"
             values = game_mod.shapley_lineage_all(players, lineage(budget), budget)

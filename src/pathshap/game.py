@@ -46,9 +46,7 @@ class CoalitionGame:
         self.players = tuple(players)
         self._index = {p: i for i, p in enumerate(self.players)}
         if mask_valuation is None:
-            mask_valuation = lambda mask: valuation(
-                frozenset(p for i, p in enumerate(self.players) if mask >> i & 1)
-            )
+            mask_valuation = lambda mask: valuation(self.coalition_of(mask))
         if valuation is None:
             valuation = lambda coalition: mask_valuation(self.mask_of(coalition))
         self.valuation = valuation
@@ -73,6 +71,9 @@ class CoalitionGame:
         for p in coalition:
             mask |= 1 << self._index[p]
         return mask
+
+    def coalition_of(self, mask: int) -> frozenset[str]:
+        return frozenset(p for i, p in enumerate(self.players) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -162,60 +163,69 @@ def shapley_lineage_all(
     L = L|a=0 + x*L|a=1, with a memo over the residual term sets.  A player
     a turns the coalitions without it counted by L|a=0 - L|a=1 into winning
     ones, so phi(a) = sum_k k!(n-k-1)!/n! * (L|a=0[k] - L|a=1[k]): the
-    sweep's formula, one Fraction over n! per player.  Every new count
-    spends one step of ``budget[0]``; below zero the count stops with
-    ``BudgetExceeded``.
+    sweep's formula, one Fraction over n! per player.  The count spends
+    ``budget`` (see ``spend``) on every term it visits.
     """
     memo: dict[frozenset[int], list[int]] = {}
-
-    def losing(terms: frozenset[int]) -> list[int]:
-        """L over the terms' players, for nonzero terms."""
-        if terms in memo:
-            return memo[terms]
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("lineage counter budget exhausted")
-        groups = _term_components(terms)
-        support = reduce(or_, terms)
-        width = support.bit_count()
-        if len(groups) > 1:
-            poly = reduce(_poly_mul, map(losing, groups))
-        elif len(terms) == 1:
-            poly = _binomials(width)[:-1] + [0]  # every subset but the term itself
-        else:
-            most = max(range(support.bit_length()), key=lambda i: sum(t >> i & 1 for t in terms))
-            off, on = conditioned(terms, 1 << most, width - 1)
-            poly = [x + y for x, y in zip(off + [0], [0] + on)]
-        memo[terms] = poly
-        return poly
-
-    def within(terms: frozenset[int], width: int) -> list[int]:
-        """L over ``width`` players, the terms' players among them."""
-        if 0 in terms:
-            return [0] * (width + 1)
-        poly = losing(terms) if terms else [1]
-        return _poly_mul(poly, _binomials(width + 1 - len(poly)))
-
-    def conditioned(terms: frozenset[int], bit: int, width: int) -> tuple[list[int], list[int]]:
-        """L|a=0 and L|a=1 over ``width`` players, the terms' others among them."""
-        return (within(frozenset(t for t in terms if not t & bit), width),
-                within(frozenset(minimal_masks(t & ~bit for t in terms)), width))
-
     n = len(players)
     fact = [math.factorial(i) for i in range(n + 1)]
     values = {}
     for i, p in enumerate(players):
-        off, on = conditioned(frozenset(terms), 1 << i, n - 1)
+        off, on = _conditioned(frozenset(terms), 1 << i, n - 1, memo, budget)
         total = sum(fact[k] * fact[n - 1 - k] * (x - y) for k, (x, y) in enumerate(zip(off, on)))
         values[p] = Fraction(total, fact[n])
-    del losing, within, conditioned  # they refer to each other: free the memo now
     return values
 
 
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """The masks that contain no other of the masks, sorted by size."""
+def _losing(terms: frozenset[int], memo: dict, budget: list[int]) -> list[int]:
+    """L over the terms' players."""
+    if not terms or 0 in terms:
+        return [0] if terms else [1]  # the empty coalition wins, or none does
+    poly = memo.get(terms)
+    if poly is not None:
+        return poly
+    groups = _term_components(terms)
+    support = reduce(or_, terms)
+    width = support.bit_count()
+    spend(budget, (len(terms) + len(groups)) * width)
+    if len(groups) > 1:
+        poly = reduce(_poly_mul, (_losing(group, memo, budget) for group in groups))
+    elif len(terms) == 1:
+        poly = _binomials(width)[:-1] + [0]  # every subset but the term itself
+    else:
+        bits = [1 << i for i in range(support.bit_length()) if support >> i & 1]
+        most = max(bits, key=lambda b: sum(1 for t in terms if t & b))
+        off, on = _conditioned(terms, most, width - 1, memo, budget)
+        poly = [x + y for x, y in zip(off + [0], [0] + on)]
+    memo[terms] = poly
+    return poly
+
+
+def _conditioned(
+    terms: frozenset[int], bit: int, width: int, memo: dict, budget: list[int]
+) -> tuple[list[int], ...]:
+    """L|a=0 and L|a=1 over ``width`` players, the terms' others among them."""
+    parts = (frozenset(t for t in terms if not t & bit),
+             frozenset(minimal_masks((t & ~bit for t in terms), budget)))
+    polys = [_losing(part, memo, budget) for part in parts]
+    spend(budget, len(terms) + sum(len(poly) * (width + 2 - len(poly)) for poly in polys))
+    return tuple(_poly_mul(poly, _binomials(width + 1 - len(poly))) for poly in polys)
+
+
+def spend(budget: list[int], steps: int) -> None:
+    """Take ``steps`` from ``budget[0]``, which counts the edges, masks,
+    terms and coefficients that the lineage search and counter visit."""
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise BudgetExceeded("lineage budget exhausted")
+
+
+def minimal_masks(masks: Iterable[int], budget: list[int]) -> list[int]:
+    """The masks that contain no other of the masks, sorted by size; each
+    spends a step per kept mask it may be compared with."""
     out: list[int] = []
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        spend(budget, 1 + len(out))
         if all(c | m != m for c in out):
             out.append(m)
     return out
@@ -223,12 +233,11 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
 
 def _term_components(terms: frozenset[int]) -> list[frozenset[int]]:
     """The terms grouped into components that share no player."""
-    groups: list[tuple[int, frozenset[int]]] = []  # (players, terms)
+    components: list[int] = []  # the players of each
     for t in terms:
-        near = [(p, group) for p, group in groups if p & t]
-        joined = (reduce(or_, (p for p, _ in near), t), frozenset([t]).union(*(g for _, g in near)))
-        groups = [(p, group) for p, group in groups if not p & t] + [joined]
-    return [group for _, group in groups]
+        near = [c for c in components if c & t]
+        components = [c for c in components if not c & t] + [reduce(or_, near, t)]
+    return [frozenset(t for t in terms if t & c) for c in components]
 
 
 def _binomials(k: int) -> list[int]:

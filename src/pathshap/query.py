@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import automata, regex as rx
 from .automata import Dfa, LanguageProfile
-from .errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, UnknownVertex
-from .game import minimal_masks
+from .errors import EnumerationOverflow, QuerySyntaxError, UnknownVertex
+from .game import minimal_masks, spend
 from .graph import Edge, LabeledGraph
 
 # Whether (u, u) is an answer of an epsilon-accepting atom via the empty path.
@@ -175,7 +175,7 @@ def _accepting_reach(out: OutLists, s: str, d: Dfa, mask: int) -> Iterator[str]:
     stack = [start]
     while stack:
         v, q = stack.pop()
-        step = moves[q]
+        step = d.useful_moves[q]
         for need, target, label in out[v]:
             if need & missing:
                 continue
@@ -207,17 +207,15 @@ def holds_on_mask(out: OutLists, atoms: list[tuple[str, str, Dfa]], mask: int) -
 def lineage(out: OutLists, atoms: list[tuple[str, str, Dfa]], bound: int, budget: list[int]) -> list[int]:
     """The query's lineage, a monotone DNF: the minimal masks on which the
     bound atoms all hold, each with the ``bound`` bits, sorted by size; the
-    pairwise unions of the atoms' terms.  Every relaxation and pairing
-    spends a step of ``budget[0]``, and below zero ``BudgetExceeded``."""
+    pairwise unions of the atoms' terms.  The search spends ``budget`` (see
+    ``game.spend``) on every edge, mask and term it visits."""
     terms = [bound]
     for s, t, d in atoms:
         if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
             continue
         found = _atom_lineage(out, s, t, d, budget)
-        _spend(budget, len(terms) * len(found))
-        terms = minimal_masks(a | b for a in terms for b in found)
-        if not terms:
-            break
+        spend(budget, len(terms) * len(found))
+        terms = minimal_masks((a | b for a in terms for b in found), budget)
     return terms
 
 
@@ -226,33 +224,26 @@ def _atom_lineage(out: OutLists, s: str, t: str, d: Dfa, budget: list[int]) -> l
     antichain of the need masks of the walks reaching it from (s, start).
     Masks pop smallest first, so one still in its antichain is final and is
     pushed along each edge once; one a smaller mask superseded is dropped."""
-    moves = d.useful_moves
     chains = {(s, d.start): [0]}
     work = [(0, 0, s, d.start)]
     while work:
         _, mask, v, q = heapq.heappop(work)
+        spend(budget, len(chains[v, q]) + len(out[v]))
         if mask not in chains[v, q]:
             continue
-        step = moves[q]
+        step = d.useful_moves[q]
         for need, target, label in out[v]:
             nq = step.get(label)
             if nq is None:
                 continue
-            _spend(budget, 1)
             m = mask | need
             chain = chains.setdefault((target, nq), [])
+            spend(budget, len(chain))
             if any(c | m == m for c in chain):
                 continue
-            chain[:] = [c for c in chain if c | m != c]
-            chain.append(m)
+            chain[:] = [c for c in chain if c | m != c] + [m]
             heapq.heappush(work, (m.bit_count(), m, target, nq))
-    return minimal_masks(m for q in d.accepting for m in chains.get((t, q), ()))
-
-
-def _spend(budget: list[int], steps: int) -> None:
-    budget[0] -= steps
-    if budget[0] < 0:
-        raise BudgetExceeded("lineage search budget exhausted")
+    return minimal_masks((m for q in d.accepting for m in chains.get((t, q), ())), budget)
 
 
 def _check_vertices(g: LabeledGraph, *vertices: str) -> None:

@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from pathshap import cli
+from pathshap import cli, explain, query
 
 try:
     from importlib.resources import files
@@ -201,7 +201,7 @@ def test_shapley_vertex_kind(chain_file):
     )
     assert code == 0
     lines = out.splitlines()
-    assert all(line.endswith("1/4,exact-lineage") for line in lines[1:5])
+    assert all(line.endswith("1/4,exact-subset") for line in lines[1:5])
 
 
 def test_shapley_multiplicative_infinite_exit_4(fig_graph_text):
@@ -259,6 +259,19 @@ def test_nonzero_verdicts(fig_graph_text):
     assert run(base + ["--focus", "v4->v3"]) == (0, "true\n")
     code, out = run(base + ["--focus", "v9->v9"])
     assert code == 2
+
+
+def test_nonzero_builds_out_lists_once(monkeypatch, fig_graph_text):
+    builds = []
+
+    def counted_out_lists(g, need, original=query.out_lists):
+        builds.append(g)
+        return original(g, need)
+
+    monkeypatch.setattr(explain, "out_lists", counted_out_lists)
+    argv = ["nonzero", "--graph", str(fig_graph_text), "--query", "(x, .*, y)", "--bind", "x=v1,y=v6"]
+    assert run(argv + ["--focus", "v4->v3"]) == (0, "true\n")
+    assert len(builds) == 1
 
 
 def test_nonzero_false_for_stray_edge(tmp_path):

@@ -414,7 +414,7 @@ def test_lineage_values_match_the_oracles(seed, qtext, player_kind):
 
 
 # a 2-player chain behind six exogenous edges: the lineage search needs more
-# than the sweep's 2^2 masks
+# than its budget of four steps per mask of the sweep's 2^2
 BEHIND_EXO = "".join(f"u{i} a u{i + 1} x\n" for i in range(6)) + "u6 b u7 n\nu7 c u8 n\n"
 
 
@@ -428,7 +428,7 @@ def test_solve_falls_back_to_the_sweep_over_the_lineage_budget():
     budget = [100]
     assert game.shapley_lineage_all(["u6->u7", "u7->u8"], lineage(budget), budget) == report.values
     with pytest.raises(BudgetExceeded):
-        lineage([4])
+        lineage([4 << 2])
 
 
 def test_sweep_fallback_searches_the_empty_coalition_once(monkeypatch):
