@@ -24,7 +24,7 @@ from .errors import (
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import CoalitionGame, SampledEstimate, ShapleyReport, _poly_mul
+from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport, _poly_mul
 from .graph import Edge, LabeledGraph
 from .query import (
     Assignment,
@@ -504,13 +504,34 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
     elif mode == "approx-additive":
         method = "mc-additive"
+        game = _sampled_game(req, game, lineage, eps)
         values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)
     elif mode == "approx-multiplicative":
         method = "mc-multiplicative"
+        game = _sampled_game(req, game, lineage, multiplicative_tolerance(gb, eps))
         values = shapley_multiplicative_all(game, gb, eps, req.delta, req.seed)
     else:
         raise ValueError(f"unknown mode {req.mode!r}")
     return ShapleyReport(method, {p: values[p] for p in targets}, tuple(flags))
+
+
+def _sampled_game(
+    req: ExplainRequest, game: CoalitionGame, lineage: Callable[[list[int]], list[int]], tolerance: float
+) -> CoalitionGame:
+    """The sampler's game at additive ``tolerance``: the ``LineageGame`` of
+    the request's terms when their search fits in the sampler's trial
+    count, there is at most one term per edge of the graph, and either at
+    most one term or no more trials than coalitions; otherwise ``game``,
+    whose memo answers every check once the trials outnumber the
+    coalitions.  The rule is measured (README)."""
+    trials = game_mod.capped_sample_count(tolerance, req.delta)
+    try:
+        terms = lineage([trials])
+    except BudgetExceeded:
+        return game
+    if len(terms) > len(req.graph.edges) or (len(terms) > 1 and trials > 1 << len(game.players)):
+        return game
+    return LineageGame(game.players, terms)
 
 
 def _solve_exact_poly(req: ExplainRequest, targets: Iterable[str], flags: list[str]) -> ShapleyReport:

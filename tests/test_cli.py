@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from pathshap import cli, explain, query
+
+from helpers import random_labeled_graph
 
 try:
     from importlib.resources import files
@@ -78,6 +85,32 @@ def test_parser_rejects_options_a_command_does_not_read(fig_graph_text, capsys):
             cli.main(argv, out=io.StringIO())
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_behaves_as_a_fresh_process_on_every_call(fig_graph_text, capsys):
+    """One process sends two different commands, a bad argv and a good one
+    through main; each call answers as it does in a process of its own."""
+    graph = str(fig_graph_text)
+    argvs = [
+        ["eval", "--graph", graph, "--query", "(x, a b c, y)", "--bind", "x=v1,y=v6"],
+        ["shapley", "--graph", graph, "--query", "(x, a b c, y)", "--bind", "x=v1,y=v6", "--format", "json"],
+        ["nonzero", "--graph", graph, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6", "--cap", "3"],
+        ["answers", "--graph", graph, "--query", "(x, a b*, y)"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from pathshap import cli; sys.exit(cli.main())"
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+        out = io.StringIO()
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, out.getvalue(), capsys.readouterr().err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
 
 
 # --- answers ----------------------------------------------------------------
@@ -315,6 +348,19 @@ def test_nonzero_unknown_on_budget_exit_5(fig_graph_text):
         ]
     )
     assert (code, out) == (5, "unknown\n")
+
+
+def test_nonzero_default_budget_gives_a_dense_graph_its_verdict(tmp_path):
+    """A random 12-vertex 40-edge graph whose lineage search takes about
+    2.3 M steps: at the former default of 10^6 steps it prints unknown, at
+    the default it gets its verdict."""
+    g = random_labeled_graph(random.Random(0), 12, 40, exo_prob=0.0)
+    path = tmp_path / "dense.graph"
+    path.write_text("".join(f"{e.source} {e.label} {e.target} n\n" for e in g.edges))
+    argv = ["nonzero", "--graph", str(path), "--query", "(x, (a|b)* b, y)", "--bind", "x=u0,y=u1",
+            "--focus", min(g.endo_edges)]
+    assert run(argv) == (0, "false\n")
+    assert run(argv + ["--budget", "1000000"]) == (5, "unknown\n")
 
 
 def test_nonzero_requires_focus(fig_graph_text):

@@ -17,6 +17,7 @@ from pathshap.errors import (
 )
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
+from conftest import RUNNING_EXAMPLE
 from helpers import brute_enabling_count, brute_shapley, random_labeled_graph
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
@@ -443,6 +444,142 @@ def test_sweep_fallback_searches_the_empty_coalition_once(monkeypatch):
     report = explain.solve(request(load_graph(BEHIND_EXO), "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
     assert report.method == "exact-subset"
     assert len(empty) == 1
+
+
+# --- sampler ----------------------------------------------------------------
+
+FINITE_QUERIES = ["(x, a b | b, y)", "(x, a, y) & (y, b, z)", "(x, a b a, y)", "(x, a, y) & (x, b a, z)"]
+
+
+def _counting_holds(calls):
+    def counted(out, atoms, mask, original=query.holds_on_mask):
+        calls.append(mask)
+        return original(out, atoms, mask)
+    return counted
+
+
+def _on_lineage(players, terms):
+    """The game whose valuation is the lineage's bitmask test."""
+    return game.CoalitionGame(players, mask_valuation=lambda mask: any(t & mask == t for t in terms))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # 600 or 17 additive trials, so that some searches run over their budget
+    query_mode=st.one_of(
+        st.tuples(st.sampled_from(LINEAGE_QUERIES + FINITE_QUERIES), st.just("approx-additive"),
+                  st.sampled_from([0.05, 0.3])),
+        st.tuples(st.sampled_from(FINITE_QUERIES), st.just("approx-multiplicative"), st.just(0.9)),
+    ),
+    player_kind=st.sampled_from(["edge", "vertex"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query_mode, player_kind):
+    """solve hands the sampler the lineage's bitmask test exactly when the
+    search fits in the trial count, with at most one term per edge and
+    either at most one term or no more trials than coalitions, and either
+    way reports
+    what the product search gives: self-loops, exogenous edges and vertices,
+    CRPQs, and infinite languages when additive."""
+    qtext, mode, eps = query_mode
+    rng = random.Random(seed)
+    small = mode == "approx-multiplicative"  # its trial count grows with the players
+    g = random_labeled_graph(
+        rng, rng.randint(2, 4 if small else 5), rng.randint(1, 5 if small else 9), exo_prob=0.3,
+        allow_self_loops=True, exo_vertex_prob=0.3,
+    )
+    q = crpq(qtext, frozenset("ab"))
+    # an answer when there is one, so that most requests draw permutations
+    answers = query.enumerate_answers(g, q) or [[rng.choice(sorted(g.vertices)) for _ in q.variables]]
+    mu = query.Assignment(dict(zip(q.variables, rng.choice(answers))))
+    request_game, lineage = explain._request_game(g, q, mu, player_kind)
+    players = request_game.players
+    assume(players and not request_game.mask_valuation(0))
+    delta = 0.5 if small else 0.1
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+        report = explain.solve(explain.ExplainRequest(
+            g, q, mu, player_kind=player_kind, mode=mode, eps=eps, delta=delta, seed=seed))
+    product = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, q, mu)
+    if small:
+        gb = explain.gap_bound(q, len(players))
+        expected = game.ShapleyReport(
+            "mc-multiplicative", explain.shapley_multiplicative_all(product, gb, eps, delta, seed))
+    else:
+        expected = game.ShapleyReport("mc-additive", game.shapley_mc_all(product, eps, delta, seed))
+    assert report == expected
+    trials = report.values[players[0]].samples
+    try:
+        terms = lineage([trials])
+        reads_lineage = len(terms) <= len(g.edges) and (len(terms) <= 1 or trials <= 1 << len(players))
+    except BudgetExceeded:
+        reads_lineage = False
+    assert all(mask == 0 for mask in calls) == reads_lineage
+
+
+def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
+    """BEHIND_EXO's lineage search needs more steps than the 17 trials at
+    eps 0.3 allow, so the sampler runs on the product search, with the
+    estimates the lineage's bitmask test gives."""
+    g = load_graph(BEHIND_EXO)
+    req = request(g, "(x, a* b c, y)", "x=u0,y=u8", mode="approx-additive", eps=0.3, delta=0.1, seed=5)
+    report = explain.solve(req)
+    players = ["u6->u7", "u7->u8"]
+    assert report.values["u6->u7"].samples == 17
+    _, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    with pytest.raises(BudgetExceeded):
+        lineage([17])
+    on_lineage = _on_lineage(players, lineage([10**6]))
+    product = explain.edge_game(g, req.query, req.binding)
+    assert report.values == game.shapley_mc_all(product, 0.3, 0.1, 5) == game.shapley_mc_all(on_lineage, 0.3, 0.1, 5)
+
+
+# four stages of two parallel a-paths: a lineage of 16 terms over 12 edges
+LADDER4 = "".join(f"s{i} a s{i + 1} n\ns{i} a m{i} n\nm{i} a s{i + 1} n\n" for i in range(4))
+# five a-b paths: a lineage of 5 terms over 10 players, 2^10 coalitions
+FAN5 = "".join(f"x a m{i} n\nm{i} b y n\n" for i in range(5))
+
+
+@pytest.mark.parametrize("graph_text, qtext, btext, terms", [
+    (LADDER4, "(x, a*, y)", "x=s0,y=s4", 16),
+    (FAN5, "(x, a b, y)", "x=x,y=y", 5),
+], ids=["over-one-term-per-edge", "more-trials-than-coalitions"])
+def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_text, qtext, btext, terms):
+    """Both lineages fit in the 1 153 trials at eps 0.04, but the ladder's
+    has more terms than the graph has edges, and the fan's several terms
+    over fewer coalitions than trials, where the product search's memo
+    saturates; so the sampler runs on the product search, with the
+    estimates the lineage's bitmask test gives."""
+    g = load_graph(graph_text)
+    req = request(g, qtext, btext, mode="approx-additive", eps=0.04, delta=0.05, seed=2)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+        report = explain.solve(req)
+    assert any(calls)  # product searches past the baseline's
+    trials = game.sample_count(0.04, 0.05)
+    assert trials == 1153
+    request_game, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    found = lineage([trials])
+    assert len(found) == terms and (terms > len(g.edges) or trials > 1 << len(request_game.players))
+    product = explain.edge_game(g, req.query, req.binding)
+    on_lineage = _on_lineage(request_game.players, found)
+    assert report.values == game.shapley_mc_all(product, 0.04, 0.05, 2) == game.shapley_mc_all(on_lineage, 0.04, 0.05, 2)
+
+
+@pytest.mark.parametrize("graph_text, qtext, btext, mode", [
+    (RUNNING_EXAMPLE, "(x, a b c, y)", "x=v1,y=v6", "approx-additive"),
+    (CHAIN3, "(x, a b c, y)", "x=u1,y=u4", "approx-multiplicative"),
+], ids=["running-additive", "chain-multiplicative"])
+def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_text, qtext, btext, mode):
+    """On the lineage path the only product search of a sampled request is
+    the baseline's, at the empty coalition."""
+    calls = []
+    monkeypatch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+    report = explain.solve(request(load_graph(graph_text), qtext, btext, mode=mode, eps=0.1, delta=0.05, seed=9))
+    assert report.method == mode.replace("approx", "mc")
+    assert calls == [0]
 
 
 # --- dispatcher -------------------------------------------------------------

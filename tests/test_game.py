@@ -215,6 +215,21 @@ def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
     assert all(est.samples == trials for est in estimates.values())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
+def test_shuffles_draw_the_stdlib_shuffle_stream(seed):
+    """The inlined draws give the permutations that random.Random(seed)
+    shuffling the same list in place gives, trial after trial."""
+    for n in range(1, 41):
+        expected = [1 << i for i in range(n)]
+        rng = random.Random(seed)
+        trials = 0
+        for order in game.shuffles(n, seed, 200):
+            rng.shuffle(expected)
+            assert order == expected, (n, trials)
+            trials += 1
+        assert trials == 200
+
+
 def test_mc_all_players_successes_sum_to_samples():
     g = make_game(list("abcdefg"), [{"a", "b"}, {"c", "d"}, {"e", "f", "g"}])
     every = game.shapley_mc_all(g, 0.1, 0.05, seed=3)
