@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
                            help="most answers (and intermediate join rows) to list")
         if name == "nonzero":
-            c.add_argument("--budget", type=int, default=10_000_000, help="lineage search steps")
+            c.add_argument("--budget", type=int, default=explain.LINEAGE_BUDGET, help="lineage search steps")
     return p
 
 

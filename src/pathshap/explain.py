@@ -36,6 +36,13 @@ from .query import (
     out_lists,
 )
 
+# Default step budget of a lineage search whose caller sets none
+# (``candidate_supports`` and ``nonzero --budget``).  A step of a search this
+# long took at most ~0.12 us on dense random graphs, ladders and layered
+# graphs, so the budget runs out in about a second, as the former witness
+# search's default of 10^6 nodes did (1.3-1.5 s).
+LINEAGE_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class ExplainRequest:
@@ -410,7 +417,7 @@ def candidate_supports(
     q: Crpq,
     mu: Assignment,
     player_kind: str = "edge",
-    budget: int = 200_000,
+    budget: int = LINEAGE_BUDGET,
 ) -> Iterator[frozenset[str]]:
     """The minimal winning coalitions of the game before the baseline shift,
     from the request's lineage; ``budget`` caps the search steps."""
@@ -522,8 +529,10 @@ def _sampled_game(
     the request's terms when their search fits in the sampler's trial
     count, there is at most one term per edge of the graph, and either at
     most one term or no more trials than coalitions; otherwise ``game``,
-    whose memo answers every check once the trials outnumber the
-    coalitions.  The rule is measured (README)."""
+    the memoized product search.  Past one term per edge a vertex game's
+    test is slower than the product search, and once the trials outnumber
+    the coalitions the memo answers most checks and a test of several
+    terms is slower too.  The rule is measured (README)."""
     trials = game_mod.capped_sample_count(tolerance, req.delta)
     try:
         terms = lineage([trials])

@@ -360,6 +360,18 @@ def test_candidate_supports_vertex_kind(fig_graph):
     assert supports == [frozenset({"v1", "v3", "v5", "v6"})]
 
 
+def test_candidate_supports_default_budget_reads_a_dense_lineage():
+    """A random 12-vertex 40-edge graph whose lineage search takes about
+    2.3 M steps to find no term (the one edge into u1 is labeled a): the
+    default budget, the one nonzero uses, reads it all."""
+    g = random_labeled_graph(random.Random(0), 12, 40, exo_prob=0.0)
+    q = crpq("(x, (a|b)* b, y)", g.alphabet)
+    mu = bind("x=u0,y=u1", q)
+    assert list(explain.candidate_supports(g, q, mu)) == []
+    with pytest.raises(BudgetExceeded):
+        list(explain.candidate_supports(g, q, mu, budget=1_000_000))
+
+
 def test_nonzero_with_infinite_language():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
     q = crpq("(x, .*, y)", g.alphabet)
@@ -537,22 +549,25 @@ def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
 
 # four stages of two parallel a-paths: a lineage of 16 terms over 12 edges
 LADDER4 = "".join(f"s{i} a s{i + 1} n\ns{i} a m{i} n\nm{i} a s{i + 1} n\n" for i in range(4))
-# five a-b paths: a lineage of 5 terms over 10 players, 2^10 coalitions
-FAN5 = "".join(f"x a m{i} n\nm{i} b y n\n" for i in range(5))
+# three fully joined layers of two vertices between x and y: a vertex
+# lineage of 8 terms over 12 edges and 8 players, 2^8 coalitions
+LAYERS3 = [["x"], ["p0", "p1"], ["q0", "q1"], ["r0", "r1"], ["y"]]
+LAYERED3 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS3, LAYERS3[1:]) for u in a for v in b)
 
 
-@pytest.mark.parametrize("graph_text, qtext, btext, terms", [
-    (LADDER4, "(x, a*, y)", "x=s0,y=s4", 16),
-    (FAN5, "(x, a b, y)", "x=x,y=y", 5),
+@pytest.mark.parametrize("graph_text, btext, player_kind, terms", [
+    (LADDER4, "x=s0,y=s4", "edge", 16),
+    (LAYERED3, "x=x,y=y", "vertex", 8),
 ], ids=["over-one-term-per-edge", "more-trials-than-coalitions"])
-def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_text, qtext, btext, terms):
+def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_text, btext, player_kind, terms):
     """Both lineages fit in the 1 153 trials at eps 0.04, but the ladder's
-    has more terms than the graph has edges, and the fan's several terms
-    over fewer coalitions than trials, where the product search's memo
-    saturates; so the sampler runs on the product search, with the
-    estimates the lineage's bitmask test gives."""
+    has more terms than the graph has edges, and the layered vertex game's
+    several terms face fewer coalitions than trials, where the product
+    search's memo answers most checks; so the sampler runs on the product
+    search, with the estimates the lineage's bitmask test gives."""
     g = load_graph(graph_text)
-    req = request(g, qtext, btext, mode="approx-additive", eps=0.04, delta=0.05, seed=2)
+    req = request(g, "(x, a*, y)", btext, player_kind=player_kind, mode="approx-additive", eps=0.04, delta=0.05,
+                  seed=2)
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
@@ -560,10 +575,10 @@ def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_
     assert any(calls)  # product searches past the baseline's
     trials = game.sample_count(0.04, 0.05)
     assert trials == 1153
-    request_game, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    request_game, lineage = explain._request_game(g, req.query, req.binding, player_kind)
     found = lineage([trials])
     assert len(found) == terms and (terms > len(g.edges) or trials > 1 << len(request_game.players))
-    product = explain.edge_game(g, req.query, req.binding)
+    product = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, req.query, req.binding)
     on_lineage = _on_lineage(request_game.players, found)
     assert report.values == game.shapley_mc_all(product, 0.04, 0.05, 2) == game.shapley_mc_all(on_lineage, 0.04, 0.05, 2)
 
