@@ -24,7 +24,7 @@ from .errors import (
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport, _poly_mul
+from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport, _poly_div, _poly_mul
 from .graph import Edge, LabeledGraph
 from .query import (
     Assignment,
@@ -268,20 +268,6 @@ def shapley_short_rpq(structure: BlockingStructure, players: Iterable[str]) -> d
     return values
 
 
-def _poly_div(a: list[int], b: list[int]) -> list[int]:
-    """a ÷ b, for b with constant term 1 that divides a: long division from
-    the lowest power up."""
-    rem = list(a)
-    out = []
-    for i in range(len(a) - len(b) + 1):
-        c = rem[i]
-        out.append(c)
-        if c:
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    return out
-
-
 def _independent_set_counts(vertices: frozenset[str], adj: dict[str, set[str]]) -> list[int]:
     """coeff[k] = number of independent size-k subsets of the given vertices."""
     memo: dict[frozenset[str], tuple[int, ...]] = {}
@@ -457,7 +443,8 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         flags.append("eps-clamped")
     if any(a.profile.is_empty for a in req.query.atoms):
         flags.append("empty-language-atom")
-        return ShapleyReport("exact-subset", {p: Fraction(0) for p in targets}, tuple(flags))
+        # the values of an empty lineage, as the lineage counter gives them
+        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
     gb = gap_bound(req.query, len(players)) if all_finite else None
     # an explicit sampler mode is refused over the trial cap before the
     # baseline search, the request's first valuation; a gap below the float
@@ -468,7 +455,8 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         game_mod.capped_sample_count(multiplicative_tolerance(gb, eps), req.delta)
     if game.mask_valuation(0):
         flags.append("answer-exogenous")
-        return ShapleyReport("exact-subset", {p: Fraction(0) for p in targets}, tuple(flags))
+        # the values of a lineage holding mask 0, as the lineage counter gives them
+        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
 
     single_short2 = (
         req.player_kind == "edge"
@@ -500,7 +488,7 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         return _solve_exact_poly(req, targets, flags)
     if mode == "exact-subset":
         # four lineage steps per mask of the sweep: measured, a step costs
-        # at most ~0.5 us and ~10 bytes, a mask 0.2-5 us and ~3 bytes (README)
+        # at most ~0.35 us and ~4 bytes, a mask 0.4-3.2 us and ~3 bytes (README)
         game_mod.check_subset_cap(len(players), req.subset_cap)
         budget = [4 << len(players)]
         try:

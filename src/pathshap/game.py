@@ -2,7 +2,8 @@
 
 Coalitions are frozensets of player ids on the public surface and bitmasks
 (bit i = the i-th player) inside.  The exact engines count a game's lineage
-by size or sweep a truth table of all 2^n masks once.  The sampler draws
+by size, compiled once into a DAG whose one reverse pass values every
+player, or sweep a truth table of all 2^n masks once.  The sampler draws
 its permutations with the stdlib shuffle's draws inlined and memoizes
 valuations per game in a dict cleared at ``VALUATION_CACHE_SIZE`` entries,
 since permutation prefixes repeat heavily.  A ``LineageGame`` instead
@@ -178,59 +179,132 @@ def shapley_lineage_all(
     """Exact values of every player from the game's lineage: its minimal
     winning masks, a monotone DNF over the player bits.
 
-    The losing coalitions are counted by size as a polynomial L.  Terms
-    that share no player split into components whose polynomials multiply;
-    a component of several terms branches on its most frequent player a,
-    L = L|a=0 + x*L|a=1, with a memo over the residual term sets.  A player
-    a turns the coalitions without it counted by L|a=0 - L|a=1 into winning
-    ones, so phi(a) = sum_k k!(n-k-1)!/n! * (L|a=0[k] - L|a=1[k]): the
-    sweep's formula, one Fraction over n! per player.  The count spends
-    ``budget`` (see ``spend``) on every term it visits.
+    The losing coalitions of the w players in some term are counted by size
+    as a polynomial L, compiled once into a DAG (``_compile``).  A player a
+    turns the coalitions without it counted by L|a=0 - L|a=1 into winning
+    ones, so phi(a) = sum_k k!(w-1-k)!/w! * (L|a=0[k] - L|a=1[k]): the
+    sweep's formula, one Fraction per player, over w! instead of n!, which
+    leaves the values alone since the other players are null.  With
+    G_a = x*L|a=1 and L = L|a=0 + G_a, every G_a comes from one reverse pass
+    over the DAG, root first (``_reverse``): each node gets an adjoint
+    polynomial A, the derivative of L by the node's polynomial, and adds A
+    times the derivative of its own polynomial by a's presence to G_a.
+    Both passes spend ``budget`` (see ``spend``).
     """
-    memo: dict[frozenset[int], list[int]] = {}
-    n = len(players)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    values = {}
-    for i, p in enumerate(players):
-        off, on = _conditioned(frozenset(terms), 1 << i, n - 1, memo, budget)
-        total = sum(fact[k] * fact[n - 1 - k] * (x - y) for k, (x, y) in enumerate(zip(off, on)))
-        values[p] = Fraction(total, fact[n])
+    nodes: list[tuple] = []
+    _compile(frozenset(terms), {}, nodes, budget)
+    losing = nodes[-1][2]
+    w = len(losing) - 1
+    gains = _reverse(nodes, w, budget)
+    fact = [math.factorial(i) for i in range(w + 1)]
+    values = dict.fromkeys(players, Fraction(0))
+    by_gain: dict[tuple[int, ...], Fraction] = {}  # players alike in L share G_a
+    for bit, g in gains.items():
+        key = tuple(g)
+        if key not in by_gain:
+            total = sum(fact[k] * fact[w - 1 - k] * (losing[k] - g[k] - g[k + 1]) for k in range(w))
+            by_gain[key] = Fraction(total, fact[w])
+        values[players[bit.bit_length() - 1]] = by_gain[key]
     return values
 
 
-def _losing(terms: frozenset[int], memo: dict, budget: list[int]) -> list[int]:
-    """L over the terms' players."""
+def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], budget: list[int]) -> int:
+    """The index in ``nodes`` of the node counting L over the terms'
+    players, appended after its children's, so that a node's parents come
+    after it.  A node is (support, kind, poly, ...): terms that share no
+    player make a ``product`` of their components' nodes; one term of
+    width m is a ``term`` leaf, (1+x)^m - x^m; otherwise a ``split`` on the
+    most frequent player a, L = (1+x)^f0 * L0 + x*(1+x)^f1 * L1, with
+    branches (child, free mask): L0 over the terms without a, L1 over the
+    minimal terms less a, and f0, f1 the players each child leaves free.
+    No terms, or the empty term, make a ``constant`` leaf, 1 or 0.
+    """
+    node = memo.get(terms)
+    if node is not None:
+        return node
     if not terms or 0 in terms:
-        return [0] if terms else [1]  # the empty coalition wins, or none does
-    poly = memo.get(terms)
-    if poly is not None:
-        return poly
-    groups = _term_components(terms)
-    support = reduce(or_, terms)
-    width = support.bit_count()
-    spend(budget, (len(terms) + len(groups)) * width)
-    if len(groups) > 1:
-        poly = reduce(_poly_mul, (_losing(group, memo, budget) for group in groups))
-    elif len(terms) == 1:
-        poly = _binomials(width)[:-1] + [0]  # every subset but the term itself
+        entry = (0, "constant", [0] if terms else [1])
     else:
-        bits = [1 << i for i in range(support.bit_length()) if support >> i & 1]
-        most = max(bits, key=lambda b: sum(1 for t in terms if t & b))
-        off, on = _conditioned(terms, most, width - 1, memo, budget)
-        poly = [x + y for x, y in zip(off + [0], [0] + on)]
-    memo[terms] = poly
-    return poly
+        groups = _term_components(terms)
+        support = reduce(or_, terms)
+        width = support.bit_count()
+        spend(budget, (len(terms) + len(groups)) * width)
+        if len(groups) > 1:
+            children = [_compile(group, memo, nodes, budget) for group in groups]
+            poly = reduce(_poly_mul, (nodes[c][2] for c in children))
+            entry = (support, "product", poly, children)
+        elif len(terms) == 1:
+            entry = (support, "term", _binomials(width)[:-1] + [0])
+        else:
+            a = max(_bits(support), key=lambda b: sum(1 for t in terms if t & b))
+            parts = (frozenset(t for t in terms if not t & a),
+                     frozenset(minimal_masks((t & ~a for t in terms), budget)))
+            branches = []
+            for part in parts:
+                c = _compile(part, memo, nodes, budget)
+                branches.append((c, support & ~a & ~nodes[c][0]))
+            off, on = (_poly_mul(nodes[c][2], _binomials(free.bit_count())) for c, free in branches)
+            spend(budget, len(terms) + sum(len(nodes[c][2]) * (free.bit_count() + 1) for c, free in branches))
+            poly = [x + y for x, y in zip(off + [0], [0] + on)]
+            entry = (support, "split", poly, a, branches)
+    nodes.append(entry)
+    memo[terms] = node = len(nodes) - 1
+    return node
 
 
-def _conditioned(
-    terms: frozenset[int], bit: int, width: int, memo: dict, budget: list[int]
-) -> tuple[list[int], ...]:
-    """L|a=0 and L|a=1 over ``width`` players, the terms' others among them."""
-    parts = (frozenset(t for t in terms if not t & bit),
-             frozenset(minimal_masks((t & ~bit for t in terms), budget)))
-    polys = [_losing(part, memo, budget) for part in parts]
-    spend(budget, len(terms) + sum(len(poly) * (width + 2 - len(poly)) for poly in polys))
-    return tuple(_poly_mul(poly, _binomials(width + 1 - len(poly))) for poly in polys)
+def _reverse(nodes: list[tuple], w: int, budget: list[int]) -> dict[int, list[int]]:
+    """G_a for every player bit a of the root, the last node, over its
+    w players, from one pass over ``nodes`` in reverse.  A product's child
+    gets A times its siblings' product: A times the whole product, divided
+    by the child's polynomial, which has constant term 1.  A split's
+    children get A*(1+x)^f0 and x*A*(1+x)^f1, a gets x*A*(1+x)^f1*L1, and
+    each free player its padding's derivative, A*x*(1+x)^(f0-1)*L0 or
+    A*x^2*(1+x)^(f1-1)*L1.  A term leaf of width m gives each member
+    A*(x(1+x)^(m-1) - x^m).  Constant leaves hold no player."""
+    gains = {b: [0] * (w + 1) for b in _bits(nodes[-1][0])}
+    adjoints: list[list[int]] = [[] for _ in nodes]
+    adjoints[-1] = [1]
+    for i in range(len(nodes) - 1, -1, -1):
+        A = adjoints[i]
+        support, kind, poly, *rest = nodes[i]
+        if kind == "product":
+            children = rest[0]
+            spend(budget, len(A) * len(poly) + (w + 1) * sum(len(nodes[c][2]) for c in children))
+            whole = _poly_mul(A, poly)
+            for c in children:
+                _add(adjoints[c], _poly_div(whole, nodes[c][2]))
+        elif kind == "term":
+            m = len(poly) - 1
+            spend(budget, len(A) * len(poly) + (w + 1) * m)
+            gain = _poly_mul(A, [0] + _binomials(m - 1)[:-1] + [0])
+            for b in _bits(support):
+                _add(gains[b], gain)
+        elif kind == "split":
+            a, branches = rest
+            spend(budget, len(A) * len(poly) + (w + 1) * sum(free.bit_count() + 1 for _, free in branches))
+            for shift, (c, free) in enumerate(branches):
+                f = free.bit_count()
+                _add(adjoints[c], [0] * shift + _poly_mul(A, _binomials(f)))
+                counted = _poly_mul(A, nodes[c][2])
+                if shift:
+                    _add(gains[a], [0] + _poly_mul(counted, _binomials(f)))
+                if f:
+                    gain = [0] * (shift + 1) + _poly_mul(counted, _binomials(f - 1))
+                    for b in _bits(free):
+                        _add(gains[b], gain)
+    return gains
+
+
+def _add(acc: list[int], poly: list[int]) -> None:
+    """acc += poly, in place; poly may be longer than acc."""
+    if len(poly) > len(acc):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for i, c in enumerate(poly):
+        acc[i] += c
+
+
+def _bits(mask: int) -> list[int]:
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def spend(budget: list[int], steps: int) -> None:
@@ -272,6 +346,20 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return out
+
+
+def _poly_div(a: list[int], b: list[int]) -> list[int]:
+    """a ÷ b, for b with constant term 1 that divides a: long division from
+    the lowest power up."""
+    rem = list(a)
+    out = []
+    for i in range(len(a) - len(b) + 1):
+        c = rem[i]
+        out.append(c)
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
     return out
 
 

@@ -234,7 +234,7 @@ def test_shapley_vertex_kind(chain_file):
     )
     assert code == 0
     lines = out.splitlines()
-    assert all(line.endswith("1/4,exact-subset") for line in lines[1:5])
+    assert all(line.endswith("1/4,exact-lineage") for line in lines[1:5])
 
 
 def test_shapley_multiplicative_infinite_exit_4(fig_graph_text):

@@ -727,14 +727,19 @@ def test_solve_vertex_kind_uses_generic_engine(fig_graph):
 
 
 def test_solve_degenerate_reports(fig_graph):
+    # no engine runs: the values are those of an empty lineage, and of a
+    # lineage holding mask 0
     report = explain.solve(request(fig_graph, "(x, {}, y)", "x=v1,y=v6"))
     assert "empty-language-atom" in report.flags
+    assert report.method == "exact-lineage"
     assert all(v == 0 for v in report.values.values())
+    assert report.values == game.shapley_lineage_all(sorted(report.values), [], [0])
 
     g = load_graph("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n")
     report = explain.solve(request(g, "(x, a b, y)", "x=u1,y=u3"))
     assert "answer-exogenous" in report.flags
-    assert report.values["u1->u3"] == 0
+    assert report.method == "exact-lineage"
+    assert report.values == {"u1->u3": 0} == game.shapley_lineage_all(["u1->u3"], [0], [0])
 
 
 def test_solve_no_players():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -88,8 +89,20 @@ def test_size_counting_engine_matches_textbook_sum(players_winners):
     assert game.shapley_exact_subset_all(g) == brute_shapley(players, g.valuation)
 
 
+def _named(n, *groups):
+    return [f"p{i}" for i in range(n)], [frozenset(f"p{i}" for i in g) for g in groups]
+
+
 @given(monotone_games(max_players=9, max_winners=6))
 @example(([f"p{i}" for i in range(6)], [frozenset({"p4", "p5"}), frozenset({"p3", "p5"})]))
+@example(_named(6, *itertools.combinations(range(6), 2)))  # a threshold lineage
+# three disjoint fans, and a null player
+@example(_named(11, (0, 1), (0, 2), (3, 4), (3, 5), (3, 6), (7, 8), (7, 9)))
+# a singleton term beside longer terms that share its player
+@example(_named(5, (0,), (0, 1), (0, 2, 3), (1, 2), (2, 3, 4)))
+@example(_named(5, (0, 1, 2), (0, 3), (1, 3, 4)))  # a split whose branches both leave players free
+@example(_named(4))  # the empty lineage
+@example(_named(4, (), (0, 1)))  # a lineage holding mask 0
 @settings(max_examples=100, deadline=None)
 def test_lineage_counter_matches_textbook_sum(players_winners):
     players, winners = players_winners
@@ -97,6 +110,20 @@ def test_lineage_counter_matches_textbook_sum(players_winners):
     terms = game.minimal_masks((g.mask_of(w) for w in winners), [10**6])
     assert all(t | u != t for t in terms for u in terms if t != u)
     assert game.shapley_lineage_all(players, terms, [10**6]) == brute_shapley(players, g.valuation)
+
+
+def test_lineage_counter_values_a_threshold_lineage_inside_the_sweep_budget(monkeypatch):
+    """All 2-subsets of 12 players: the build and the reverse pass both
+    spend, and together they fit in the 4 << 12 steps that ``solve`` gives
+    a 12-player request before it falls back to the sweep."""
+    players = [f"p{i}" for i in range(12)]
+    terms = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(12), 2)]
+    at_reverse = []
+    reverse = game._reverse
+    monkeypatch.setattr(game, "_reverse", lambda *args: at_reverse.append(args[-1][0]) or reverse(*args))
+    budget = [4 << 12]
+    assert game.shapley_lineage_all(players, terms, budget) == dict.fromkeys(players, Fraction(1, 12))
+    assert 0 <= budget[0] < at_reverse[0] < 4 << 12
 
 
 def test_lineage_counter_spends_its_budget():
