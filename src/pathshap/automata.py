@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import regex as rx
-from .errors import AlphabetMismatch, EnumerationOverflow
-
-Word = tuple[str, ...]
+from .errors import AlphabetMismatch
 
 
 @dataclass(frozen=True)
@@ -275,26 +273,3 @@ def _topological_order(edges: dict[int, set[int]]) -> tuple[list[int], bool]:
     order.reverse()
     return order, False
 
-
-def words_up_to(d: Dfa, n: int, cap: int = 100_000) -> set[Word]:
-    """Exactly the accepted words of length at most n."""
-    found: set[Word] = set()
-    frontier: list[tuple[int, Word]] = [(d.start, ())]
-    if d.start in d.accepting:
-        found.add(())
-    for _length in range(n):
-        nxt: list[tuple[int, Word]] = []
-        seen: set[tuple[int, Word]] = set()
-        for state, word in frontier:
-            for a, target in sorted(d.useful_moves[state].items()):
-                item = (target, word + (a,))
-                if item in seen:
-                    continue
-                seen.add(item)
-                if target in d.accepting:
-                    found.add(item[1])
-                    if len(found) > cap:
-                        raise EnumerationOverflow(f"more than {cap} words")
-                nxt.append(item)
-        frontier = nxt
-    return found

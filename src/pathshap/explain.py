@@ -1,31 +1,27 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
-Builds the coalition games and their lineage, counts exact values from one
-blocking polynomial for single-atom queries whose words have length at most
-two, provides the gap-based multiplicative wrapper and the positivity
-tests, and dispatches between the exact, counting and sampling engines.
+Builds the coalition games and their lineage, provides the gap-based
+multiplicative wrapper and the positivity tests, and dispatches between the
+exact and sampling engines.  A single-atom edge query whose words have
+length at most two is counted on its lineage with no subset cap.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import game as game_mod
-from .automata import Word, words_up_to
 from .errors import (
     BudgetExceeded,
     InfiniteLanguage,
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport, _poly_div, _poly_mul
-from .graph import Edge, LabeledGraph
+from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport
+from .graph import LabeledGraph
 from .query import (
     Assignment,
     Crpq,
@@ -37,10 +33,12 @@ from .query import (
 )
 
 # Default step budget of a lineage search whose caller sets none
-# (``candidate_supports`` and ``nonzero --budget``).  A step of a search this
+# (``candidate_supports`` and ``nonzero --budget``), and the budget of a
+# short-word exact request's search and count.  A step of a search this
 # long took at most ~0.12 us on dense random graphs, ladders and layered
 # graphs, so the budget runs out in about a second, as the former witness
-# search's default of 10^6 nodes did (1.3-1.5 s).
+# search's default of 10^6 nodes did (1.3-1.5 s).  Short-word fans are
+# refused near 1 330 players: one of 1 301 spent 9.5*10^6 steps in 2.3 s.
 LINEAGE_BUDGET = 10_000_000
 
 
@@ -139,173 +137,6 @@ def _baseline_shifted(game: CoalitionGame) -> CoalitionGame:
     if game.mask_valuation(0):
         return CoalitionGame(game.players, mask_valuation=lambda mask: 0)
     return game
-
-
-# --- short-word exact Shapley ----------------------------------------------
-
-@dataclass(frozen=True)
-class BlockingStructure:
-    """The losing coalitions of a single short-word atom's edge game.
-
-    ``poly[k]`` counts, for k = 0..m, the size-k sets of endogenous edges
-    that complete no matching path together with the exogenous edges.  Such
-    a set avoids every ``sole`` edge and is independent in the conflict
-    graph ``adj``, which joins the two endogenous edges of every other
-    match, so B(x) = (1+x)^free · Π_C I_C(x), where I_C(x) counts the
-    independent sets of conflict component C by size.  ``poly`` is zero when
-    the exogenous edges alone complete a match.  ``disjoint`` holds when no
-    endogenous edge lies on two matches that have an endogenous edge and no
-    self-loop lies on a matching length-2 path.
-    """
-
-    poly: list[int]
-    disjoint: bool
-    players: frozenset[str]  # the endogenous edges
-    sole: frozenset[str]  # the only endogenous edge of some match
-    components: dict[frozenset[str], list[int]]  # C -> I_C
-    adj: dict[str, set[str]]  # the conflict graph
-
-    @property
-    def largest(self) -> int:
-        return max(map(len, self.components), default=0)
-
-
-def _short_words(words: Iterable[Word]) -> list[Word]:
-    words = list(words)
-    out = [w for w in words if 1 <= len(w) <= 2]
-    if any(len(w) > 2 for w in words):
-        raise ValueError("language contains a word longer than two symbols")
-    return out
-
-
-def _matching_paths(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> list[tuple[Edge, ...]]:
-    """All length-1 and length-2 paths from s to t whose word is in the
-    language.  A self-loop traversed twice yields a one-edge length-2 path."""
-    wordset = set(_short_words(words))
-    paths: list[tuple[Edge, ...]] = []
-    _check_vertices(g, s, t)
-    for e1 in g.out_edges(s):
-        if e1.target == t and (e1.label,) in wordset:
-            paths.append((e1,))
-        for e2 in g.out_edges(e1.target):
-            if e2.target == t and (e1.label, e2.label) in wordset:
-                paths.append((e1, e2))
-    return paths
-
-
-def blocking_structure(g: LabeledGraph, s: str, t: str, words: Iterable[Word]) -> BlockingStructure:
-    """The blocking polynomial of the edge game of one short-word atom from
-    s to t, from one pass over its matching paths."""
-    m = len(g.endo_edges)
-    sole: set[str] = set()
-    pairs: set[frozenset[str]] = set()
-    on_paths: Counter[str] = Counter()
-    loop = False
-    for path in _matching_paths(g, s, t, words):
-        loop = loop or (len(path) == 2 and any(e.source == e.target for e in path))
-        endo = frozenset(e.id for e in path if e.id in g.endo_edges)
-        if not endo:
-            return BlockingStructure([0] * (m + 1), True, g.endo_edges, frozenset(), {}, {})
-        on_paths.update(endo)
-        if len(endo) == 1:
-            sole |= endo
-        else:
-            pairs.add(endo)
-    # a pair with a sole edge never completes in a losing coalition
-    adj: dict[str, set[str]] = {}
-    for a, b in (p for p in pairs if not p & sole):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    free = m - len(sole) - len(adj)
-    poly = [math.comb(free, i) for i in range(free + 1)]
-    components: dict[frozenset[str], list[int]] = {}
-    for component in _components(adj):
-        components[component] = _independent_set_counts(component, adj)
-        poly = _poly_mul(poly, components[component])
-    poly += [0] * (m + 1 - len(poly))
-    disjoint = not loop and all(n == 1 for n in on_paths.values())
-    return BlockingStructure(poly, disjoint, g.endo_edges, frozenset(sole), components, adj)
-
-
-def shapley_short_rpq(structure: BlockingStructure, players: Iterable[str]) -> dict[str, Fraction]:
-    """Exact values of the given endogenous edges from the blocking structure.
-
-    A player's difference polynomial D counts by size the coalitions without
-    it that lose but win once it joins; its value is
-    Σₖ k!(n−k−1)!·D[k] / n!.  The sole endogenous edge of a match turns every
-    losing coalition into a winning one, so D = B.  A member p of conflict
-    component C wins with the coalitions whose part in C is independent in
-    C−p but not in C−p−N(p), so D = (B ÷ I_C)·(I_{C−p} − I_{C−p−N(p)}).
-    Every other edge is null.
-
-    Unlike the other engines this one takes the players to value: each
-    component member costs two independent-set recounts of its component,
-    so valuing every player would cost a one-player request real work.
-    """
-    n = len(structure.players)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    component_of = {p: c for c in structure.components for p in c}
-    others: dict[frozenset[str], list[int]] = {}  # C -> B ÷ I_C
-    values: dict[str, Fraction] = {}
-    for p in players:
-        if p not in structure.players:
-            raise InvalidPlayerSet(f"{p} is not an endogenous edge")
-        if p in structure.sole:
-            diff = structure.poly
-        elif p in component_of:
-            c = component_of[p]
-            if c not in others:
-                others[c] = _poly_div(structure.poly, structure.components[c])
-            rest = c - {p}
-            without = _independent_set_counts(rest, structure.adj)  # I_{C−p}
-            apart = _independent_set_counts(rest - structure.adj[p], structure.adj)  # I_{C−p−N(p)}
-            step = [a - b for a, b in itertools.zip_longest(without, apart, fillvalue=0)]
-            diff = _poly_mul(others[c], step)
-        else:
-            diff = []
-        total = sum(fact[k] * fact[n - 1 - k] * d for k, d in enumerate(diff[:n]))
-        values[p] = Fraction(total, fact[n])
-    return values
-
-
-def _independent_set_counts(vertices: frozenset[str], adj: dict[str, set[str]]) -> list[int]:
-    """coeff[k] = number of independent size-k subsets of the given vertices."""
-    memo: dict[frozenset[str], tuple[int, ...]] = {}
-
-    def count(vs: frozenset[str]) -> tuple[int, ...]:
-        if not vs:
-            return (1,)
-        cached = memo.get(vs)
-        if cached is not None:
-            return cached
-        v = min(vs)
-        without = count(vs - {v})
-        with_v = count(vs - {v} - adj[v])
-        res = list(without) + [0] * max(0, len(with_v) + 1 - len(without))
-        for k, x in enumerate(with_v):
-            res[k + 1] += x
-        memo[vs] = tuple(res)
-        return memo[vs]
-
-    return list(count(vertices))
-
-
-def _components(adj: dict[str, set[str]]) -> list[frozenset[str]]:
-    remaining = set(adj)
-    out = []
-    while remaining:
-        root = min(remaining)
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        remaining -= seen
-        out.append(frozenset(seen))
-    return out
 
 
 # --- gap bound and multiplicative wrapper ----------------------------------
@@ -462,13 +293,12 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         req.player_kind == "edge"
         and len(req.query.atoms) == 1
         and req.query.atoms[0].profile.short2
-        and not req.query.atoms[0].profile.is_empty
     )
 
     mode = req.mode
     if mode == "auto":
         if single_short2:
-            mode = "exact-poly"
+            mode = "exact-lineage"
         elif len(players) <= req.subset_cap:
             mode = "exact-subset"
         elif not all_finite:
@@ -482,11 +312,16 @@ def solve(req: ExplainRequest) -> ShapleyReport:
                 mode = "approx-additive"
                 flags.append(f"no-multiplicative-guarantee:trials={trials}")
     elif mode == "exact":
-        mode = "exact-poly" if single_short2 else "exact-subset"
+        mode = "exact-lineage" if single_short2 else "exact-subset"
 
-    if mode == "exact-poly":
-        return _solve_exact_poly(req, targets, flags)
-    if mode == "exact-subset":
+    if mode == "exact-lineage":
+        # a short-word atom's terms have at most two edges and, with one
+        # edge per ordered pair, share edges in groups of at most three:
+        # the count is polynomial, so no subset cap, only the step budget
+        method = "exact-lineage"
+        budget = [LINEAGE_BUDGET]
+        values = game_mod.shapley_lineage_all(players, lineage(budget), budget)
+    elif mode == "exact-subset":
         # four lineage steps per mask of the sweep: measured, a step costs
         # at most ~0.35 us and ~4 bytes, a mask 0.4-3.2 us and ~3 bytes (README)
         game_mod.check_subset_cap(len(players), req.subset_cap)
@@ -530,13 +365,3 @@ def _sampled_game(
         return game
     return LineageGame(game.players, terms)
 
-
-def _solve_exact_poly(req: ExplainRequest, targets: Iterable[str], flags: list[str]) -> ShapleyReport:
-    atom = req.query.atoms[0]
-    words = [w for w in words_up_to(atom.dfa, 2) if w]
-    structure = blocking_structure(
-        req.graph, req.binding[atom.source_var], req.binding[atom.target_var], words
-    )
-    if not structure.disjoint:
-        flags.append(f"non-disjoint-fallback:largest-component={structure.largest}")
-    return ShapleyReport("exact-poly", shapley_short_rpq(structure, targets), tuple(flags))

@@ -115,7 +115,7 @@ class SampledEstimate:
 
 @dataclass(frozen=True)
 class ShapleyReport:
-    method: str  # exact-lineage | exact-subset | exact-poly | mc-additive | mc-multiplicative
+    method: str  # exact-lineage | exact-subset | mc-additive | mc-multiplicative
     values: dict[str, Union[Fraction, SampledEstimate]]
     flags: tuple[str, ...] = ()
 

@@ -102,36 +102,6 @@ def path_oracle_eval(g: LabeledGraph, s: str, t: str, dfa, ast=None, alphabet=No
     return False
 
 
-def short_match_present(g: LabeledGraph, s: str, t: str, words) -> bool:
-    """Is there an s-to-t walk of length one or two matching one of the words?
-    A self-loop may be traversed twice."""
-    wordset = set(words)
-    for e1 in g.out_edges(s):
-        if e1.target == t and (e1.label,) in wordset:
-            return True
-        for e2 in g.out_edges(e1.target):
-            if e2.target == t and (e1.label, e2.label) in wordset:
-                return True
-    return False
-
-
-def brute_enabling_count(g: LabeledGraph, s: str, t: str, words, k: int) -> int:
-    """Enumerate every size-k endogenous subset and test it directly."""
-    endo = sorted(g.endo_edges)
-    count = 0
-    for combo in itertools.combinations(endo, k):
-        keep = set(combo) | g.exo_edges
-        sub = LabeledGraph(
-            g.vertices,
-            (e for e in g.edges if e.id in keep),
-            set(combo),
-            g.endo_vertices,
-        )
-        if short_match_present(sub, s, t, words):
-            count += 1
-    return count
-
-
 def brute_shapley(players, valuation) -> dict[str, Fraction]:
     """Textbook subset-form Shapley sum over an explicit valuation."""
     players = list(players)

@@ -8,6 +8,7 @@ which criterion broke).  Tolerances are stated inline.
 import io
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from pathshap import cli, explain, game, query
@@ -124,8 +125,8 @@ def test_criterion_2_definition_agreement():
 
 
 def test_criterion_3_polynomial_algorithm():
-    """The blocking-polynomial counter matches the permutation oracle on 500
-    random short-word instances; exact rational equality."""
+    """Short-word requests, counted on the lineage, match the permutation
+    oracle on 500 random instances; exact rational equality."""
     rng = random.Random(3)
     word_pool = [("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")]
     checked = disjoint = overlapping = 0
@@ -148,17 +149,18 @@ def test_criterion_3_polynomial_algorithm():
         mu = query.Assignment({"x": s, "y": t})
         oracle = shapley_exact_permutation_all(explain.edge_game(g, q, mu))
 
-        structure = explain.blocking_structure(g, s, t, words)
-        if structure.disjoint:
-            disjoint += 1
-        else:
+        # an endogenous edge in two minimal supports makes overlapping matches
+        on_supports = Counter(e for support in explain.candidate_supports(g, q, mu) for e in support)
+        if any(n > 1 for n in on_supports.values()):
             overlapping += 1
-        got = explain.shapley_short_rpq(structure, sorted(g.endo_edges))
+        else:
+            disjoint += 1
+        got = explain.solve(explain.ExplainRequest(g, q, mu, mode="exact")).values
         assert got == oracle, checked
         checked += 1
-    assert disjoint > 0 and overlapping > 0  # both structure shapes exercised
-    _report(f"criterion 3 PASS: counting algorithm == permutation oracle on "
-            f"500 instances ({disjoint} disjoint, {overlapping} overlapping structures)")
+    assert disjoint > 0 and overlapping > 0  # both match shapes exercised
+    _report(f"criterion 3 PASS: short-word requests == permutation oracle on "
+            f"500 instances ({disjoint} disjoint, {overlapping} overlapping match sets)")
 
 
 def test_criterion_4_additive_sampler_calibration(fig_graph):

@@ -217,8 +217,8 @@ def test_shapley_csv_format(chain_file):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "id,value,method"
-    assert lines[1] == "u1->u2,1/2,exact-poly"
-    assert lines[2] == "u2->u3,1/2,exact-poly"
+    assert lines[1] == "u1->u2,1/2,exact-lineage"
+    assert lines[2] == "u2->u3,1/2,exact-lineage"
 
 
 def test_shapley_vertex_kind(chain_file):
@@ -334,6 +334,14 @@ def test_shapley_over_trial_cap_exit_5(tmp_path):
     jsonschema.validate(report, SCHEMA)
     assert report["method"] == "mc-additive"
     assert report["flags"][0].startswith("no-multiplicative-guarantee:trials=")
+
+
+def test_shapley_short_words_over_the_step_budget_exit_5(monkeypatch, chain_file, capsys):
+    # a short-word request has no subset cap; the lineage step budget bounds it
+    argv = ["shapley", "--graph", chain_file, "--query", "(x, a b, y)", "--bind", "x=u1,y=u3"]
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
+    assert run(argv) == (5, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_nonzero_unknown_on_budget_exit_5(fig_graph_text):

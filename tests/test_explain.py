@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -18,14 +17,13 @@ from pathshap.errors import (
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
 from conftest import RUNNING_EXAMPLE
-from helpers import brute_enabling_count, brute_shapley, random_labeled_graph
+from helpers import brute_shapley, random_labeled_graph
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
 # two overlapping short matches through self-loops: u1 -a-> u2 with a b-loop
 # on u2 and a c-loop on u1; words {ab, ca} both need the middle edge
 LOOPY = "u1 a u2 n\nu2 b u2 n\nu1 c u1 n\n"
-LOOPY_WORDS = [("a", "b"), ("c", "a")]
 
 
 def crpq(text, alphabet=frozenset("abc")):
@@ -133,144 +131,27 @@ def test_mask_valuations_cover_baseline_games():
         )
 
 
-# --- short-word blocking structure -----------------------------------------
+# --- short-word requests ---------------------------------------------------
 
-def test_categorize_edges_running_example(fig_graph):
-    c = explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")])
-    assert c.disjoint
-    assert set(c.components) == {frozenset({"v1->v2", "v2->v4"})}
-    assert not c.sole
-    # seven free edges times one pair: (1+x)^7 (1+2x), padded to the 9 players
-    assert c.poly == [1, 9, 35, 77, 105, 91, 49, 15, 2, 0]
-
-
-def test_categorize_edges_on_path1_and_2x():
-    g = load_graph("u1 a u3 n\nu1 b u2 x\nu2 c u3 n\n")
-    c = explain.blocking_structure(g, "u1", "u3", [("a",), ("b", "c")])
-    assert c.disjoint
-    assert c.sole == {"u1->u3", "u2->u3"}
-    assert not c.components
-    assert c.poly == [1, 0, 0]
-
-
-def test_categorize_edges_rejects_self_loop_match():
-    g = load_graph(LOOPY)
-    assert not explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS).disjoint
-    g2 = load_graph("u1 a u1 n\n")
-    assert not explain.blocking_structure(g2, "u1", "u1", [("a", "a")]).disjoint
-
-
-def test_count_blocking_closed_form(fig_graph):
-    c = explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")])
-    m = len(fig_graph.endo_edges)
-    for k in range(m + 1):
-        enabled = math.comb(m, k) - c.poly[k]
-        assert enabled == brute_enabling_count(fig_graph, "v1", "v4", [("a", "b")], k)
-
-
-def test_count_enabling_chain():
-    g = load_graph("u1 a u2 n\nu2 b u3 n\n")
-    words = [("a", "b")]
-    poly = explain.blocking_structure(g, "u1", "u3", words).poly
-    assert [math.comb(2, k) - poly[k] for k in range(3)] == [0, 0, 1]
-    assert [brute_enabling_count(g, "u1", "u3", words, k) for k in range(3)] == [0, 0, 1]
-
-
-def test_count_enabling_exogenous_match():
-    g = load_graph("u1 a u2 x\nu2 b u3 x\nu4 a u5 n\nu5 b u6 n\n")
-    poly = explain.blocking_structure(g, "u1", "u3", [("a", "b")]).poly
-    # the exogenous pair already matches: every subset enables
-    for k in range(3):
-        assert math.comb(2, k) - poly[k] == math.comb(2, k)
-        assert brute_enabling_count(g, "u1", "u3", [("a", "b")], k) == math.comb(2, k)
-
-
-def test_count_enabling_general_matches_brute_force():
-    rng = random.Random(404)
-    words = [("a",), ("a", "b"), ("b", "b")]
-    for trial in range(40):
-        g = random_labeled_graph(
-            rng, rng.randint(2, 4), rng.randint(2, 7), allow_self_loops=True
-        )
-        vs = sorted(g.vertices)
-        s, t = rng.choice(vs), rng.choice(vs)
-        m = len(g.endo_edges)
-        poly = explain.blocking_structure(g, s, t, words).poly
-        for k in range(m + 1):
-            assert math.comb(m, k) - poly[k] == (
-                brute_enabling_count(g, s, t, words, k)
-            ), (trial, s, t, k)
-
-
-def test_blocking_structure_none_on_exogenous_match():
-    g = load_graph("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n")
-    structure = explain.blocking_structure(g, "u1", "u3", [("a", "b")])
-    # no coalition loses, so no edge decides
-    assert structure.poly == [0, 0]
-    assert explain.shapley_short_rpq(structure, ["u1->u3"]) == {"u1->u3": 0}
-
-
-def test_blocking_structure_component_size():
-    g = load_graph(LOOPY)
-    structure = explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS)
-    # the middle edge conflicts with both loops: one component of size 3
-    assert structure.largest == 3
-    assert not structure.disjoint
-    # blocking counts: independent sets of the path loop-edge-loop
-    assert structure.poly == [1, 3, 1, 0]
-
-
-def test_blocking_structure_reads_a_one_shot_iterable_once():
-    # the long word must be refused from a generator as from a list
-    g = load_graph(CHAIN3)
-    for words in ([("a", "b", "c")], iter([("a", "b", "c")])):
-        with pytest.raises(ValueError):
-            explain.blocking_structure(g, "u1", "u4", words)
-
-
-# --- short-word exact Shapley -----------------------------------------------
-
-def short_values(g, s, t, words, players=None):
-    structure = explain.blocking_structure(g, s, t, words)
-    return explain.shapley_short_rpq(structure, sorted(g.endo_edges) if players is None else players)
-
-
-def test_shapley_short_two_edge_chain():
-    g = load_graph("u1 a u2 n\nu2 b u3 n\n")
-    assert short_values(g, "u1", "u3", [("a", "b")]) == {
-        "u1->u2": Fraction(1, 2), "u2->u3": Fraction(1, 2),
-    }
-
-
-def test_shapley_short_requires_endogenous_edge():
-    g = load_graph("u1 a u2 x\nu2 b u3 n\n")
-    with pytest.raises(InvalidPlayerSet):
-        short_values(g, "u1", "u3", [("a", "b")], ["u1->u2"])
-
-
-def test_shapley_short_matches_subset_oracle_disjoint(fig_graph):
-    q = crpq("(x, a b, y)")
-    mu = bind("x=v1,y=v4", q)
-    oracle = game.shapley_exact_subset_all(explain.edge_game(fig_graph, q, mu))
-    assert explain.blocking_structure(fig_graph, "v1", "v4", [("a", "b")]).disjoint
-    assert short_values(fig_graph, "v1", "v4", [("a", "b")]) == oracle
-
-
-def test_shapley_short_components_counter_on_overlap():
-    g = load_graph(LOOPY)
-    q = crpq("(x, a b | c a, y)", g.alphabet)
-    mu = bind("x=u1,y=u2", q)
-    oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, mu))
-    assert not explain.blocking_structure(g, "u1", "u2", LOOPY_WORDS).disjoint
-    assert short_values(g, "u1", "u2", LOOPY_WORDS) == oracle
-
-
-def test_shapley_short_self_loop_twice():
-    g = load_graph("u1 a u1 n\nu2 a u3 n\n")
-    q = crpq("(x, a a, y)", g.alphabet)
-    mu = bind("x=u1,y=u1", q)
-    oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, mu))
-    assert short_values(g, "u1", "u1", [("a", "a")]) == oracle
+@pytest.mark.parametrize("graph_text, qtext, btext", [
+    ("u1 a u2 n\nu2 b u3 n\n", "(x, a b, y)", "x=u1,y=u3"),
+    ("u1 a u2 x\nu2 b u3 n\n", "(x, a b, y)", "x=u1,y=u3"),
+    (RUNNING_EXAMPLE, "(x, a b, y)", "x=v1,y=v4"),
+    (LOOPY, "(x, a b | c a, y)", "x=u1,y=u2"),
+    ("u1 a u1 n\nu2 a u3 n\n", "(x, a a, y)", "x=u1,y=u1"),
+], ids=["two-edge-chain", "exogenous-edge", "running-example", "overlap", "self-loop-twice"])
+def test_solve_short_words_match_the_subset_oracle(graph_text, qtext, btext):
+    """A single short-word atom is counted on its lineage with the sweep's
+    values, through overlapping matches and a self-loop read twice; an
+    exogenous edge is no player to focus on."""
+    g = load_graph(graph_text)
+    req = request(g, qtext, btext)
+    report = explain.solve(req)
+    assert report.method == "exact-lineage"
+    assert report.values == game.shapley_exact_subset_all(explain.edge_game(g, req.query, req.binding))
+    for eid in g.exo_edges:
+        with pytest.raises(InvalidPlayerSet):
+            explain.solve(request(g, qtext, btext, focus=eid))
 
 
 # --- gap bound and multiplicative wrapper -----------------------------------
@@ -388,7 +269,9 @@ def test_nonzero_with_infinite_language():
 
 # --- lineage ----------------------------------------------------------------
 
-LINEAGE_QUERIES = GAME_QUERIES + ["(x, a a* | b, y)", "(x, (a b)*, y)", "(x, a, y) & (x, b a, z)"]
+LINEAGE_QUERIES = GAME_QUERIES + [
+    "(x, a a* | b, y)", "(x, (a b)*, y)", "(x, a, y) & (x, b a, z)", "(x, a b | b a, y)", "(x, a a | b, y)",
+]
 
 
 @given(
@@ -607,47 +490,52 @@ def test_solve_golden_word_query(fig_graph):
     assert sum(report.values.values()) == 1
 
 
-def test_solve_exact_poly_for_short_words(fig_graph):
+def test_solve_short_words_on_the_running_example(fig_graph):
     report = explain.solve(request(fig_graph, "(x, a b, y)", "x=v1,y=v4"))
-    assert report.method == "exact-poly"
+    assert report.method == "exact-lineage"
     assert report.values["v1->v2"] == Fraction(1, 2)
     assert report.values["v2->v4"] == Fraction(1, 2)
     assert report.values["v5->v6"] == 0
 
 
-def test_solve_exact_poly_non_disjoint_fallback():
+def test_solve_short_words_with_overlapping_matches():
+    # the middle edge lies on both matches, each beside a self-loop
     g = load_graph(LOOPY)
     report = explain.solve(request(g, "(x, a b | c a, y)", "x=u1,y=u2"))
-    assert report.method == "exact-poly"
-    assert "non-disjoint-fallback:largest-component=3" in report.flags
+    assert report.method == "exact-lineage"
+    assert report.flags == ()
     q = crpq("(x, a b | c a, y)", g.alphabet)
     oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, bind("x=u1,y=u2", q)))
     assert report.values == oracle
 
 
-def test_solve_exact_poly_flags_do_not_depend_on_focus():
-    # the u2 loop read twice matches on its own; the flag describes the
-    # request graph, so asking for the loop alone keeps it
+def test_solve_short_words_flags_do_not_depend_on_focus():
+    # the u2 loop read twice matches on its own; asking for the loop alone
+    # keeps the method and flags of the request for every player
     g = load_graph(LOOPY)
     everyone = explain.solve(request(g, "(x, b b, y)", "x=u2,y=u2"))
     alone = explain.solve(request(g, "(x, b b, y)", "x=u2,y=u2", focus="u2->u2"))
-    assert everyone.method == alone.method == "exact-poly"
-    assert alone.flags == everyone.flags == ("non-disjoint-fallback:largest-component=0",)
+    assert everyone.method == alone.method == "exact-lineage"
+    assert alone.flags == everyone.flags == ()
     assert alone.values == {"u2->u2": 1}
 
 
-def test_solve_exact_poly_finds_matching_paths_once(monkeypatch):
-    calls = []
-    original = explain._matching_paths
+# an 80-branch fan s -a-> m_i -b-> t beside s -c-> t: 161 players, above the
+# default subset cap of 22
+FAN80 = "s c t n\n" + "".join(f"s a m{i} n\nm{i} b t n\n" for i in range(80))
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(explain, "_matching_paths", counted)
-    report = explain.solve(request(load_graph(LOOPY), "(x, a b | c a, y)", "x=u1,y=u2"))
-    assert report.method == "exact-poly"
-    assert len(calls) == 1
+def test_solve_short_words_past_the_subset_cap():
+    """Values of the former closed-form counter, exactly."""
+    g = load_graph(FAN80)
+    report = explain.solve(request(g, "(x, a b | a c | c, y)", "x=s,y=t"))
+    assert report.method == "exact-lineage"
+    assert len(report.values) == 161
+    assert report.values.pop("s->t") == Fraction(
+        365375409332725729550921208179070754913983135744, 3704816314002803080565106087254467075600588347885)
+    branch = Fraction(
+        3339440904670077351014184879075396320686605212141, 592770610240448492890416973960714732096094135661600)
+    assert set(report.values.values()) == {branch}
 
 
 def test_solve_focus_restricts_output(fig_graph):
@@ -684,8 +572,12 @@ def test_solve_focus_is_the_all_players_report_restricted(seed, qtext, player_ki
         assert alone.values == {p: everyone.values[p]}
 
 
-@pytest.mark.parametrize("mode", ["exact", "approx-additive"])
-def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, fig_graph, mode):
+@pytest.mark.parametrize("qtext, btext, mode", [
+    ("(x, a b c, y)", "x=v1,y=v6", "exact"),
+    ("(x, a b c, y)", "x=v1,y=v6", "approx-additive"),
+    ("(x, a b, y)", "x=v1,y=v4", "auto"),
+], ids=["exact", "approx-additive", "short-word"])
+def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, fig_graph, qtext, btext, mode):
     """One request builds its out-lists once and searches the empty
     coalition once before the engine runs."""
     builds, baseline, at_engine = [], [], []
@@ -710,7 +602,7 @@ def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, f
         monkeypatch.setattr(module, "holds_on_mask", counted_holds)
     for name in ("shapley_lineage_all", "shapley_exact_subset_all", "shapley_mc_all"):
         monkeypatch.setattr(game, name, entering(getattr(game, name)))
-    req = request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode=mode, eps=0.1, delta=0.05)
+    req = request(fig_graph, qtext, btext, mode=mode, eps=0.1, delta=0.05)
     assert explain.solve(req).method in ("exact-lineage", "mc-additive")
     assert len(builds) == 1
     assert at_engine == [1]

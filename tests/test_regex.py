@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pathshap import automata
 from pathshap import regex as rx
-from pathshap.errors import AlphabetMismatch, EnumerationOverflow, RegexSyntaxError
+from pathshap.errors import AlphabetMismatch, RegexSyntaxError
 
 from helpers import all_words, ast_matches, random_ast
 
@@ -175,23 +175,3 @@ def test_profile_matches_brute_force_on_random_asts():
             assert all(len(w) <= p.max_word_length for w in words)
             if words:
                 assert max(len(w) for w in words) == p.max_word_length
-
-
-# --- word enumeration -------------------------------------------------------
-
-def test_words_up_to_examples():
-    assert automata.words_up_to(compiled("a | b c"), 2) == {("a",), ("b", "c")}
-    assert automata.words_up_to(compiled("abc"), 2) == set()
-    assert automata.words_up_to(compiled("a b*"), 2) == {("a",), ("a", "b")}
-
-
-def test_words_up_to_matches_acceptance():
-    d = compiled("(a|b)(a|c)*")
-    expected = {w for w in all_words(ABC, 3) if automata.accepts(d, w)}
-    assert automata.words_up_to(d, 3) == expected
-
-
-def test_words_up_to_overflow():
-    d = compiled("(a|b|c)*")
-    with pytest.raises(EnumerationOverflow):
-        automata.words_up_to(d, 12, cap=100)
