@@ -38,7 +38,7 @@ from .query import (
 # long took at most ~0.12 us on dense random graphs, ladders and layered
 # graphs, so the budget runs out in about a second, as the former witness
 # search's default of 10^6 nodes did (1.3-1.5 s).  Short-word fans are
-# refused near 1 330 players: one of 1 301 spent 9.5*10^6 steps in 2.3 s.
+# refused near 1 330 players: one of 1 301 spent 9.5*10^6 steps in 0.39 s.
 LINEAGE_BUDGET = 10_000_000
 
 
@@ -250,6 +250,8 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     value."""
     if req.player_kind not in ("edge", "vertex"):
         raise ValueError(f"unknown player kind {req.player_kind!r}")
+    if req.mode not in ("auto", "exact", "approx-additive", "approx-multiplicative"):
+        raise ValueError(f"unknown mode {req.mode!r}")
     # written so that a NaN eps or delta fails
     if not (0 < req.delta < 1 and req.eps > 0):
         raise ValueError("eps must be positive and delta must lie in (0, 1)")
@@ -295,35 +297,36 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         and req.query.atoms[0].profile.short2
     )
 
-    mode = req.mode
-    if mode == "auto":
+    if req.mode == "auto":
         if single_short2:
-            mode = "exact-lineage"
+            engine = "exact-lineage"
         elif len(players) <= req.subset_cap:
-            mode = "exact-subset"
+            engine = "exact-subset"
         elif not all_finite:
-            mode = "approx-additive"
+            engine = "mc-additive"
             flags.append("no-multiplicative-guarantee")
         else:
             trials = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
             if trials <= game_mod.TRIAL_CAP:
-                mode = "approx-multiplicative"
+                engine = "mc-multiplicative"
             else:
-                mode = "approx-additive"
+                engine = "mc-additive"
                 flags.append(f"no-multiplicative-guarantee:trials={trials}")
-    elif mode == "exact":
-        mode = "exact-lineage" if single_short2 else "exact-subset"
+    elif req.mode == "exact":
+        engine = "exact-lineage" if single_short2 else "exact-subset"
+    else:
+        engine = {"approx-additive": "mc-additive", "approx-multiplicative": "mc-multiplicative"}[req.mode]
 
-    if mode == "exact-lineage":
+    method = engine
+    if engine == "exact-lineage":
         # a short-word atom's terms have at most two edges and, with one
         # edge per ordered pair, share edges in groups of at most three:
         # the count is polynomial, so no subset cap, only the step budget
-        method = "exact-lineage"
         budget = [LINEAGE_BUDGET]
         values = game_mod.shapley_lineage_all(players, lineage(budget), budget)
-    elif mode == "exact-subset":
+    elif engine == "exact-subset":
         # four lineage steps per mask of the sweep: measured, a step costs
-        # at most ~0.35 us and ~4 bytes, a mask 0.4-3.2 us and ~3 bytes (README)
+        # at most ~0.33 us and ~4.5 bytes, a mask 0.4-3.2 us and ~3 bytes (README)
         game_mod.check_subset_cap(len(players), req.subset_cap)
         budget = [4 << len(players)]
         try:
@@ -332,16 +335,12 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         except BudgetExceeded:
             method = "exact-subset"
             values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
-    elif mode == "approx-additive":
-        method = "mc-additive"
+    elif engine == "mc-additive":
         game = _sampled_game(req, game, lineage, eps)
         values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)
-    elif mode == "approx-multiplicative":
-        method = "mc-multiplicative"
+    else:
         game = _sampled_game(req, game, lineage, multiplicative_tolerance(gb, eps))
         values = shapley_multiplicative_all(game, gb, eps, req.delta, req.seed)
-    else:
-        raise ValueError(f"unknown mode {req.mode!r}")
     return ShapleyReport(method, {p: values[p] for p in targets}, tuple(flags))
 
 

@@ -3,24 +3,26 @@
 Coalitions are frozensets of player ids on the public surface and bitmasks
 (bit i = the i-th player) inside.  The exact engines count a game's lineage
 by size, compiled once into a DAG whose one reverse pass values every
-player, or sweep a truth table of all 2^n masks once.  The sampler draws
-its permutations with the stdlib shuffle's draws inlined and memoizes
-valuations per game in a dict cleared at ``VALUATION_CACHE_SIZE`` entries,
-since permutation prefixes repeat heavily.  A ``LineageGame`` instead
-tests a mask against the lineage's terms, with no memo; ``explain.solve``
-hands the sampler one when it could read the lineage within the trial
-count.
+player, each polynomial packed into one int so that a polynomial operation
+is one big-int operation, or sweep a truth table of all 2^n masks once.
+The sampler draws its permutations with the stdlib shuffle's draws inlined
+and memoizes valuations per game in a dict cleared at
+``VALUATION_CACHE_SIZE`` entries, since permutation prefixes repeat
+heavily.  A ``LineageGame`` instead tests a mask against the lineage's
+terms, with no memo; ``explain.solve`` hands the sampler one when it could
+read the lineage within the trial count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, EnumerationOverflow
@@ -190,25 +192,36 @@ def shapley_lineage_all(
     polynomial A, the derivative of L by the node's polynomial, and adds A
     times the derivative of its own polynomial by a's presence to G_a.
     Both passes spend ``budget`` (see ``spend``).
+
+    A polynomial is one packed int, coefficient k in bits [k*S, (k+1)*S)
+    for a multiple S of 8 of at least w + 2 bits: x is 1 << S, so + and *
+    on the ints add and multiply the polynomials, // divides exactly and
+    << S multiplies by x.  Every coefficient the counter forms counts
+    coalitions of at most w players, at most 2^w, so no slot overflows
+    into the next.
     """
+    w = reduce(or_, terms, 0).bit_count()
+    S = -(-(w + 2) // 8) * 8
     nodes: list[tuple] = []
-    _compile(frozenset(terms), {}, nodes, budget)
-    losing = nodes[-1][2]
-    w = len(losing) - 1
-    gains = _reverse(nodes, w, budget)
-    fact = [math.factorial(i) for i in range(w + 1)]
+    _compile(frozenset(terms), {}, nodes, S, budget)
+    gains = _reverse(nodes, w, S, budget)
+    fact = list(accumulate(range(1, w + 1), mul, initial=1))
+    weights = [fact[k] * fact[w - 1 - k] for k in range(w)]
+    losing = _coefficients(nodes[-1][2], w + 1, S)
     values = dict.fromkeys(players, Fraction(0))
-    by_gain: dict[tuple[int, ...], Fraction] = {}  # players alike in L share G_a
+    alike: dict[int, Fraction] = {}  # players alike in L share G_a
+    shared: dict[int, Fraction] = {}  # by the id of a G_a int, which ``gains`` keeps
     for bit, g in gains.items():
-        key = tuple(g)
-        if key not in by_gain:
-            total = sum(fact[k] * fact[w - 1 - k] * (losing[k] - g[k] - g[k + 1]) for k in range(w))
-            by_gain[key] = Fraction(total, fact[w])
-        values[players[bit.bit_length() - 1]] = by_gain[key]
+        if id(g) not in shared:
+            if g not in alike:
+                c = _coefficients(g, w + 1, S)
+                alike[g] = Fraction(sum(weights[k] * (losing[k] - c[k] - c[k + 1]) for k in range(w)), fact[w])
+            shared[id(g)] = alike[g]
+        values[players[bit.bit_length() - 1]] = shared[id(g)]
     return values
 
 
-def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], budget: list[int]) -> int:
+def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], S: int, budget: list[int]) -> int:
     """The index in ``nodes`` of the node counting L over the terms'
     players, appended after its children's, so that a node's parents come
     after it.  A node is (support, kind, poly, ...): terms that share no
@@ -217,94 +230,123 @@ def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], budget: list
     most frequent player a, L = (1+x)^f0 * L0 + x*(1+x)^f1 * L1, with
     branches (child, free mask): L0 over the terms without a, L1 over the
     minimal terms less a, and f0, f1 the players each child leaves free.
-    No terms, or the empty term, make a ``constant`` leaf, 1 or 0.
+    No terms, or the empty term, make a ``constant`` leaf, 1 or 0.  The
+    polynomials are packed with slots of S bits, and a node of support
+    width m is charged as a list of m + 1 coefficients.
     """
     node = memo.get(terms)
     if node is not None:
         return node
     if not terms or 0 in terms:
-        entry = (0, "constant", [0] if terms else [1])
+        entry = (0, "constant", 0 if terms else 1)
     else:
         groups = _term_components(terms)
         support = reduce(or_, terms)
         width = support.bit_count()
         spend(budget, (len(terms) + len(groups)) * width)
+        one_plus_x = 1 + (1 << S)
         if len(groups) > 1:
-            children = [_compile(group, memo, nodes, budget) for group in groups]
-            poly = reduce(_poly_mul, (nodes[c][2] for c in children))
-            entry = (support, "product", poly, children)
+            children = [_compile(group, memo, nodes, S, budget) for group in groups]
+            # equal polynomials as one power, then pairwise, so that the operands grow alike
+            polys = [p ** k for p, k in Counter(nodes[c][2] for c in children).items()]
+            while len(polys) > 1:
+                polys = [math.prod(polys[i:i + 2]) for i in range(0, len(polys), 2)]
+            entry = (support, "product", polys[0], children)
         elif len(terms) == 1:
-            entry = (support, "term", _binomials(width)[:-1] + [0])
+            entry = (support, "term", one_plus_x ** width - (1 << width * S))
         else:
             a = max(_bits(support), key=lambda b: sum(1 for t in terms if t & b))
             parts = (frozenset(t for t in terms if not t & a),
                      frozenset(minimal_masks((t & ~a for t in terms), budget)))
             branches = []
             for part in parts:
-                c = _compile(part, memo, nodes, budget)
+                c = _compile(part, memo, nodes, S, budget)
                 branches.append((c, support & ~a & ~nodes[c][0]))
-            off, on = (_poly_mul(nodes[c][2], _binomials(free.bit_count())) for c, free in branches)
-            spend(budget, len(terms) + sum(len(nodes[c][2]) * (free.bit_count() + 1) for c, free in branches))
-            poly = [x + y for x, y in zip(off + [0], [0] + on)]
-            entry = (support, "split", poly, a, branches)
+            off, on = (nodes[c][2] * one_plus_x ** free.bit_count() for c, free in branches)
+            spend(budget, len(terms) + sum(
+                (nodes[c][0].bit_count() + 1) * (free.bit_count() + 1) for c, free in branches))
+            entry = (support, "split", off + (on << S), a, branches)
     nodes.append(entry)
     memo[terms] = node = len(nodes) - 1
     return node
 
 
-def _reverse(nodes: list[tuple], w: int, budget: list[int]) -> dict[int, list[int]]:
+def _reverse(nodes: list[tuple], w: int, S: int, budget: list[int]) -> dict[int, int]:
     """G_a for every player bit a of the root, the last node, over its
     w players, from one pass over ``nodes`` in reverse.  A product's child
     gets A times its siblings' product: A times the whole product, divided
-    by the child's polynomial, which has constant term 1.  A split's
+    by the child's polynomial, once per distinct polynomial.  A split's
     children get A*(1+x)^f0 and x*A*(1+x)^f1, a gets x*A*(1+x)^f1*L1, and
     each free player its padding's derivative, A*x*(1+x)^(f0-1)*L0 or
     A*x^2*(1+x)^(f1-1)*L1.  A term leaf of width m gives each member
-    A*(x(1+x)^(m-1) - x^m).  Constant leaves hold no player."""
-    gains = {b: [0] * (w + 1) for b in _bits(nodes[-1][0])}
-    adjoints: list[list[int]] = [[] for _ in nodes]
-    adjoints[-1] = [1]
+    A*(x(1+x)^(m-1) - x^m), built by shifts of A.  Constant leaves hold no
+    player.  Sums start from the int they add to, so equal adjoints and
+    gains stay one shared int, as ints are immutable.  The steps count each
+    adjoint as the coefficient list it would be: as long as the longest
+    polynomial a parent adds to it."""
+    gains = dict.fromkeys(_bits(nodes[-1][0]), 0)
+    adjoints = [0] * len(nodes)
+    lengths = [0] * len(nodes)
+    adjoints[-1] = lengths[-1] = 1
+    leaf_gains: dict[tuple[int, int], int] = {}  # by the id of A, which ``adjoints`` keeps
+    one_plus_x = 1 + (1 << S)
     for i in range(len(nodes) - 1, -1, -1):
-        A = adjoints[i]
+        A, n = adjoints[i], lengths[i]
         support, kind, poly, *rest = nodes[i]
+        width = support.bit_count()
         if kind == "product":
             children = rest[0]
-            spend(budget, len(A) * len(poly) + (w + 1) * sum(len(nodes[c][2]) for c in children))
-            whole = _poly_mul(A, poly)
+            spend(budget, n * (width + 1) + (w + 1) * sum(nodes[c][0].bit_count() + 1 for c in children))
+            whole = A * poly
+            quotients: dict[int, int] = {}
             for c in children:
-                _add(adjoints[c], _poly_div(whole, nodes[c][2]))
+                q = quotients.get(nodes[c][2])
+                if q is None:
+                    q = quotients[nodes[c][2]] = whole // nodes[c][2]
+                adjoints[c] = adjoints[c] + q if adjoints[c] else q
+                lengths[c] = max(lengths[c], n + width - nodes[c][0].bit_count())
         elif kind == "term":
-            m = len(poly) - 1
-            spend(budget, len(A) * len(poly) + (w + 1) * m)
-            gain = _poly_mul(A, [0] + _binomials(m - 1)[:-1] + [0])
+            spend(budget, n * (width + 1) + (w + 1) * width)
+            gain = leaf_gains.get((id(A), width))
+            if gain is None:
+                padded = A
+                for _ in range(width - 1):
+                    padded += padded << S
+                gain = leaf_gains[id(A), width] = (padded - (A << (width - 1) * S)) << S
             for b in _bits(support):
-                _add(gains[b], gain)
+                gains[b] = gains[b] + gain if gains[b] else gain
         elif kind == "split":
             a, branches = rest
-            spend(budget, len(A) * len(poly) + (w + 1) * sum(free.bit_count() + 1 for _, free in branches))
+            spend(budget, n * (width + 1) + (w + 1) * sum(free.bit_count() + 1 for _, free in branches))
             for shift, (c, free) in enumerate(branches):
                 f = free.bit_count()
-                _add(adjoints[c], [0] * shift + _poly_mul(A, _binomials(f)))
-                counted = _poly_mul(A, nodes[c][2])
+                padding = one_plus_x ** f
+                adjoints[c] += A * padding << shift * S
+                lengths[c] = max(lengths[c], shift + n + f)
+                counted = A * nodes[c][2]
                 if shift:
-                    _add(gains[a], [0] + _poly_mul(counted, _binomials(f)))
+                    gains[a] += counted * padding << S
                 if f:
-                    gain = [0] * (shift + 1) + _poly_mul(counted, _binomials(f - 1))
+                    gain = counted * one_plus_x ** (f - 1) << (shift + 1) * S
                     for b in _bits(free):
-                        _add(gains[b], gain)
+                        gains[b] = gains[b] + gain if gains[b] else gain
     return gains
 
 
-def _add(acc: list[int], poly: list[int]) -> None:
-    """acc += poly, in place; poly may be longer than acc."""
-    if len(poly) > len(acc):
-        acc.extend([0] * (len(poly) - len(acc)))
-    for i, c in enumerate(poly):
-        acc[i] += c
+def _coefficients(poly: int, n: int, S: int) -> list[int]:
+    """The first n coefficients of a packed polynomial of degree below n."""
+    size = S // 8
+    data = poly.to_bytes(n * size, "little")
+    return [int.from_bytes(data[k * size:(k + 1) * size], "little") for k in range(n)]
 
 
 def _bits(mask: int) -> list[int]:
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of mask, lowest first, in steps of its set bits only."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask &= mask - 1
+    return bits
 
 
 def spend(budget: list[int], steps: int) -> None:
@@ -333,34 +375,6 @@ def _term_components(terms: frozenset[int]) -> list[frozenset[int]]:
         near = [c for c in components if c & t]
         components = [c for c in components if not c & t] + [reduce(or_, near, t)]
     return [frozenset(t for t in terms if t & c) for c in components]
-
-
-def _binomials(k: int) -> list[int]:
-    """(1 + x)^k."""
-    return [math.comb(k, i) for i in range(k + 1)]
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div(a: list[int], b: list[int]) -> list[int]:
-    """a ÷ b, for b with constant term 1 that divides a: long division from
-    the lowest power up."""
-    rem = list(a)
-    out = []
-    for i in range(len(a) - len(b) + 1):
-        c = rem[i]
-        out.append(c)
-        if c:
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    return out
 
 
 def check_subset_cap(n: int, cap: int) -> None:

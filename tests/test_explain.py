@@ -538,6 +538,23 @@ def test_solve_short_words_past_the_subset_cap():
     assert set(report.values.values()) == {branch}
 
 
+def test_solve_exact_mode_past_the_subset_cap_counts_the_lineage():
+    report = explain.solve(request(load_graph(FAN80), "(x, a b | a c | c, y)", "x=s,y=t", mode="exact"))
+    assert report.method == "exact-lineage"
+    assert sum(report.values.values()) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact-subset", "exact-lineage", "mc-additive"])
+def test_solve_refuses_engine_names_as_modes(monkeypatch, mode):
+    """Only the four public modes are accepted: an engine's name would skip
+    the dispatch's caps, so it is refused before any search."""
+    calls = []
+    monkeypatch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+    with pytest.raises(ValueError, match="unknown mode"):
+        explain.solve(request(load_graph(FAN80), "(x, a b | a c | c, y)", "x=s,y=t", mode=mode))
+    assert calls == []
+
+
 def test_solve_focus_restricts_output(fig_graph):
     report = explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", focus="v3->v5"))
     assert set(report.values) == {"v3->v5"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pathshap import explain, game, query
 from pathshap.errors import BudgetExceeded, EnumerationOverflow
+from pathshap.graph import load_graph
 
 from helpers import (
     brute_shapley,
@@ -101,6 +102,9 @@ def _named(n, *groups):
 # a singleton term beside longer terms that share its player
 @example(_named(5, (0,), (0, 1), (0, 2, 3), (1, 2), (2, 3, 4)))
 @example(_named(5, (0, 1, 2), (0, 3), (1, 3, 4)))  # a split whose branches both leave players free
+@example(_named(12, *((i, i + 1) for i in range(0, 12, 2))))  # six identical disjoint pairs
+@example(_named(6, (0,), (1,), (2, 3, 4)))  # two identical singletons, a triple and a null player
+@example(_named(7, (0, 1, 2), (0, 3, 4), (0, 5, 6)))  # identical disjoint pairs under a split
 @example(_named(4))  # the empty lineage
 @example(_named(4, (), (0, 1)))  # a lineage holding mask 0
 @settings(max_examples=100, deadline=None)
@@ -124,6 +128,63 @@ def test_lineage_counter_values_a_threshold_lineage_inside_the_sweep_budget(monk
     budget = [4 << 12]
     assert game.shapley_lineage_all(players, terms, budget) == dict.fromkeys(players, Fraction(1, 12))
     assert 0 <= budget[0] < at_reverse[0] < 4 << 12
+
+
+def _looped_fan(branches):
+    """``s -a-> m_i -b-> t`` for every branch, ``s -c-> t``, and the loops
+    ``s -a-> s`` and ``t -b-> t``, whose edges are in no minimal term."""
+    return "s c t n\ns a s n\nt b t n\n" + "".join(f"s a m{i} n\nm{i} b t n\n" for i in range(branches))
+
+
+def _request_lineage(graph_text, qtext, btext, player_kind):
+    g = load_graph(graph_text)
+    q = query.compile_crpq(qtext, g.alphabet)
+    request_game, lineage = explain._request_game(g, q, query.parse_binding(btext, q), player_kind)
+    return request_game.players, lineage([10**7])
+
+
+FAN_QUERY = "(x, a b | a c | c, y)"
+GRID4 = "".join(f"g{i}{j} a g{i}{j + 1} n\ng{j}{i} a g{j + 1}{i} n\n" for i in range(4) for j in range(3))
+LAYERS4 = [["x"]] + [[f"l{i}{j}" for j in range(2)] for i in range(4)] + [["y"]]
+LAYERED4 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS4, LAYERS4[1:]) for u in a for v in b)
+
+
+@pytest.mark.parametrize("players, terms, size, steps", [
+    (*_request_lineage(_looped_fan(20), FAN_QUERY, "x=s,y=t", "edge"), 43, 8654),
+    (*_request_lineage(GRID4, "(x, a*, y)", "x=g00,y=g33", "edge"), 24, 86875),
+    (*_request_lineage(LAYERED4, "(x, a*, y)", "x=x,y=y", "vertex"), 10, 2171),
+    ([f"p{i}" for i in range(12)], [(1 << i) | (1 << j) for i, j in itertools.combinations(range(12), 2)], 12, 9312),
+], ids=["looped-fan-edges", "grid-4x4-edges", "layered-4x2-vertices", "all-pairs"])
+def test_lineage_counter_spends_the_pinned_steps(players, terms, size, steps):
+    """The counter's steps fix where ``exact`` refuses with exit 5 and where
+    ``solve`` falls back to the sweep at 4 * 2^n steps, so they are pinned:
+    any change to what the counter charges fails here."""
+    assert len(players) == size
+    budget = [10**7]
+    values = game.shapley_lineage_all(players, terms, budget)
+    assert sum(values.values()) == 1
+    assert 10**7 - budget[0] == steps
+
+
+def test_lineage_counter_values_a_wide_fan_in_little_memory():
+    """161 branches: 325 edges, 323 of them in the lineage.  Its 161
+    branches share one quotient and one gain, so the count holds a few
+    polynomials, not one per player."""
+    players, terms = _request_lineage(_looped_fan(161), FAN_QUERY, "x=s,y=t", "edge")
+    assert len(players) == 325 and len(terms) == 162
+    tracemalloc.start()
+    try:
+        values = game.shapley_lineage_all(players, terms, [10**7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert values.pop("s->s") == values.pop("t->t") == 0
+    branch = Fraction(
+        14258615552204133257304520526740427026721394027966630575321975173578431295509177710172057121274375,
+        4935168120592997432117654104303715393055324305104676141215149704751632253004638351229099289047137486)
+    assert values.pop("s->t") + 322 * branch == 1
+    assert set(values.values()) == {branch}
 
 
 def test_lineage_counter_spends_its_budget():
