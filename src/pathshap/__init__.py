@@ -7,7 +7,6 @@ from .explain import (
     GapBound,
     candidate_supports,
     edge_game,
-    edge_on_simple_path,
     gap_bound,
     shapley_multiplicative_all,
     solve,
@@ -18,10 +17,8 @@ from .game import (
     SampledEstimate,
     ShapleyReport,
     sample_count,
-    shapley_exact_subset_all,
     shapley_lineage_all,
     shapley_mc_all,
-    shapley_nonzero,
 )
 from .graph import Edge, LabeledGraph, edge_subgraph, load_graph, serialize, vertex_subgraph
 from .query import (
@@ -57,7 +54,6 @@ __all__ = [
     "compile",
     "compile_crpq",
     "edge_game",
-    "edge_on_simple_path",
     "edge_subgraph",
     "enumerate_answers",
     "eval_crpq_bound",
@@ -69,11 +65,9 @@ __all__ = [
     "parse_regex",
     "sample_count",
     "serialize",
-    "shapley_exact_subset_all",
     "shapley_lineage_all",
     "shapley_mc_all",
     "shapley_multiplicative_all",
-    "shapley_nonzero",
     "solve",
     "vertex_game",
     "vertex_subgraph",

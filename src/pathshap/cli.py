@@ -5,9 +5,9 @@ answer enumeration), ``shapley`` (contribution report), ``nonzero``
 (positivity verdict for one player).  Output is deterministic for identical
 inputs, flags and seed.
 
-Exit codes: 0 success, 2 parse/validation error, 3 enumeration overflow,
-4 multiplicative approximation requested for an infinite language, 5 search
-budget exhausted or sampler trial cap exceeded.
+Exit codes: 0 success, 2 parse/validation error, 3 answer enumeration
+overflow, 4 multiplicative approximation requested for an infinite language,
+5 search budget exhausted or sampler trial cap exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import explain, game as game_mod, query as query_mod
+from . import explain, query as query_mod
 from .errors import (
     BudgetExceeded,
     EnumerationOverflow,
@@ -53,8 +53,6 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--delta", type=float, default=0.01)
             c.add_argument("--seed", type=int, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
-            c.add_argument("--cap", type=int, default=game_mod.SUBSET_CAP,
-                           help="most players for exact subset enumeration")
         if name == "answers":
             c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
                            help="most answers (and intermediate join rows) to list")
@@ -154,7 +152,6 @@ def _cmd_shapley(args, out) -> int:
         eps=args.eps,
         delta=args.delta,
         seed=args.seed,
-        subset_cap=args.cap,
     )
     report = explain.solve(req)
     _render_report(report, args.format, out)
@@ -165,15 +162,17 @@ def _cmd_nonzero(args, out) -> int:
     g, q, mu = _load_inputs(args, need_binding=True)
     if args.focus is None:
         raise PathShapError("nonzero needs --focus <player id>")
-    # the game before the baseline shift: when the exogenous part alone wins,
-    # every coalition wins without the focus and the verdict is false, as in
-    # the shifted game
+    # a player of a monotone game has a nonzero value iff it lies in a
+    # minimal winning coalition, a term of the lineage of the game before
+    # the baseline shift; when the exogenous part alone wins, the lineage is
+    # [0], which holds no player, and the verdict is false, as in the
+    # shifted game
     game, lineage = explain._request_game(g, q, mu, args.player_kind)
     if args.focus not in game.players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
+    focus = 1 << game.players.index(args.focus)
     try:
-        supports = map(game.coalition_of, lineage([args.budget]))
-        verdict = game_mod.shapley_nonzero(game, args.focus, supports)
+        verdict = any(t & focus for t in lineage([args.budget]))
     except BudgetExceeded:
         out.write("unknown\n")
         return 5

@@ -1,9 +1,12 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
 Builds the coalition games and their lineage, provides the gap-based
-multiplicative wrapper and the positivity tests, and dispatches between the
-exact and sampling engines.  A single-atom edge query whose words have
-length at most two is counted on its lineage with no subset cap.
+multiplicative wrapper, and dispatches between the lineage counter and the
+samplers.  Every exact and auto request searches and counts its lineage
+first, whatever its query, player kind and player count, within a step
+budget: ``LINEAGE_BUDGET`` for ``exact``, which refuses past it, and the
+cost of the sampler it would fall back to for ``auto``, which samples past
+it.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ from .query import (
     holds_on_mask,
     lineage,
     out_lists,
+    product_reach,
 )
 
 # Default step budget of a lineage search whose caller sets none
-# (``candidate_supports`` and ``nonzero --budget``), and the budget of a
-# short-word exact request's search and count.  A step of a search this
-# long took at most ~0.12 us on dense random graphs, ladders and layered
-# graphs, so the budget runs out in about a second, as the former witness
-# search's default of 10^6 nodes did (1.3-1.5 s).  Short-word fans are
-# refused near 1 330 players: one of 1 301 spent 9.5*10^6 steps in 0.39 s.
+# (``candidate_supports`` and ``nonzero --budget``), the budget of an exact
+# request's search and count, and the cap on an auto request's.  A step of
+# a search this long took at most ~0.12 us on dense random graphs, ladders
+# and layered graphs, so the budget runs out in about a second, as the
+# former witness search's default of 10^6 nodes did (1.3-1.5 s).
+# Short-word fans are refused near 1 330 players: one of 1 301 spent
+# 9.5*10^6 steps in 0.39 s.
 LINEAGE_BUDGET = 10_000_000
 
 
@@ -53,7 +58,6 @@ class ExplainRequest:
     eps: float = 0.05
     delta: float = 0.01
     seed: int = 0
-    subset_cap: int = game_mod.SUBSET_CAP
 
 
 @dataclass(frozen=True)
@@ -172,62 +176,7 @@ def shapley_multiplicative_all(
     return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
 
 
-# --- nonzero machinery -----------------------------------------------------
-
-def edge_on_simple_path(
-    g: LabeledGraph, s: str, t: str, eid: str, budget: int = 1_000_000
-) -> bool:
-    """Whether some vertex-simple path from s to t uses the edge.
-
-    Exhaustive backtracking over the two path halves; exponential in the
-    worst case, so a node budget caps the search.
-    """
-    e = g.edges_by_id.get(eid)
-    if e is None:
-        raise InvalidPlayerSet(f"unknown edge {eid}")
-    _check_vertices(g, s, t)
-    if s == t or e.target == s or e.source == t:
-        return False
-    nodes_left = [budget]
-
-    def spend() -> None:
-        nodes_left[0] -= 1
-        if nodes_left[0] < 0:
-            raise BudgetExceeded("simple-path search budget exhausted")
-
-    def to_target(v: str, visited: set[str]) -> bool:
-        spend()
-        if v == t:
-            return True
-        for edge in g.out_edges(v):
-            if edge.target in visited:
-                continue
-            visited.add(edge.target)
-            if to_target(edge.target, visited):
-                return True
-            visited.remove(edge.target)
-        return False
-
-    def to_edge(v: str, visited: set[str]) -> bool:
-        spend()
-        if v == e.source:
-            visited.add(e.target)
-            try:
-                return to_target(e.target, visited)
-            finally:
-                visited.remove(e.target)
-        for edge in g.out_edges(v):
-            # the edge's target and the final target stay reserved for later
-            if edge.target in visited or edge.target in (e.target, t):
-                continue
-            visited.add(edge.target)
-            if to_edge(edge.target, visited):
-                return True
-            visited.remove(edge.target)
-        return False
-
-    return to_edge(s, {s})
-
+# --- lineage ---------------------------------------------------------------
 
 def candidate_supports(
     g: LabeledGraph,
@@ -279,88 +228,67 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         # the values of an empty lineage, as the lineage counter gives them
         return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
     gb = gap_bound(req.query, len(players)) if all_finite else None
-    # an explicit sampler mode is refused over the trial cap before the
-    # baseline search, the request's first valuation; a gap below the float
-    # range gives tolerance 0.0, which the sampler would reject as a bad eps
-    if req.mode == "approx-additive":
-        game_mod.capped_sample_count(eps, req.delta)
-    elif req.mode == "approx-multiplicative":
-        game_mod.capped_sample_count(multiplicative_tolerance(gb, eps), req.delta)
+    # the sampler a request runs when its lineage is not counted, and its
+    # trials.  An explicit sampler mode is refused over the trial cap before
+    # the baseline search, the request's first valuation; a gap below the
+    # float range gives tolerance 0.0, which the sampler would reject.
+    engine, tolerance, fallback_flag = "mc-additive", eps, None
+    if req.mode == "approx-multiplicative":
+        engine, tolerance = "mc-multiplicative", multiplicative_tolerance(gb, eps)
+    elif req.mode != "approx-additive" and all_finite:
+        wanted = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
+        if wanted <= game_mod.TRIAL_CAP:
+            engine, tolerance = "mc-multiplicative", multiplicative_tolerance(gb, eps)
+        else:
+            fallback_flag = f"no-multiplicative-guarantee:trials={wanted}"
+    elif req.mode != "approx-additive":
+        fallback_flag = "no-multiplicative-guarantee"
+    count_trials = game_mod.capped_sample_count if req.mode.startswith("approx") else game_mod.sample_count
+    trials = count_trials(tolerance, req.delta)
     if game.mask_valuation(0):
         flags.append("answer-exogenous")
         # the values of a lineage holding mask 0, as the lineage counter gives them
         return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
 
-    single_short2 = (
-        req.player_kind == "edge"
-        and len(req.query.atoms) == 1
-        and req.query.atoms[0].profile.short2
-    )
-
-    if req.mode == "auto":
-        if single_short2:
-            engine = "exact-lineage"
-        elif len(players) <= req.subset_cap:
-            engine = "exact-subset"
-        elif not all_finite:
-            engine = "mc-additive"
-            flags.append("no-multiplicative-guarantee")
-        else:
-            trials = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
-            if trials <= game_mod.TRIAL_CAP:
-                engine = "mc-multiplicative"
-            else:
-                engine = "mc-additive"
-                flags.append(f"no-multiplicative-guarantee:trials={trials}")
-    elif req.mode == "exact":
-        engine = "exact-lineage" if single_short2 else "exact-subset"
+    if req.mode == "exact":
+        budget = LINEAGE_BUDGET
+    elif req.mode == "auto":
+        # the sampler's cost in lineage steps: a binary search of
+        # n.bit_length() valuations per trial, each taking at most
+        # product_reach steps; so a count that runs out at most about
+        # doubles the request's cost
+        reach = product_reach(req.graph, bind_atoms(req.query, req.binding))
+        budget = min(LINEAGE_BUDGET, trials * len(players).bit_length() * reach)
     else:
-        engine = {"approx-additive": "mc-additive", "approx-multiplicative": "mc-multiplicative"}[req.mode]
-
-    method = engine
-    if engine == "exact-lineage":
-        # a short-word atom's terms have at most two edges and, with one
-        # edge per ordered pair, share edges in groups of at most three:
-        # the count is polynomial, so no subset cap, only the step budget
-        budget = [LINEAGE_BUDGET]
-        values = game_mod.shapley_lineage_all(players, lineage(budget), budget)
-    elif engine == "exact-subset":
-        # four lineage steps per mask of the sweep: measured, a step costs
-        # at most ~0.33 us and ~4.5 bytes, a mask 0.4-3.2 us and ~3 bytes (README)
-        game_mod.check_subset_cap(len(players), req.subset_cap)
-        budget = [4 << len(players)]
-        try:
-            method = "exact-lineage"
-            values = game_mod.shapley_lineage_all(players, lineage(budget), budget)
-        except BudgetExceeded:
-            method = "exact-subset"
-            values = game_mod.shapley_exact_subset_all(game, req.subset_cap)
-    elif engine == "mc-additive":
-        game = _sampled_game(req, game, lineage, eps)
+        budget = trials  # the sampler's search of its terms
+    steps = [budget]
+    terms = None  # the sampler runs on the product search when the search runs out
+    try:
+        terms = lineage(steps)
+        if req.mode in ("auto", "exact"):
+            values = game_mod.shapley_lineage_all(players, terms, steps)
+            return ShapleyReport("exact-lineage", {p: values[p] for p in targets}, tuple(flags))
+    except BudgetExceeded:
+        if req.mode == "exact":
+            raise
+    if fallback_flag:
+        flags.append(fallback_flag)
+    game = _sampled_game(game, terms, trials, len(req.graph.edges))
+    if engine == "mc-additive":
         values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)
     else:
-        game = _sampled_game(req, game, lineage, multiplicative_tolerance(gb, eps))
         values = shapley_multiplicative_all(game, gb, eps, req.delta, req.seed)
-    return ShapleyReport(method, {p: values[p] for p in targets}, tuple(flags))
+    return ShapleyReport(engine, {p: values[p] for p in targets}, tuple(flags))
 
 
-def _sampled_game(
-    req: ExplainRequest, game: CoalitionGame, lineage: Callable[[list[int]], list[int]], tolerance: float
-) -> CoalitionGame:
-    """The sampler's game at additive ``tolerance``: the ``LineageGame`` of
-    the request's terms when their search fits in the sampler's trial
-    count, there is at most one term per edge of the graph, and either at
-    most one term or no more trials than coalitions; otherwise ``game``,
-    the memoized product search.  Past one term per edge a vertex game's
-    test is slower than the product search, and once the trials outnumber
-    the coalitions the memo answers most checks and a test of several
-    terms is slower too.  The rule is measured (README)."""
-    trials = game_mod.capped_sample_count(tolerance, req.delta)
-    try:
-        terms = lineage([trials])
-    except BudgetExceeded:
-        return game
-    if len(terms) > len(req.graph.edges) or (len(terms) > 1 and trials > 1 << len(game.players)):
+def _sampled_game(game: CoalitionGame, terms: Optional[list[int]], trials: float, edges: int) -> CoalitionGame:
+    """The sampler's game: the ``LineageGame`` of the request's terms when
+    their search finished, there is at most one term per edge of the graph,
+    and either at most one term or no more trials than coalitions;
+    otherwise ``game``, the memoized product search.  Past one term per edge
+    a vertex game's test is slower than the product search, and once the
+    trials outnumber the coalitions the memo answers most checks and a test
+    of several terms is slower too.  The rule is measured (README)."""
+    if terms is None or len(terms) > edges or (len(terms) > 1 and trials > 1 << len(game.players)):
         return game
     return LineageGame(game.players, terms)
-

@@ -1,16 +1,16 @@
 """Generic Shapley machinery over monotone 0/1 coalition games.
 
 Coalitions are frozensets of player ids on the public surface and bitmasks
-(bit i = the i-th player) inside.  The exact engines count a game's lineage
+(bit i = the i-th player) inside.  The exact engine counts a game's lineage
 by size, compiled once into a DAG whose one reverse pass values every
 player, each polynomial packed into one int so that a polynomial operation
-is one big-int operation, or sweep a truth table of all 2^n masks once.
+is one big-int operation.
 The sampler draws its permutations with the stdlib shuffle's draws inlined
 and memoizes valuations per game in a dict cleared at
 ``VALUATION_CACHE_SIZE`` entries, since permutation prefixes repeat
 heavily.  A ``LineageGame`` instead tests a mask against the lineage's
-terms, with no memo; ``explain.solve`` hands the sampler one when it could
-read the lineage within the trial count.
+terms, with no memo; ``explain.solve`` hands the sampler one when its
+lineage search finished within budget and the terms pass its term rule.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from itertools import accumulate
 from operator import mul, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import BudgetExceeded, EnumerationOverflow
+from .errors import BudgetExceeded
 
-SUBSET_CAP = 22
 TRIAL_CAP = 10**7
 VALUATION_CACHE_SIZE = 1 << 20
 
@@ -117,7 +116,7 @@ class SampledEstimate:
 
 @dataclass(frozen=True)
 class ShapleyReport:
-    method: str  # exact-lineage | exact-subset | mc-additive | mc-multiplicative
+    method: str  # exact-lineage | mc-additive | mc-multiplicative
     values: dict[str, Union[Fraction, SampledEstimate]]
     flags: tuple[str, ...] = ()
 
@@ -140,41 +139,6 @@ def capped_sample_count(eps: float, delta: float) -> int:
     return trials
 
 
-def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
-    """Exact values of every player, from winning coalitions counted by size.
-
-    With W(k) the size-k winning coalitions and W_a(k) those among them that
-    contain a, phi(a) = sum_k k!(n-k-1)!/n! * (W_a(k+1) - (W(k) - W_a(k))):
-    the size-k coalitions without a that win once a joins, minus those that
-    win without a.  One sweep over the masks in increasing order fills a
-    truth table, holding |mask| + 1 for a winning mask and 0 for a losing
-    one; a mask whose lowest bit removed already wins needs no valuation,
-    since the game is monotone.  The counts are integers and each value is
-    one Fraction over n!.
-    """
-    n = len(g.players)
-    check_subset_cap(n, cap)
-    wins = g.mask_valuation
-    full = 1 << n
-    table = bytearray(full)
-    for mask in range(1, full):  # v(empty) = 0
-        if table[mask & (mask - 1)] or wins(mask):
-            table[mask] = mask.bit_count() + 1
-    winning = [table.count(k + 1) for k in range(n + 1)]
-    weights = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
-    denominator = math.factorial(n)
-    values = {}
-    for i, p in enumerate(g.players):
-        with_p = _masks_with_bit(table, 1 << i)
-        containing = [0] + [with_p.count(k + 1) for k in range(1, n + 1)]
-        total = sum(
-            weights[k] * (containing[k + 1] - winning[k] + containing[k])
-            for k in range(n)
-        )
-        values[p] = Fraction(total, denominator)
-    return values
-
-
 def shapley_lineage_all(
     players: Sequence[str], terms: Sequence[int], budget: list[int]
 ) -> dict[str, Fraction]:
@@ -185,8 +149,8 @@ def shapley_lineage_all(
     as a polynomial L, compiled once into a DAG (``_compile``).  A player a
     turns the coalitions without it counted by L|a=0 - L|a=1 into winning
     ones, so phi(a) = sum_k k!(w-1-k)!/w! * (L|a=0[k] - L|a=1[k]): the
-    sweep's formula, one Fraction per player, over w! instead of n!, which
-    leaves the values alone since the other players are null.  With
+    subset form of the value, one Fraction per player, over w! instead of
+    n!, which leaves the values alone since the other players are null.  With
     G_a = x*L|a=1 and L = L|a=0 + G_a, every G_a comes from one reverse pass
     over the DAG, root first (``_reverse``): each node gets an adjoint
     polynomial A, the derivative of L by the node's polynomial, and adds A
@@ -377,20 +341,6 @@ def _term_components(terms: frozenset[int]) -> list[frozenset[int]]:
     return [frozenset(t for t in terms if t & c) for c in components]
 
 
-def check_subset_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
-
-
-def _masks_with_bit(table: bytearray, bit: int) -> bytes:
-    """The table entries of the masks that contain ``bit``, in some order:
-    ``bit`` strided slices or len/(2 bit) runs, whichever are fewer."""
-    step = 2 * bit
-    if bit * bit < len(table):
-        return b"".join(table[lo::step] for lo in range(bit, step))
-    return b"".join(table[lo:lo + bit] for lo in range(bit, len(table), step))
-
-
 def shuffles(n: int, seed: int, trials: int) -> Iterator[list[int]]:
     """``trials`` shuffles in place of the player bits [1, 2, 4, ...],
     yielding the one list after each: the draws of
@@ -448,20 +398,3 @@ def shapley_mc_all(
         for i, p in enumerate(g.players)
     }
 
-
-def shapley_nonzero(
-    g: CoalitionGame,
-    a: str,
-    supports: Iterator[frozenset[str]],
-) -> bool:
-    """Positivity via minimal-winning-coalition witnesses.
-
-    The supplied enumerator must cover every minimal winning coalition; for a
-    monotone game the value is positive iff the player lies in one of them.
-    """
-    for s in supports:
-        if a not in s:
-            continue
-        if g.value(s) == 1 and g.value(s - {a}) == 0:
-            return True
-    return False

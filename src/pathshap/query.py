@@ -189,6 +189,26 @@ def _accepting_reach(out: OutLists, s: str, d: Dfa, mask: int) -> Iterator[str]:
                         yield target
 
 
+def product_reach(g: LabeledGraph, atoms: list[tuple[str, str, Dfa]]) -> int:
+    """The most product steps one valuation of the bound atoms takes: per
+    atom, its start (vertex, state) pair and every edge of its product with
+    g reachable from there."""
+    total = len(atoms)
+    for s, _, d in atoms:
+        seen = {(s, d.start)}
+        stack = [(s, d.start)]
+        while stack:
+            v, q = stack.pop()
+            for e in g.out_edges(v):
+                nq = d.useful_moves[q].get(e.label)
+                if nq is not None:
+                    total += 1
+                    if (e.target, nq) not in seen:
+                        seen.add((e.target, nq))
+                        stack.append((e.target, nq))
+    return total
+
+
 def bind_atoms(q: Crpq, mu: Assignment) -> list[tuple[str, str, Dfa]]:
     """(source vertex, target vertex, automaton) of every atom under mu."""
     return [(mu[a.source_var], mu[a.target_var], a.dfa) for a in q.atoms]

@@ -1,8 +1,10 @@
 """Independent oracles used to pin expected values.
 
 Everything here recomputes results from first principles (direct language
-semantics, path enumeration, subset enumeration, the textbook subset-form
-Shapley sum, per-player marginals over a permutation stream) so the tests never trust the code paths they check.
+semantics, path enumeration, simple-path search, subset enumeration, the
+textbook subset-form Shapley sum, a sweep of every coalition counted by
+size, per-player marginals over a permutation stream) so the tests never
+trust the code paths they check.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ import random
 from fractions import Fraction
 
 from pathshap import regex as rx
-from pathshap.errors import EnumerationOverflow
+from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet
+from pathshap.game import CoalitionGame
 from pathshap.graph import Edge, LabeledGraph
+from pathshap.query import _check_vertices
 
 PERMUTATION_CAP = 9
+SUBSET_CAP = 22
 
 
 def ast_matches(ast, word: tuple[str, ...], alphabet: frozenset[str]) -> bool:
@@ -102,6 +107,61 @@ def path_oracle_eval(g: LabeledGraph, s: str, t: str, dfa, ast=None, alphabet=No
     return False
 
 
+def edge_on_simple_path(
+    g: LabeledGraph, s: str, t: str, eid: str, budget: int = 1_000_000
+) -> bool:
+    """Whether some vertex-simple path from s to t uses the edge.
+
+    Exhaustive backtracking over the two path halves; exponential in the
+    worst case, so a node budget caps the search.
+    """
+    e = g.edges_by_id.get(eid)
+    if e is None:
+        raise InvalidPlayerSet(f"unknown edge {eid}")
+    _check_vertices(g, s, t)
+    if s == t or e.target == s or e.source == t:
+        return False
+    nodes_left = [budget]
+
+    def spend() -> None:
+        nodes_left[0] -= 1
+        if nodes_left[0] < 0:
+            raise BudgetExceeded("simple-path search budget exhausted")
+
+    def to_target(v: str, visited: set[str]) -> bool:
+        spend()
+        if v == t:
+            return True
+        for edge in g.out_edges(v):
+            if edge.target in visited:
+                continue
+            visited.add(edge.target)
+            if to_target(edge.target, visited):
+                return True
+            visited.remove(edge.target)
+        return False
+
+    def to_edge(v: str, visited: set[str]) -> bool:
+        spend()
+        if v == e.source:
+            visited.add(e.target)
+            try:
+                return to_target(e.target, visited)
+            finally:
+                visited.remove(e.target)
+        for edge in g.out_edges(v):
+            # the edge's target and the final target stay reserved for later
+            if edge.target in visited or edge.target in (e.target, t):
+                continue
+            visited.add(edge.target)
+            if to_edge(edge.target, visited):
+                return True
+            visited.remove(edge.target)
+        return False
+
+    return to_edge(s, {s})
+
+
 def brute_shapley(players, valuation) -> dict[str, Fraction]:
     """Textbook subset-form Shapley sum over an explicit valuation."""
     players = list(players)
@@ -120,6 +180,51 @@ def brute_shapley(players, valuation) -> dict[str, Fraction]:
                 total += weight * (valuation(b | {a}) - valuation(b))
         values[a] = total
     return values
+
+
+def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
+    """Exact values of every player, from winning coalitions counted by size.
+
+    With W(k) the size-k winning coalitions and W_a(k) those among them that
+    contain a, phi(a) = sum_k k!(n-k-1)!/n! * (W_a(k+1) - (W(k) - W_a(k))):
+    the size-k coalitions without a that win once a joins, minus those that
+    win without a.  One sweep over the masks in increasing order fills a
+    truth table, holding |mask| + 1 for a winning mask and 0 for a losing
+    one; a mask whose lowest bit removed already wins needs no valuation,
+    since the game is monotone.  The counts are integers and each value is
+    one Fraction over n!.
+    """
+    n = len(g.players)
+    if n > cap:
+        raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
+    wins = g.mask_valuation
+    full = 1 << n
+    table = bytearray(full)
+    for mask in range(1, full):  # v(empty) = 0
+        if table[mask & (mask - 1)] or wins(mask):
+            table[mask] = mask.bit_count() + 1
+    winning = [table.count(k + 1) for k in range(n + 1)]
+    weights = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+    denominator = math.factorial(n)
+    values = {}
+    for i, p in enumerate(g.players):
+        with_p = _masks_with_bit(table, 1 << i)
+        containing = [0] + [with_p.count(k + 1) for k in range(1, n + 1)]
+        total = sum(
+            weights[k] * (containing[k + 1] - winning[k] + containing[k])
+            for k in range(n)
+        )
+        values[p] = Fraction(total, denominator)
+    return values
+
+
+def _masks_with_bit(table: bytearray, bit: int) -> bytes:
+    """The table entries of the masks that contain ``bit``, in some order:
+    ``bit`` strided slices or len/(2 bit) runs, whichever are fewer."""
+    step = 2 * bit
+    if bit * bit < len(table):
+        return b"".join(table[lo::step] for lo in range(bit, step))
+    return b"".join(table[lo:lo + bit] for lo in range(bit, len(table), step))
 
 
 def shapley_exact_permutation(g, a: str, cap: int = PERMUTATION_CAP) -> Fraction:

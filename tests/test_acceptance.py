@@ -12,9 +12,15 @@ from collections import Counter
 from fractions import Fraction
 
 from pathshap import cli, explain, game, query
-from pathshap.graph import Edge, LabeledGraph, load_graph
+from pathshap.graph import Edge, LabeledGraph, load_graph, serialize
 
-from helpers import random_labeled_graph, random_monotone_game, shapley_exact_permutation_all
+from helpers import (
+    edge_on_simple_path,
+    random_labeled_graph,
+    random_monotone_game,
+    shapley_exact_permutation_all,
+    shapley_exact_subset_all,
+)
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
@@ -95,7 +101,7 @@ def test_criterion_2_definition_agreement():
         players = [f"p{i}" for i in range(rng.randint(1, 8))]
         valuation = random_monotone_game(rng, players)
         g = game.CoalitionGame(players, valuation)
-        subset = game.shapley_exact_subset_all(g)
+        subset = shapley_exact_subset_all(g)
         permutation = shapley_exact_permutation_all(g)
         assert subset == permutation, trial
         if len(players) <= 6:
@@ -115,7 +121,7 @@ def test_criterion_2_definition_agreement():
             ]
             graph = LabeledGraph(vertices, edges, [e.id for e in edges], vertices)
             cg = explain.edge_game(graph, q, mu)
-            subset = game.shapley_exact_subset_all(cg)
+            subset = shapley_exact_subset_all(cg)
             assert subset == shapley_exact_permutation_all(cg)
             _axiom_check(cg, subset, cg.valuation)
             count += 1
@@ -213,10 +219,20 @@ def test_criterion_5_multiplicative_wrapper():
             f"{failures}/{runs} <= 0.05; null player exactly 0 in 100/100 runs")
 
 
-def test_criterion_6_nonzero_decision():
-    """Positivity verdicts coincide with (exact value > 0) on the randomized
-    suite, for edge and vertex games; the simple-path test is compared on
-    all-endogenous graphs with an unreachable-baseline binding."""
+def _nonzero(path, qtext, mu, player_kind, player):
+    """The verdict of the ``nonzero`` command."""
+    out = io.StringIO()
+    argv = ["nonzero", "--graph", str(path), "--query", qtext, "--bind", f"x={mu['x']},y={mu['y']}",
+            "--player-kind", player_kind, "--focus", player]
+    assert cli.main(argv, out=out) == 0
+    return out.getvalue() == "true\n"
+
+
+def test_criterion_6_nonzero_decision(tmp_path):
+    """Positivity verdicts of the ``nonzero`` command coincide with (exact
+    value > 0) on the randomized suite, for edge and vertex games; the
+    simple-path test is compared on all-endogenous graphs with an
+    unreachable-baseline binding."""
     rng = random.Random(6)
     sigma = frozenset("ab")
     queries = ["(x, .*, y)", "(x, a b*, y)", "(x, a b, y)", "(x, . ., y)"]
@@ -231,22 +247,20 @@ def test_criterion_6_nonzero_decision():
         vs = sorted(g.vertices)
         s, t = rng.sample(vs, 2)
         mu2 = query.Assignment({"x": s, "y": t})
+        path = tmp_path / f"g{trial}.graph"
+        path.write_text(serialize(g))
         for qtext in queries:
             q = crpq(qtext, sigma)
             cg = explain.edge_game(g, q, mu2)
-            exact = game.shapley_exact_subset_all(cg)
+            exact = shapley_exact_subset_all(cg)
             for eid in cg.players:
-                verdict = game.shapley_nonzero(
-                    cg, eid, explain.candidate_supports(g, q, mu2)
-                )
+                verdict = _nonzero(path, qtext, mu2, "edge", eid)
                 assert verdict == (exact[eid] > 0), (trial, qtext, eid)
 
             vg = explain.vertex_game(g, q, mu2)
-            vexact = game.shapley_exact_subset_all(vg)
+            vexact = shapley_exact_subset_all(vg)
             for vid in vg.players:
-                verdict = game.shapley_nonzero(
-                    vg, vid, explain.candidate_supports(g, q, mu2, player_kind="vertex")
-                )
+                verdict = _nonzero(path, qtext, mu2, "vertex", vid)
                 assert verdict == (vexact[vid] > 0), (trial, qtext, vid)
 
         if not g.exo_edges:
@@ -254,9 +268,9 @@ def test_criterion_6_nonzero_decision():
             # positivity for the any-word query
             q = crpq("(x, .*, y)", sigma)
             cg = explain.edge_game(g, q, mu2)
-            exact = game.shapley_exact_subset_all(cg)
+            exact = shapley_exact_subset_all(cg)
             for eid in cg.players:
-                on_path = explain.edge_on_simple_path(g, s, t, eid)
+                on_path = edge_on_simple_path(g, s, t, eid)
                 assert on_path == (exact[eid] > 0), (trial, eid)
         graphs_checked += 1
     assert graphs_checked >= 40

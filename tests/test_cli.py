@@ -80,6 +80,7 @@ def test_parser_rejects_options_a_command_does_not_read(fig_graph_text, capsys):
         ["answers", *base, "--budget", "5"],
         ["nonzero", *base, "--bind", "x=v1,y=v2", "--focus", "v1->v2", "--cap", "3"],
         ["shapley", *base, "--bind", "x=v1,y=v2", "--budget", "5"],
+        ["shapley", *base, "--bind", "x=v1,y=v2", "--cap", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv, out=io.StringIO())
@@ -132,7 +133,7 @@ def test_answers_overflow_exit_3(fig_graph_text):
 
 def test_answers_default_cap_is_not_the_player_cap(tmp_path):
     # a 10-vertex a-chain has 55 answers of (x, a*, y), more than the
-    # 22-player subset cap that shapley uses by default
+    # 22 players that shapley once capped exact requests at
     path = tmp_path / "chain10.graph"
     path.write_text("".join(f"u{i} a u{i + 1} n\n" for i in range(9)))
     code, out = run(["answers", "--graph", str(path), "--query", "(x, a*, y)"])
@@ -250,18 +251,19 @@ def test_shapley_multiplicative_infinite_exit_4(fig_graph_text):
     assert code == 4
 
 
-def test_shapley_exact_over_cap_exit_3(fig_graph_text):
-    code, _ = run(
-        [
-            "shapley",
-            "--graph", str(fig_graph_text),
-            "--query", "(x, a b c, y)",
-            "--bind", "x=v1,y=v6",
-            "--mode", "exact",
-            "--cap", "3",
-        ]
-    )
-    assert code == 3
+def test_shapley_exact_over_cap_exit_3(monkeypatch, fig_graph_text):
+    """Exit 3 is for answers alone: the step budget, not a player cap,
+    bounds an exact request, which exits 5 over it."""
+    argv = [
+        "shapley",
+        "--graph", str(fig_graph_text),
+        "--query", "(x, a b c, y)",
+        "--bind", "x=v1,y=v6",
+        "--mode", "exact",
+    ]
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 3)
+    assert run(argv) == (5, "")
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx-additive"])
@@ -322,7 +324,9 @@ def test_nonzero_false_for_stray_edge(tmp_path):
     assert (code, out) == (0, "false\n")
 
 
-def test_shapley_over_trial_cap_exit_5(tmp_path):
+def test_shapley_over_trial_cap_exit_5(monkeypatch, tmp_path):
+    # auto counts this lineage of 23 players unless its budget is cut
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     path = tmp_path / "strays.graph"
     path.write_text(CHAIN3 + "".join(f"w{i} a w{i + 1} n\n" for i in range(20)))
     argv = ["shapley", "--graph", str(path), "--query", "(x, a b c, y)", "--bind", "x=u1,y=u4"]
@@ -337,11 +341,15 @@ def test_shapley_over_trial_cap_exit_5(tmp_path):
 
 
 def test_shapley_short_words_over_the_step_budget_exit_5(monkeypatch, chain_file, capsys):
-    # a short-word request has no subset cap; the lineage step budget bounds it
-    argv = ["shapley", "--graph", chain_file, "--query", "(x, a b, y)", "--bind", "x=u1,y=u3"]
+    # the lineage step budget bounds a request: over it exact exits 5 and
+    # auto samples
+    argv = ["shapley", "--graph", chain_file, "--query", "(x, a b, y)", "--bind", "x=u1,y=u3", "--format", "csv"]
     monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
-    assert run(argv) == (5, "")
+    assert run(argv + ["--mode", "exact"]) == (5, "")
     assert capsys.readouterr().err.startswith("error: ")
+    code, out = run(argv)
+    assert code == 0
+    assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"mc-multiplicative"}
 
 
 def test_nonzero_unknown_on_budget_exit_5(fig_graph_text):
@@ -369,6 +377,23 @@ def test_nonzero_default_budget_gives_a_dense_graph_its_verdict(tmp_path):
             "--focus", min(g.endo_edges)]
     assert run(argv) == (0, "false\n")
     assert run(argv + ["--budget", "1000000"]) == (5, "unknown\n")
+
+
+def test_nonzero_false_for_an_edge_only_on_non_minimal_walks(tmp_path):
+    # the b-loop on u2 lies on winning walks, but none of them is minimal
+    path = tmp_path / "loop.graph"
+    path.write_text(CHAIN3 + "u2 b u2 n\n")
+    argv = ["nonzero", "--graph", str(path), "--query", "(x, a b* c, y)", "--bind", "x=u1,y=u4"]
+    assert run(argv + ["--focus", "u2->u2"]) == (0, "false\n")
+    assert run(argv + ["--focus", "u2->u3"]) == (0, "true\n")
+
+
+def test_nonzero_false_when_the_exogenous_part_answers(tmp_path):
+    # the lineage is [0]: every coalition wins without the focus
+    path = tmp_path / "exo.graph"
+    path.write_text("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n")
+    argv = ["nonzero", "--graph", str(path), "--query", "(x, a b | b, y)", "--bind", "x=u1,y=u3"]
+    assert run(argv + ["--focus", "u1->u3"]) == (0, "false\n")
 
 
 def test_nonzero_requires_focus(fig_graph_text):

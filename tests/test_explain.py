@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pathshap import explain, game, query
 from pathshap.errors import (
     BudgetExceeded,
-    EnumerationOverflow,
     InfiniteLanguage,
     InvalidPlayerSet,
     NoPlayers,
@@ -17,7 +16,7 @@ from pathshap.errors import (
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
 from conftest import RUNNING_EXAMPLE
-from helpers import brute_shapley, random_labeled_graph
+from helpers import brute_shapley, edge_on_simple_path, random_labeled_graph, shapley_exact_subset_all
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
@@ -70,7 +69,7 @@ def test_vertex_game_valuation(fig_graph):
 def test_vertex_game_exact_values(fig_graph):
     q = crpq("(x, a b c, y)")
     g = explain.vertex_game(fig_graph, q, bind("x=v1,y=v6", q))
-    values = game.shapley_exact_subset_all(g)
+    values = shapley_exact_subset_all(g)
     # the four vertices of the single witness path share the unit equally
     for v in ("v1", "v3", "v5", "v6"):
         assert values[v] == Fraction(1, 4)
@@ -148,7 +147,7 @@ def test_solve_short_words_match_the_subset_oracle(graph_text, qtext, btext):
     req = request(g, qtext, btext)
     report = explain.solve(req)
     assert report.method == "exact-lineage"
-    assert report.values == game.shapley_exact_subset_all(explain.edge_game(g, req.query, req.binding))
+    assert report.values == shapley_exact_subset_all(explain.edge_game(g, req.query, req.binding))
     for eid in g.exo_edges:
         with pytest.raises(InvalidPlayerSet):
             explain.solve(request(g, qtext, btext, focus=eid))
@@ -196,21 +195,21 @@ def test_multiplicative_within_factor_on_chain():
 # --- simple-path and supports ----------------------------------------------
 
 def test_edge_on_simple_path_examples(fig_graph):
-    assert explain.edge_on_simple_path(fig_graph, "v1", "v6", "v1->v3")
-    assert explain.edge_on_simple_path(fig_graph, "v1", "v6", "v4->v3")
-    assert not explain.edge_on_simple_path(fig_graph, "v3", "v6", "v1->v2")
-    assert not explain.edge_on_simple_path(fig_graph, "v1", "v5", "v5->v6")
+    assert edge_on_simple_path(fig_graph, "v1", "v6", "v1->v3")
+    assert edge_on_simple_path(fig_graph, "v1", "v6", "v4->v3")
+    assert not edge_on_simple_path(fig_graph, "v3", "v6", "v1->v2")
+    assert not edge_on_simple_path(fig_graph, "v1", "v5", "v5->v6")
 
 
 def test_edge_on_simple_path_degenerate_cases(fig_graph):
-    assert not explain.edge_on_simple_path(fig_graph, "v1", "v1", "v1->v2")
+    assert not edge_on_simple_path(fig_graph, "v1", "v1", "v1->v2")
     with pytest.raises(InvalidPlayerSet):
-        explain.edge_on_simple_path(fig_graph, "v1", "v6", "v9->v9")
+        edge_on_simple_path(fig_graph, "v1", "v6", "v9->v9")
 
 
 def test_edge_on_simple_path_budget(fig_graph):
     with pytest.raises(BudgetExceeded):
-        explain.edge_on_simple_path(fig_graph, "v1", "v3", "v1->v3", budget=1)
+        edge_on_simple_path(fig_graph, "v1", "v3", "v1->v3", budget=1)
 
 
 def test_candidate_supports_single_word(fig_graph):
@@ -257,14 +256,13 @@ def test_nonzero_with_infinite_language():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
     q = crpq("(x, .*, y)", g.alphabet)
     mu = bind("x=u1,y=u4", q)
-    cg = explain.edge_game(g, q, mu)
+    # the nonzero verdict: the player lies in a minimal winning coalition
     for eid, expected in (
         ("u1->u2", True),
         ("u3->u4", True),
         ("u5->u6", False),  # disconnected stray edge
     ):
-        supports = explain.candidate_supports(g, q, mu)
-        assert game.shapley_nonzero(cg, eid, supports) == expected, eid
+        assert any(eid in s for s in explain.candidate_supports(g, q, mu)) == expected, eid
 
 
 # --- lineage ----------------------------------------------------------------
@@ -283,7 +281,8 @@ LINEAGE_QUERIES = GAME_QUERIES + [
 def test_lineage_values_match_the_oracles(seed, qtext, player_kind):
     """The lineage is the game's minimal winning coalitions, and counting it
     by size gives the textbook values and the sweep's, with self-loops,
-    exogenous edges and vertices, CRPQs and epsilon-accepting atoms."""
+    exogenous edges and vertices, CRPQs and epsilon-accepting atoms; so do
+    ``exact`` and ``auto`` requests."""
     rng = random.Random(seed)
     g = random_labeled_graph(
         rng, rng.randint(2, 5), rng.randint(1, 9), exo_prob=0.3,
@@ -304,20 +303,24 @@ def test_lineage_values_match_the_oracles(seed, qtext, player_kind):
     budget = [10**6]
     values = game.shapley_lineage_all(players, lineage(budget), budget)
     cg = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, q, mu)
-    assert values == brute_shapley(players, cg.valuation) == game.shapley_exact_subset_all(cg)
-    report = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode="exact"))
-    assert report.values == values
+    assert values == brute_shapley(players, cg.valuation) == shapley_exact_subset_all(cg)
+    for mode in ("exact", "auto"):
+        report = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode=mode))
+        assert (report.method, report.values) == ("exact-lineage", values), mode
 
 
 # a 2-player chain behind six exogenous edges: the lineage search needs more
-# than its budget of four steps per mask of the sweep's 2^2
+# than four steps per coalition of its 2 players
 BEHIND_EXO = "".join(f"u{i} a u{i + 1} x\n" for i in range(6)) + "u6 b u7 n\nu7 c u8 n\n"
 
 
-def test_solve_falls_back_to_the_sweep_over_the_lineage_budget():
+def test_solve_falls_back_to_the_sweep_over_the_lineage_budget(monkeypatch):
+    """The sweep this test once reached is gone: exact requests count the
+    lineage within ``LINEAGE_BUDGET`` and, over it, exact refuses and auto
+    samples."""
     g = load_graph(BEHIND_EXO)
     report = explain.solve(request(g, "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
-    assert report.method == "exact-subset"
+    assert report.method == "exact-lineage"
     assert report.values == {"u6->u7": Fraction(1, 2), "u7->u8": Fraction(1, 2)}
     q = crpq("(x, a* b c, y)", g.alphabet)
     _, lineage = explain._request_game(g, q, bind("x=u0,y=u8", q), "edge")
@@ -325,9 +328,16 @@ def test_solve_falls_back_to_the_sweep_over_the_lineage_budget():
     assert game.shapley_lineage_all(["u6->u7", "u7->u8"], lineage(budget), budget) == report.values
     with pytest.raises(BudgetExceeded):
         lineage([4 << 2])
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 4 << 2)
+    with pytest.raises(BudgetExceeded):
+        explain.solve(request(g, "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
+    report = explain.solve(request(g, "(x, a* b c, y)", "x=u0,y=u8"))
+    assert (report.method, report.flags) == ("mc-additive", ("no-multiplicative-guarantee",))
 
 
 def test_sweep_fallback_searches_the_empty_coalition_once(monkeypatch):
+    """An auto request over the lineage budget, where the sweep once ran,
+    samples on the product search and searches the empty coalition once."""
     empty = []
 
     def counted_holds(out, atoms, mask, original=query.holds_on_mask):
@@ -336,8 +346,9 @@ def test_sweep_fallback_searches_the_empty_coalition_once(monkeypatch):
         return original(out, atoms, mask)
 
     monkeypatch.setattr(explain, "holds_on_mask", counted_holds)
-    report = explain.solve(request(load_graph(BEHIND_EXO), "(x, a* b c, y)", "x=u0,y=u8", mode="exact"))
-    assert report.method == "exact-subset"
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 4 << 2)
+    report = explain.solve(request(load_graph(BEHIND_EXO), "(x, a* b c, y)", "x=u0,y=u8"))
+    assert report.method == "mc-additive"
     assert len(empty) == 1
 
 
@@ -505,7 +516,7 @@ def test_solve_short_words_with_overlapping_matches():
     assert report.method == "exact-lineage"
     assert report.flags == ()
     q = crpq("(x, a b | c a, y)", g.alphabet)
-    oracle = game.shapley_exact_subset_all(explain.edge_game(g, q, bind("x=u1,y=u2", q)))
+    oracle = shapley_exact_subset_all(explain.edge_game(g, q, bind("x=u1,y=u2", q)))
     assert report.values == oracle
 
 
@@ -520,8 +531,8 @@ def test_solve_short_words_flags_do_not_depend_on_focus():
     assert alone.values == {"u2->u2": 1}
 
 
-# an 80-branch fan s -a-> m_i -b-> t beside s -c-> t: 161 players, above the
-# default subset cap of 22
+# an 80-branch fan s -a-> m_i -b-> t beside s -c-> t: 161 players, past the
+# former subset cap of 22
 FAN80 = "s c t n\n" + "".join(f"s a m{i} n\nm{i} b t n\n" for i in range(80))
 
 
@@ -542,6 +553,71 @@ def test_solve_exact_mode_past_the_subset_cap_counts_the_lineage():
     report = explain.solve(request(load_graph(FAN80), "(x, a b | a c | c, y)", "x=s,y=t", mode="exact"))
     assert report.method == "exact-lineage"
     assert sum(report.values.values()) == 1
+
+
+# a 30-edge a-chain: a one-term lineage of 30 players
+CHAIN30 = "".join(f"u{i} a u{i + 1} n\n" for i in range(30))
+
+
+def test_solve_exact_counts_a_chain_past_the_former_subset_cap():
+    report = explain.solve(request(load_graph(CHAIN30), "(x, a*, y)", "x=u0,y=u30", mode="exact"))
+    assert report.method == "exact-lineage"
+    assert report.values == {f"u{i}->u{i + 1}": Fraction(1, 30) for i in range(30)}
+
+
+# three fully joined layers of five vertices between x and y: 60 edge
+# players whose lineage, under (x, a*, y), does not fit LINEAGE_BUDGET
+LAYERS_3X5 = [["x"]] + [[f"l{i}{j}" for j in range(5)] for i in range(3)] + [["y"]]
+LAYERED_3X5 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS_3X5, LAYERS_3X5[1:]) for u in a for v in b)
+
+
+def _counting_lineage(budgets):
+    """``query.lineage``, recording the budget each search starts with."""
+    def counted(out, atoms, bound, budget, original=query.lineage):
+        budgets.append(budget[0])
+        return original(out, atoms, bound, budget)
+    return counted
+
+
+def test_solve_over_the_lineage_budget_exact_refuses_and_auto_samples(monkeypatch):
+    """auto's attempt gets the sampler's cost, 1 060 trials * 6 valuations *
+    61 product steps (the start and 60 reachable product edges) = 387 960
+    steps, and then samples; exact gets LINEAGE_BUDGET and refuses."""
+    budgets = []
+    monkeypatch.setattr(explain, "lineage", _counting_lineage(budgets))
+    g = load_graph(LAYERED_3X5)
+    assert len(g.endo_edges) == 60
+    with pytest.raises(BudgetExceeded):
+        explain.solve(request(g, "(x, a*, y)", "x=x,y=y", mode="exact"))
+    report = explain.solve(request(g, "(x, a*, y)", "x=x,y=y", seed=3))
+    assert (report.method, report.flags) == ("mc-additive", ("no-multiplicative-guarantee",))
+    assert all(est.samples == 1060 for est in report.values.values())
+    assert budgets == [explain.LINEAGE_BUDGET, 387_960]
+
+
+def test_auto_searches_the_lineage_once(monkeypatch):
+    """When auto's count runs out after its search finished, the sampler
+    tests the terms found, with no second search and no product search past
+    the baseline's; when the search ran out, it samples on the product
+    search."""
+    g = load_graph(CHAIN3)
+    req = request(g, "(x, a b c, y)", "x=u1,y=u4", eps=0.5, delta=0.2, seed=5)
+    _, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    budget = [10**6]
+    lineage(budget)
+    search = 10**6 - budget[0]
+    reports = []
+    for cut, product_searches in ((search, False), (search - 1, True)):
+        budgets, calls = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(explain, "LINEAGE_BUDGET", cut)
+            patch.setattr(explain, "lineage", _counting_lineage(budgets))
+            patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+            reports.append(explain.solve(req))
+        assert reports[-1].method == "mc-multiplicative"
+        assert budgets == [cut]
+        assert any(calls) == product_searches
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("mode", ["exact-subset", "exact-lineage", "mc-additive"])
@@ -617,7 +693,7 @@ def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, f
     for module in (query, explain):
         monkeypatch.setattr(module, "out_lists", counted_out_lists)
         monkeypatch.setattr(module, "holds_on_mask", counted_holds)
-    for name in ("shapley_lineage_all", "shapley_exact_subset_all", "shapley_mc_all"):
+    for name in ("shapley_lineage_all", "shapley_mc_all"):
         monkeypatch.setattr(game, name, entering(getattr(game, name)))
     req = request(fig_graph, qtext, btext, mode=mode, eps=0.1, delta=0.05)
     assert explain.solve(req).method in ("exact-lineage", "mc-additive")
@@ -657,11 +733,16 @@ def test_solve_no_players():
         explain.solve(request(g, "(x, a, y)", "x=u1,y=u2"))
 
 
-def test_solve_exact_respects_subset_cap():
+def test_solve_exact_respects_subset_cap(monkeypatch):
+    """The step budget, not a player count, bounds an exact request: 24
+    players are counted, and refused over a budget the lineage exceeds."""
     rng = random.Random(8)
     g = random_labeled_graph(rng, 6, 24, exo_prob=0.0)
-    req = request(g, "(x, a b*, y)", "x=u0,y=u5", mode="exact", subset_cap=5)
-    with pytest.raises(EnumerationOverflow):
+    req = request(g, "(x, a b*, y)", "x=u0,y=u5", mode="exact")
+    report = explain.solve(req)
+    assert (report.method, len(report.values), sum(report.values.values())) == ("exact-lineage", 24, 1)
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 5)
+    with pytest.raises(BudgetExceeded):
         explain.solve(req)
 
 
@@ -671,22 +752,32 @@ def test_solve_multiplicative_needs_finite_language(fig_graph):
         explain.solve(req)
 
 
-def test_solve_auto_falls_back_to_additive_sampling():
+def test_solve_auto_falls_back_to_additive_sampling(monkeypatch):
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     g = load_graph(CHAIN3)
     req = request(
-        g, "(x, a .*, y)", "x=u1,y=u4", subset_cap=2, eps=0.3, delta=0.2, seed=5
+        g, "(x, a .*, y)", "x=u1,y=u4", eps=0.3, delta=0.2, seed=5
     )
     report = explain.solve(req)
     assert report.method == "mc-additive"
     assert "no-multiplicative-guarantee" in report.flags
 
 
-# the chain plus 20 stray edges: 23 players, above the subset cap, where the
-# (1+eps) wrapper at eps=0.05, delta=0.01 needs about 1.3e11 trials
+# the chain plus 20 stray edges: 23 players, past the former subset cap,
+# where the (1+eps) wrapper at eps=0.05, delta=0.01 needs about 1.3e11 trials
 CHAIN3_STRAYS = CHAIN3 + "".join(f"w{i} a w{i + 1} n\n" for i in range(20))
 
 
-def test_solve_auto_falls_back_to_additive_over_trial_cap():
+def test_solve_auto_counts_the_lineage_past_the_former_subset_cap():
+    report = explain.solve(request(load_graph(CHAIN3_STRAYS), "(x, a b c, y)", "x=u1,y=u4"))
+    assert (report.method, report.flags) == ("exact-lineage", ())
+    chain = {"u1->u2", "u2->u3", "u3->u4"}
+    assert report.values == {e: Fraction(1, 3) if e in chain else 0 for e in report.values}
+    assert len(report.values) == 23
+
+
+def test_solve_auto_falls_back_to_additive_over_trial_cap(monkeypatch):
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     g = load_graph(CHAIN3_STRAYS)
     req = request(g, "(x, a b c, y)", "x=u1,y=u4", seed=5)
     gb = explain.gap_bound(req.query, 23)
@@ -699,8 +790,10 @@ def test_solve_auto_falls_back_to_additive_over_trial_cap():
     assert sum(est.successes for est in report.values.values()) == report.values["u1->u2"].samples
 
 
-def test_solve_over_trial_cap_when_the_gap_underflows_a_float():
-    # one word of length 180 on 180 players: gap 1/180! is below 1e-308
+def test_solve_over_trial_cap_when_the_gap_underflows_a_float(monkeypatch):
+    # one word of length 180 on 180 players: gap 1/180! is below 1e-308;
+    # the one-term lineage is counted unless its budget is cut
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     g = load_graph("".join(f"u{i} a u{i + 1} n\n" for i in range(180)))
     qtext = "(x, " + " ".join(["a"] * 180) + ", y)"
     req = request(g, qtext, "x=u0,y=u180", eps=0.5, delta=0.5)
@@ -729,10 +822,11 @@ def test_solve_explicit_sampler_over_trial_cap_before_any_valuation(monkeypatch,
     assert calls  # the counter sees the valuations of a request under the cap
 
 
-def test_solve_auto_multiplicative_for_finite_languages():
+def test_solve_auto_multiplicative_for_finite_languages(monkeypatch):
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     g = load_graph(CHAIN3)
     req = request(
-        g, "(x, a b c, y)", "x=u1,y=u4", subset_cap=2, eps=0.5, delta=0.2, seed=5
+        g, "(x, a b c, y)", "x=u1,y=u4", eps=0.5, delta=0.2, seed=5
     )
     report = explain.solve(req)
     assert report.method == "mc-multiplicative"

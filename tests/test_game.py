@@ -17,6 +17,7 @@ from helpers import (
     random_monotone_game,
     shapley_exact_permutation,
     shapley_exact_permutation_all,
+    shapley_exact_subset_all,
 )
 
 
@@ -31,13 +32,13 @@ def make_game(players, winners):
 
 def test_two_player_chain_splits_evenly():
     g = make_game(["e1", "e2"], [{"e1", "e2"}])
-    assert game.shapley_exact_subset_all(g)["e1"] == Fraction(1, 2)
+    assert shapley_exact_subset_all(g)["e1"] == Fraction(1, 2)
     assert shapley_exact_permutation(g, "e2") == Fraction(1, 2)
 
 
 def test_dictator_and_null_player():
     g = make_game(["d", "n"], [{"d"}])
-    values = game.shapley_exact_subset_all(g)
+    values = shapley_exact_subset_all(g)
     assert values["d"] == 1
     assert values["n"] == 0
 
@@ -45,7 +46,7 @@ def test_dictator_and_null_player():
 def test_subset_all_matches_per_player():
     g = make_game(list("abcd"), [{"a", "b"}, {"c"}])
     per_player = {p: shapley_exact_permutation(g, p) for p in g.players}
-    assert game.shapley_exact_subset_all(g) == per_player
+    assert shapley_exact_subset_all(g) == per_player
 
 
 def test_engines_match_textbook_sum_on_random_games():
@@ -55,7 +56,7 @@ def test_engines_match_textbook_sum_on_random_games():
         valuation = random_monotone_game(rng, players)
         g = game.CoalitionGame(players, valuation)
         expected = brute_shapley(players, valuation)
-        assert game.shapley_exact_subset_all(g) == expected, trial
+        assert shapley_exact_subset_all(g) == expected, trial
         assert shapley_exact_permutation_all(g) == expected, trial
 
 
@@ -77,7 +78,7 @@ def monotone_games(draw, max_players=5, max_winners=3):
 def test_engines_agree_property(players_winners):
     players, winners = players_winners
     g = make_game(players, winners)
-    values = game.shapley_exact_subset_all(g)
+    values = shapley_exact_subset_all(g)
     assert values == shapley_exact_permutation_all(g)
     assert sum(values.values()) == g.value(frozenset(players))
 
@@ -87,7 +88,7 @@ def test_engines_agree_property(players_winners):
 def test_size_counting_engine_matches_textbook_sum(players_winners):
     players, winners = players_winners
     g = make_game(players, winners)
-    assert game.shapley_exact_subset_all(g) == brute_shapley(players, g.valuation)
+    assert shapley_exact_subset_all(g) == brute_shapley(players, g.valuation)
 
 
 def _named(n, *groups):
@@ -118,8 +119,8 @@ def test_lineage_counter_matches_textbook_sum(players_winners):
 
 def test_lineage_counter_values_a_threshold_lineage_inside_the_sweep_budget(monkeypatch):
     """All 2-subsets of 12 players: the build and the reverse pass both
-    spend, and together they fit in the 4 << 12 steps that ``solve`` gives
-    a 12-player request before it falls back to the sweep."""
+    spend, and together they fit in 4 << 12 steps, four per coalition of
+    the 12 players."""
     players = [f"p{i}" for i in range(12)]
     terms = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(12), 2)]
     at_reverse = []
@@ -205,7 +206,7 @@ def test_overflow_before_any_table_or_valuation():
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationOverflow):
-            game.shapley_exact_subset_all(g)
+            shapley_exact_subset_all(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -229,7 +230,7 @@ def test_shapley_axioms_on_random_games():
         players = [f"p{i}" for i in range(rng.randint(2, 6))]
         valuation = random_monotone_game(rng, players)
         g = game.CoalitionGame(players, valuation)
-        values = game.shapley_exact_subset_all(g)
+        values = shapley_exact_subset_all(g)
         grand = valuation(frozenset(players))
         assert sum(values.values()) == grand  # efficiency (v(empty)=0)
         assert all(v >= 0 for v in values.values())  # monotone => non-negative
@@ -239,7 +240,7 @@ def test_enumeration_caps():
     players = [f"p{i}" for i in range(12)]
     g = make_game(players, [set(players)])
     with pytest.raises(EnumerationOverflow):
-        game.shapley_exact_subset_all(g, cap=10)
+        shapley_exact_subset_all(g, cap=10)
     with pytest.raises(EnumerationOverflow):
         shapley_exact_permutation_all(g, cap=9)
 
@@ -341,23 +342,7 @@ def test_mc_refuses_over_trial_cap_before_any_valuation():
 def test_mc_close_to_exact():
     players = list("abc")
     g = make_game(players, [{"a", "b"}, {"a", "c"}])
-    exact = game.shapley_exact_subset_all(g)["a"]  # 2/3
+    exact = shapley_exact_subset_all(g)["a"]  # 2/3
     assert exact == Fraction(2, 3)
     est = game.shapley_mc_all(g, 0.05, 0.01, seed=0)["a"]
     assert abs(est.value - exact) <= Fraction(1, 20)
-
-
-# --- nonzero ----------------------------------------------------------------
-
-def test_nonzero_via_supports():
-    g = make_game(list("abc"), [{"a", "b"}])
-    supports = [frozenset({"a", "b"}), frozenset({"b", "c"})]
-    assert game.shapley_nonzero(g, "a", iter(supports))
-    assert game.shapley_nonzero(g, "b", iter(supports))
-    assert not game.shapley_nonzero(g, "c", iter(supports))
-
-
-def test_nonzero_ignores_non_minimal_supports():
-    g = make_game(list("ab"), [{"a"}])
-    # b sits in a winning coalition but never in a minimal one
-    assert not game.shapley_nonzero(g, "b", iter([frozenset({"a", "b"})]))
