@@ -6,14 +6,11 @@ from .explain import (
     ExplainRequest,
     GapBound,
     candidate_supports,
-    edge_game,
     gap_bound,
     shapley_multiplicative_all,
     solve,
-    vertex_game,
 )
 from .game import (
-    CoalitionGame,
     SampledEstimate,
     ShapleyReport,
     sample_count,
@@ -36,7 +33,6 @@ from .regex import RegexAst, parse_regex
 
 __all__ = [
     "Assignment",
-    "CoalitionGame",
     "Crpq",
     "Dfa",
     "Edge",
@@ -53,7 +49,6 @@ __all__ = [
     "candidate_supports",
     "compile",
     "compile_crpq",
-    "edge_game",
     "edge_subgraph",
     "enumerate_answers",
     "eval_crpq_bound",
@@ -69,6 +64,5 @@ __all__ = [
     "shapley_mc_all",
     "shapley_multiplicative_all",
     "solve",
-    "vertex_game",
     "vertex_subgraph",
 ]

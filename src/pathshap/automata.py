@@ -17,7 +17,6 @@ class LanguageProfile:
     is_empty: bool
     is_finite: bool
     max_word_length: Optional[int]  # None when empty or infinite
-    short2: bool
 
 
 class Dfa:
@@ -219,15 +218,15 @@ def language_profile(d: Dfa) -> LanguageProfile:
         # start itself accepting covers the {epsilon} language, where the
         # start is useful; otherwise no accepting state is reachable.
         if d.start in d.accepting:
-            return LanguageProfile(False, True, 0, True)
-        return LanguageProfile(True, False, None, False)
+            return LanguageProfile(False, True, 0)
+        return LanguageProfile(True, False, None)
     edges = {
         q: {d.step(q, a) for a in d.alphabet if d.step(q, a) in d.useful}
         for q in d.useful
     }
     order, cyclic = _topological_order(edges)
     if cyclic:
-        return LanguageProfile(False, False, None, False)
+        return LanguageProfile(False, False, None)
     longest = {q: 0 if q in d.accepting else None for q in d.useful}
     for q in reversed(order):
         for nxt in edges[q]:
@@ -237,7 +236,7 @@ def language_profile(d: Dfa) -> LanguageProfile:
                     longest[q] = candidate
     max_len = longest[d.start]
     assert max_len is not None
-    return LanguageProfile(False, True, max_len, max_len <= 2)
+    return LanguageProfile(False, True, max_len)
 
 
 def _topological_order(edges: dict[int, set[int]]) -> tuple[list[int], bool]:

@@ -167,10 +167,10 @@ def _cmd_nonzero(args, out) -> int:
     # the baseline shift; when the exogenous part alone wins, the lineage is
     # [0], which holds no player, and the verdict is false, as in the
     # shifted game
-    game, lineage = explain._request_game(g, q, mu, args.player_kind)
-    if args.focus not in game.players:
+    players, _, lineage = explain._request_game(g, q, mu, args.player_kind)
+    if args.focus not in players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
-    focus = 1 << game.players.index(args.focus)
+    focus = 1 << players.index(args.focus)
     try:
         verdict = any(t & focus for t in lineage([args.budget]))
     except BudgetExceeded:

@@ -1,12 +1,12 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
-Builds the coalition games and their lineage, provides the gap-based
-multiplicative wrapper, and dispatches between the lineage counter and the
-samplers.  Every exact and auto request searches and counts its lineage
-first, whatever its query, player kind and player count, within a step
-budget: ``LINEAGE_BUDGET`` for ``exact``, which refuses past it, and the
-cost of the sampler it would fall back to for ``auto``, which samples past
-it.
+Builds a request's players, coalition predicate and lineage, provides the
+gap-based multiplicative wrapper, and dispatches between the lineage
+counter and the samplers.  Every exact and auto request searches and
+counts its lineage first, whatever its query, player kind and player
+count, within a step budget: ``LINEAGE_BUDGET`` for ``exact``, which
+refuses past it, and the cost of the sampler it would fall back to for
+``auto``, which samples past it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import game as game_mod
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import CoalitionGame, LineageGame, SampledEstimate, ShapleyReport
+from .game import SampledEstimate, ShapleyReport
 from .graph import LabeledGraph
 from .query import (
     Assignment,
@@ -96,29 +96,17 @@ class MultiplicativeEstimate:
 
 # --- game construction -----------------------------------------------------
 
-def edge_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
-    """Players are the endogenous edges; the valuation is the query on the
-    coalition's edges together with the exogenous ones, baseline-shifted."""
-    return _baseline_shifted(_request_game(g, q, mu, "edge")[0])
-
-
-def vertex_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> CoalitionGame:
-    """Vertex analogue: removing a vertex removes its incident edges, and a
-    coalition missing a bound endogenous vertex is losing."""
-    return _baseline_shifted(_request_game(g, q, mu, "vertex")[0])
-
-
 def _request_game(
     g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str
-) -> tuple[CoalitionGame, Callable[[list[int]], list[int]]]:
-    """The request's players, sorted, and the mask predicate before the
-    baseline shift: a coalition wins when it holds every bound endogenous
+) -> tuple[tuple[str, ...], Callable[[int], bool], Callable[[list[int]], list[int]]]:
+    """The request's players, sorted, the mask predicate before the
+    baseline shift, and ``lineage(budget)``, its minimal winning masks
+    (query.lineage).  A coalition wins when it holds every bound endogenous
     vertex and the query holds on the edges whose need mask it covers.  An
     edge needs its own bit, or in the vertex game the bits of its
-    endpoints; at mask 0 the predicate is the query on the exogenous part.
-    Beside it ``lineage(budget)``, its minimal winning masks (query.lineage)."""
+    endpoints; at mask 0 the predicate is the query on the exogenous part."""
     _check_vertices(g, *(mu[v] for v in q.variables))
-    players = sorted(g.endo_edges if player_kind == "edge" else g.endo_vertices)
+    players = tuple(sorted(g.endo_edges if player_kind == "edge" else g.endo_vertices))
     bits = {p: 1 << i for i, p in enumerate(players)}
     bound = 0
     if player_kind == "edge":
@@ -132,15 +120,7 @@ def _request_game(
         holds = lambda mask: not bound & ~mask and holds_on_mask(out, atoms, mask)
     else:
         holds = functools.partial(holds_on_mask, out, atoms)
-    return CoalitionGame(players, mask_valuation=holds), functools.partial(lineage, out, atoms, bound)
-
-
-def _baseline_shifted(game: CoalitionGame) -> CoalitionGame:
-    """The game, or constant 0 when the empty coalition (the exogenous part
-    alone) already wins."""
-    if game.mask_valuation(0):
-        return CoalitionGame(game.players, mask_valuation=lambda mask: 0)
-    return game
+    return players, holds, functools.partial(lineage, out, atoms, bound)
 
 
 # --- gap bound and multiplicative wrapper ----------------------------------
@@ -166,13 +146,13 @@ def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
 
 
 def shapley_multiplicative_all(
-    g: CoalitionGame, gb: GapBound, eps: float, delta: float, seed: int
+    players: Sequence[str], value: Callable[[int], int], gb: GapBound, eps: float, delta: float, seed: int
 ) -> dict[str, MultiplicativeEstimate]:
-    """Multiplicative (1+eps) estimates of every player from the additive
-    sampler: run it at ``multiplicative_tolerance`` and snap estimates below
-    gap/2 to zero."""
+    """Multiplicative (1+eps) estimates of every player of the game
+    ``value`` from the additive sampler: run it at
+    ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
     eps = min(eps, 0.99)
-    raw = game_mod.shapley_mc_all(g, multiplicative_tolerance(gb, eps), delta, seed)
+    raw = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed)
     return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
 
 
@@ -187,8 +167,9 @@ def candidate_supports(
 ) -> Iterator[frozenset[str]]:
     """The minimal winning coalitions of the game before the baseline shift,
     from the request's lineage; ``budget`` caps the search steps."""
-    game, lineage = _request_game(g, q, mu, player_kind)
-    yield from map(game.coalition_of, lineage([budget]))
+    players, _, lineage = _request_game(g, q, mu, player_kind)
+    for t in lineage([budget]):
+        yield frozenset(p for i, p in enumerate(players) if t >> i & 1)
 
 
 # --- dispatcher ------------------------------------------------------------
@@ -204,8 +185,7 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     # written so that a NaN eps or delta fails
     if not (0 < req.delta < 1 and req.eps > 0):
         raise ValueError("eps must be positive and delta must lie in (0, 1)")
-    game, lineage = _request_game(req.graph, req.query, req.binding, req.player_kind)
-    players = game.players
+    players, holds, lineage = _request_game(req.graph, req.query, req.binding, req.player_kind)
     if not players:
         raise NoPlayers(f"no endogenous {req.player_kind} players")
     if req.focus is not None and req.focus not in players:
@@ -245,7 +225,7 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         fallback_flag = "no-multiplicative-guarantee"
     count_trials = game_mod.capped_sample_count if req.mode.startswith("approx") else game_mod.sample_count
     trials = count_trials(tolerance, req.delta)
-    if game.mask_valuation(0):
+    if holds(0):
         flags.append("answer-exogenous")
         # the values of a lineage holding mask 0, as the lineage counter gives them
         return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
@@ -273,22 +253,25 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             raise
     if fallback_flag:
         flags.append(fallback_flag)
-    game = _sampled_game(game, terms, trials, len(req.graph.edges))
+    value = _sampled_game(holds, len(players), terms, trials, len(req.graph.edges))
     if engine == "mc-additive":
-        values = game_mod.shapley_mc_all(game, eps, req.delta, req.seed)
+        values = game_mod.shapley_mc_all(players, value, eps, req.delta, req.seed)
     else:
-        values = shapley_multiplicative_all(game, gb, eps, req.delta, req.seed)
+        values = shapley_multiplicative_all(players, value, gb, eps, req.delta, req.seed)
     return ShapleyReport(engine, {p: values[p] for p in targets}, tuple(flags))
 
 
-def _sampled_game(game: CoalitionGame, terms: Optional[list[int]], trials: float, edges: int) -> CoalitionGame:
-    """The sampler's game: the ``LineageGame`` of the request's terms when
-    their search finished, there is at most one term per edge of the graph,
-    and either at most one term or no more trials than coalitions;
-    otherwise ``game``, the memoized product search.  Past one term per edge
-    a vertex game's test is slower than the product search, and once the
-    trials outnumber the coalitions the memo answers most checks and a test
-    of several terms is slower too.  The rule is measured (README)."""
-    if terms is None or len(terms) > edges or (len(terms) > 1 and trials > 1 << len(game.players)):
-        return game
-    return LineageGame(game.players, terms)
+def _sampled_game(
+    holds: Callable[[int], bool], n: int, terms: Optional[list[int]], trials: float, edges: int
+) -> Callable[[int], int]:
+    """The sampler's valuation of the n players: the ``lineage_test`` of the
+    request's terms when their search finished, there is at most one term
+    per edge of the graph, and either at most one term or no more trials
+    than coalitions; otherwise the product search ``holds``, memoized.
+    Past one term per edge a vertex game's test is slower than the product
+    search, and once the trials outnumber the coalitions the memo answers
+    most checks and a test of several terms is slower too.  The rule is
+    measured (README)."""
+    if terms is None or len(terms) > edges or (len(terms) > 1 and trials > 1 << n):
+        return game_mod.memoized(holds)
+    return game_mod.lineage_test(terms)

@@ -1,16 +1,15 @@
 """Generic Shapley machinery over monotone 0/1 coalition games.
 
-Coalitions are frozensets of player ids on the public surface and bitmasks
-(bit i = the i-th player) inside.  The exact engine counts a game's lineage
+A game is its ordered players and a mask predicate: a coalition is a
+bitmask, bit i the i-th player.  The exact engine counts a game's lineage
 by size, compiled once into a DAG whose one reverse pass values every
 player, each polynomial packed into one int so that a polynomial operation
 is one big-int operation.
 The sampler draws its permutations with the stdlib shuffle's draws inlined
-and memoizes valuations per game in a dict cleared at
-``VALUATION_CACHE_SIZE`` entries, since permutation prefixes repeat
-heavily.  A ``LineageGame`` instead tests a mask against the lineage's
-terms, with no memo; ``explain.solve`` hands the sampler one when its
-lineage search finished within budget and the terms pass its term rule.
+and values the prefixes on whatever predicate it is given: ``explain.solve``
+hands it a product search behind ``memoized``, or a ``lineage_test`` of
+the terms when its lineage search finished within budget and the terms
+pass its term rule.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import mul, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import BudgetExceeded
 
@@ -31,72 +30,39 @@ TRIAL_CAP = 10**7
 VALUATION_CACHE_SIZE = 1 << 20
 
 
-class CoalitionGame:
-    """Ordered players plus a 0/1 valuation over coalitions.
+def memoized(value: Callable[[int], int]) -> Callable[[int], int]:
+    """``value`` as 0/1 behind a dict of the masks it was asked, cleared at
+    ``VALUATION_CACHE_SIZE`` entries, since permutation prefixes repeat
+    heavily."""
+    cache: dict[int, int] = {}
 
-    The valuation must satisfy v(empty) == 0 (baseline shifts belong to the
-    instantiating code) and must be monotone.  Give it on frozensets of
-    players (``valuation``) or on bitmasks (``mask_valuation``); the other
-    form is derived once, so both attributes are always there.
-    """
+    def cached(mask: int) -> int:
+        hit = cache.get(mask)
+        if hit is not None:
+            return hit
+        hit = 1 if value(mask) else 0
+        if len(cache) >= VALUATION_CACHE_SIZE:
+            cache.clear()
+        cache[mask] = hit
+        return hit
 
-    def __init__(
-        self,
-        players: Sequence[str],
-        valuation: Optional[Callable[[frozenset[str]], int]] = None,
-        *,
-        mask_valuation: Optional[Callable[[int], int]] = None,
-    ):
-        if (valuation is None) == (mask_valuation is None):
-            raise ValueError("give exactly one of valuation and mask_valuation")
-        self.players = tuple(players)
-        self._index = {p: i for i, p in enumerate(self.players)}
-        if mask_valuation is None:
-            mask_valuation = lambda mask: valuation(self.coalition_of(mask))
-        if valuation is None:
-            valuation = lambda coalition: mask_valuation(self.mask_of(coalition))
-        self.valuation = valuation
-        self.mask_valuation = mask_valuation
-        self._cache: dict[int, int] = {}
-
-    def value_of_mask(self, mask: int) -> int:
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        value = 1 if self.mask_valuation(mask) else 0
-        if len(self._cache) >= VALUATION_CACHE_SIZE:
-            self._cache.clear()
-        self._cache[mask] = value
-        return value
-
-    def value(self, coalition: Iterable[str]) -> int:
-        return self.value_of_mask(self.mask_of(coalition))
-
-    def mask_of(self, coalition: Iterable[str]) -> int:
-        mask = 0
-        for p in coalition:
-            mask |= 1 << self._index[p]
-        return mask
-
-    def coalition_of(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self.players) if mask >> i & 1)
+    return cached
 
 
-class LineageGame(CoalitionGame):
-    """A game given by its lineage, its minimal winning masks: a mask wins
-    when it holds one of them.  ``value_of_mask`` tests the terms on every
-    call, without the valuation memo: a test of a few terms costs about a
-    memo lookup, and the memo's entries would only be garbage."""
+def lineage_test(terms: Iterable[int]) -> Callable[[int], int]:
+    """The game of a lineage, its minimal winning masks: a mask wins when it
+    holds one of them.  It tests the terms on every call, without a memo: a
+    test of a few terms costs about a memo lookup, and the memo's entries
+    would only be garbage."""
+    terms = tuple(terms)
 
-    def __init__(self, players: Sequence[str], terms: Iterable[int]):
-        self.terms = tuple(terms)
-        super().__init__(players, mask_valuation=self.value_of_mask)
-
-    def value_of_mask(self, mask: int) -> int:
-        for t in self.terms:
+    def wins(mask: int) -> int:
+        for t in terms:
             if t & mask == t:
                 return 1
         return 0
+
+    return wins
 
 
 @dataclass(frozen=True)
@@ -361,17 +327,18 @@ def shuffles(n: int, seed: int, trials: int) -> Iterator[list[int]]:
 
 
 def shapley_mc_all(
-    g: CoalitionGame, eps: float, delta: float, seed: int
+    players: Sequence[str], value: Callable[[int], int], eps: float, delta: float, seed: int
 ) -> dict[str, SampledEstimate]:
-    """Additive Monte-Carlo estimates of every player from one stream of
-    Hoeffding-many permutations.
+    """Additive Monte-Carlo estimates of every player of the monotone 0/1
+    game ``value`` (a mask predicate, bit i the i-th player) from one stream
+    of Hoeffding-many permutations.
 
     The permutations are ``shuffles(n, seed, trials)``.  In a monotone 0/1
     game with v(empty) = 0 and v(N) = 1 every permutation has exactly one
     pivot, the player whose arrival makes the prefix win, and the pivot is
     the only player with marginal 1; a binary search over the prefixes
-    finds it in O(log n) valuations: product searches behind the memo, or
-    bitmask tests against the terms of a ``LineageGame``.  So each
+    finds it in O(log n) valuations: product searches behind ``memoized``,
+    or a ``lineage_test`` of the terms.  So each
     player's estimate is still the mean of independent Bernoulli samples of
     its own marginal, and one permutation serves every player.  If
     v(N) = 0 nothing is drawn and every estimate is 0.
@@ -379,8 +346,7 @@ def shapley_mc_all(
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
     trials = capped_sample_count(eps, delta)
-    value = g.value_of_mask
-    n = len(g.players)
+    n = len(players)
     pivots: dict[int, int] = {}
     if value((1 << n) - 1):
         for order in shuffles(n, seed, trials):
@@ -395,6 +361,6 @@ def shapley_mc_all(
             pivots[order[lo]] = pivots.get(order[lo], 0) + 1
     return {
         p: SampledEstimate(pivots.get(1 << i, 0), trials, eps, delta, seed)
-        for i, p in enumerate(g.players)
+        for i, p in enumerate(players)
     }
 

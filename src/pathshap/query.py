@@ -175,7 +175,7 @@ def _accepting_reach(out: OutLists, s: str, d: Dfa, mask: int) -> Iterator[str]:
     stack = [start]
     while stack:
         v, q = stack.pop()
-        step = d.useful_moves[q]
+        step = moves[q]
         for need, target, label in out[v]:
             if need & missing:
                 continue

@@ -4,7 +4,11 @@ Everything here recomputes results from first principles (direct language
 semantics, path enumeration, simple-path search, subset enumeration, the
 textbook subset-form Shapley sum, a sweep of every coalition counted by
 size, per-player marginals over a permutation stream) so the tests never
-trust the code paths they check.
+trust the code paths they check.  ``Game`` is the one game in two forms:
+the library's mask predicate, and a valuation on frozensets of players for
+the textbook oracles; ``edge_game`` and ``vertex_game`` give a request's
+baseline-shifted game in it, built on the request predicate, which the
+tests check against ``edge_subgraph`` and ``vertex_subgraph``.
 """
 
 from __future__ import annotations
@@ -14,14 +18,54 @@ import math
 import random
 from fractions import Fraction
 
-from pathshap import regex as rx
+from pathshap import explain, game, regex as rx
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet
-from pathshap.game import CoalitionGame
 from pathshap.graph import Edge, LabeledGraph
-from pathshap.query import _check_vertices
+from pathshap.query import Assignment, Crpq, _check_vertices
 
 PERMUTATION_CAP = 9
 SUBSET_CAP = 22
+
+
+class Game:
+    """A monotone 0/1 game: ``players`` in bit order and ``value``, a mask
+    predicate (bit i = the i-th player), the form the library reads; and
+    ``valuation``, the same game on frozensets of players."""
+
+    def __init__(self, players, value):
+        self.players = tuple(players)
+        self.value = value
+
+    @classmethod
+    def of_sets(cls, players, valuation) -> "Game":
+        """The game of a valuation on frozensets of players."""
+        players = tuple(players)
+        return cls(players, lambda mask: valuation(frozenset(p for i, p in enumerate(players) if mask >> i & 1)))
+
+    def mask_of(self, coalition) -> int:
+        return sum(1 << i for i, p in enumerate(self.players) if p in coalition)
+
+    def valuation(self, coalition) -> int:
+        return 1 if self.value(self.mask_of(coalition)) else 0
+
+
+def edge_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> Game:
+    """Players are the endogenous edges; the valuation is the query on the
+    coalition's edges together with the exogenous ones, baseline-shifted."""
+    return _baseline_shifted(g, q, mu, "edge")
+
+
+def vertex_game(g: LabeledGraph, q: Crpq, mu: Assignment) -> Game:
+    """Vertex analogue: removing a vertex removes its incident edges, and a
+    coalition missing a bound endogenous vertex is losing."""
+    return _baseline_shifted(g, q, mu, "vertex")
+
+
+def _baseline_shifted(g: LabeledGraph, q: Crpq, mu: Assignment, player_kind: str) -> Game:
+    """The request's game, memoized, or constant 0 when the empty coalition
+    (the exogenous part alone) already wins."""
+    players, holds, _ = explain._request_game(g, q, mu, player_kind)
+    return Game(players, game.memoized((lambda mask: 0) if holds(0) else holds))
 
 
 def ast_matches(ast, word: tuple[str, ...], alphabet: frozenset[str]) -> bool:
@@ -182,7 +226,7 @@ def brute_shapley(players, valuation) -> dict[str, Fraction]:
     return values
 
 
-def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
+def shapley_exact_subset_all(g: Game, cap: int = SUBSET_CAP) -> dict[str, Fraction]:
     """Exact values of every player, from winning coalitions counted by size.
 
     With W(k) the size-k winning coalitions and W_a(k) those among them that
@@ -197,7 +241,7 @@ def shapley_exact_subset_all(g: CoalitionGame, cap: int = SUBSET_CAP) -> dict[st
     n = len(g.players)
     if n > cap:
         raise EnumerationOverflow(f"{n} players exceeds subset enumeration cap {cap}")
-    wins = g.mask_valuation
+    wins = g.value
     full = 1 << n
     table = bytearray(full)
     for mask in range(1, full):  # v(empty) = 0
@@ -228,7 +272,7 @@ def _masks_with_bit(table: bytearray, bit: int) -> bytes:
 
 
 def shapley_exact_permutation(g, a: str, cap: int = PERMUTATION_CAP) -> Fraction:
-    """Permutation-form exact value of one player of a CoalitionGame."""
+    """Permutation-form exact value of one player of a ``Game``."""
     return shapley_exact_permutation_all(g, cap)[a]
 
 
@@ -245,7 +289,7 @@ def shapley_exact_permutation_all(g, cap: int = PERMUTATION_CAP) -> dict[str, Fr
         previous = 0
         for i in perm:
             mask |= bits[i]
-            current = g.value_of_mask(mask)
+            current = g.value(mask)
             if current != previous:
                 counts[g.players[i]] += current - previous
             previous = current

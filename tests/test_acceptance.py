@@ -15,11 +15,14 @@ from pathshap import cli, explain, game, query
 from pathshap.graph import Edge, LabeledGraph, load_graph, serialize
 
 from helpers import (
+    Game,
+    edge_game,
     edge_on_simple_path,
     random_labeled_graph,
     random_monotone_game,
     shapley_exact_permutation_all,
     shapley_exact_subset_all,
+    vertex_game,
 )
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
@@ -100,7 +103,7 @@ def test_criterion_2_definition_agreement():
     for trial in range(200):
         players = [f"p{i}" for i in range(rng.randint(1, 8))]
         valuation = random_monotone_game(rng, players)
-        g = game.CoalitionGame(players, valuation)
+        g = Game.of_sets(players, valuation)
         subset = shapley_exact_subset_all(g)
         permutation = shapley_exact_permutation_all(g)
         assert subset == permutation, trial
@@ -120,7 +123,7 @@ def test_criterion_2_definition_agreement():
                 for (s, t), lab in zip(positions, labels)
             ]
             graph = LabeledGraph(vertices, edges, [e.id for e in edges], vertices)
-            cg = explain.edge_game(graph, q, mu)
+            cg = edge_game(graph, q, mu)
             subset = shapley_exact_subset_all(cg)
             assert subset == shapley_exact_permutation_all(cg)
             _axiom_check(cg, subset, cg.valuation)
@@ -153,7 +156,7 @@ def test_criterion_3_polynomial_algorithm():
         expr = " | ".join(" ".join(w) for w in words)
         q = crpq(f"(x, {expr}, y)", frozenset("ab"))
         mu = query.Assignment({"x": s, "y": t})
-        oracle = shapley_exact_permutation_all(explain.edge_game(g, q, mu))
+        oracle = shapley_exact_permutation_all(edge_game(g, q, mu))
 
         # an endogenous edge in two minimal supports makes overlapping matches
         on_supports = Counter(e for support in explain.candidate_supports(g, q, mu) for e in support)
@@ -174,12 +177,12 @@ def test_criterion_4_additive_sampler_calibration(fig_graph):
     seeded runs stays at or below 0.05."""
     q = crpq("(x, a b c, y)")
     mu = query.parse_binding("x=v1,y=v6", q)
-    cg = explain.edge_game(fig_graph, q, mu)
+    cg = edge_game(fig_graph, q, mu)
     exact = Fraction(1, 3)
     runs = 2000
     failures = 0
     for seed in range(runs):
-        est = game.shapley_mc_all(cg, eps=0.1, delta=0.05, seed=seed)["v3->v5"]
+        est = game.shapley_mc_all(cg.players, cg.value, eps=0.1, delta=0.05, seed=seed)["v3->v5"]
         assert est.samples == 185  # ceil(ln(40) / 0.02)
         if abs(est.value - exact) > Fraction(1, 10):
             failures += 1
@@ -194,7 +197,7 @@ def test_criterion_5_multiplicative_wrapper():
     g = load_graph(CHAIN3)
     q = crpq("(x, a b c, y)", g.alphabet)
     mu = query.parse_binding("x=u1,y=u4", q)
-    cg = explain.edge_game(g, q, mu)
+    cg = edge_game(g, q, mu)
     gb = explain.gap_bound(q, 3)
     assert gb.gap == Fraction(1, 6)
     exact = Fraction(1, 3)
@@ -202,17 +205,17 @@ def test_criterion_5_multiplicative_wrapper():
     failures = 0
     runs = 1000
     for seed in range(runs):
-        est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=seed)["u2->u3"]
+        est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=seed)["u2->u3"]
         if not lo <= est.value <= hi:
             failures += 1
     assert failures / runs <= 0.05
 
     stray = load_graph(CHAIN3 + "u5 a u6 n\n")
-    cg_null = explain.edge_game(stray, q, mu)
+    cg_null = edge_game(stray, q, mu)
     gb_null = explain.gap_bound(q, len(stray.endo_edges))
     for seed in range(100):
         est = explain.shapley_multiplicative_all(
-            cg_null, gb_null, eps=0.5, delta=0.05, seed=seed
+            cg_null.players, cg_null.value, gb_null, eps=0.5, delta=0.05, seed=seed
         )["u5->u6"]
         assert est.value == 0
     _report(f"criterion 5 PASS: multiplicative wrapper failure rate "
@@ -251,13 +254,13 @@ def test_criterion_6_nonzero_decision(tmp_path):
         path.write_text(serialize(g))
         for qtext in queries:
             q = crpq(qtext, sigma)
-            cg = explain.edge_game(g, q, mu2)
+            cg = edge_game(g, q, mu2)
             exact = shapley_exact_subset_all(cg)
             for eid in cg.players:
                 verdict = _nonzero(path, qtext, mu2, "edge", eid)
                 assert verdict == (exact[eid] > 0), (trial, qtext, eid)
 
-            vg = explain.vertex_game(g, q, mu2)
+            vg = vertex_game(g, q, mu2)
             vexact = shapley_exact_subset_all(vg)
             for vid in vg.players:
                 verdict = _nonzero(path, qtext, mu2, "vertex", vid)
@@ -267,7 +270,7 @@ def test_criterion_6_nonzero_decision(tmp_path):
             # all-endogenous: the simple-path criterion characterizes
             # positivity for the any-word query
             q = crpq("(x, .*, y)", sigma)
-            cg = explain.edge_game(g, q, mu2)
+            cg = edge_game(g, q, mu2)
             exact = shapley_exact_subset_all(cg)
             for eid in cg.players:
                 on_path = edge_on_simple_path(g, s, t, eid)

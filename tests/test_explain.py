@@ -16,7 +16,15 @@ from pathshap.errors import (
 from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
 
 from conftest import RUNNING_EXAMPLE
-from helpers import brute_shapley, edge_on_simple_path, random_labeled_graph, shapley_exact_subset_all
+from helpers import (
+    Game,
+    brute_shapley,
+    edge_game,
+    edge_on_simple_path,
+    random_labeled_graph,
+    shapley_exact_subset_all,
+    vertex_game,
+)
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"
 
@@ -42,33 +50,33 @@ def request(graph, qtext, btext, **kw):
 
 def test_edge_game_valuation(fig_graph):
     q = crpq("(x, a b c, y)")
-    g = explain.edge_game(fig_graph, q, bind("x=v1,y=v6", q))
-    assert g.value(frozenset()) == 0
-    assert g.value({"v1->v3", "v3->v5", "v5->v6"}) == 1
-    assert g.value({"v1->v3", "v3->v5"}) == 0
-    assert g.value(frozenset(fig_graph.endo_edges)) == 1
+    g = edge_game(fig_graph, q, bind("x=v1,y=v6", q))
+    assert g.valuation(frozenset()) == 0
+    assert g.valuation({"v1->v3", "v3->v5", "v5->v6"}) == 1
+    assert g.valuation({"v1->v3", "v3->v5"}) == 0
+    assert g.valuation(frozenset(fig_graph.endo_edges)) == 1
 
 
 def test_edge_game_baseline_shift():
     g = load_graph("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n")
     q = crpq("(x, . .*, y)", g.alphabet)
-    cg = explain.edge_game(g, q, bind("x=u1,y=u3", q))
+    cg = edge_game(g, q, bind("x=u1,y=u3", q))
     # exogenous edges already answer the query: shifted game is identically 0
-    assert cg.value({"u1->u3"}) == 0
+    assert cg.valuation({"u1->u3"}) == 0
 
 
 def test_vertex_game_valuation(fig_graph):
     q = crpq("(x, a b c, y)")
-    g = explain.vertex_game(fig_graph, q, bind("x=v1,y=v6", q))
-    assert g.value({"v1", "v3", "v5", "v6"}) == 1
-    assert g.value({"v1", "v5", "v6"}) == 0
+    g = vertex_game(fig_graph, q, bind("x=v1,y=v6", q))
+    assert g.valuation({"v1", "v3", "v5", "v6"}) == 1
+    assert g.valuation({"v1", "v5", "v6"}) == 0
     # coalitions missing a bound vertex are losing
-    assert g.value({"v3", "v5", "v6"}) == 0
+    assert g.valuation({"v3", "v5", "v6"}) == 0
 
 
 def test_vertex_game_exact_values(fig_graph):
     q = crpq("(x, a b c, y)")
-    g = explain.vertex_game(fig_graph, q, bind("x=v1,y=v6", q))
+    g = vertex_game(fig_graph, q, bind("x=v1,y=v6", q))
     values = shapley_exact_subset_all(g)
     # the four vertices of the single witness path share the unit equally
     for v in ("v1", "v3", "v5", "v6"):
@@ -94,8 +102,9 @@ def _holds_on(sub, q, mu):
 )
 @settings(max_examples=80, deadline=None)
 def test_mask_valuations_match_subgraph_definition(seed, qtext, exo_prob):
-    """Edge and vertex games give, on every coalition, the baseline-shifted
-    query on edge_subgraph / vertex_subgraph."""
+    """The request predicate of edge and vertex players gives, on every
+    coalition, the query on edge_subgraph / vertex_subgraph, and the
+    baseline-shifted games of the oracles the shifted query."""
     rng = random.Random(seed)
     g = random_labeled_graph(
         rng, rng.randint(2, 4), rng.randint(1, 7), exo_prob=exo_prob,
@@ -103,15 +112,18 @@ def test_mask_valuations_match_subgraph_definition(seed, qtext, exo_prob):
     )
     q = crpq(qtext, frozenset("ab"))
     mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
-    for build, subgraph in ((explain.edge_game, edge_subgraph), (explain.vertex_game, vertex_subgraph)):
+    for player_kind, build, subgraph in (("edge", edge_game, edge_subgraph), ("vertex", vertex_game, vertex_subgraph)):
+        players, holds, _ = explain._request_game(g, q, mu, player_kind)
+        request = Game(players, holds)
         cg = build(g, q, mu)
+        assert cg.players == players
         baseline = _holds_on(subgraph(g, ()), q, mu)
-        for size in range(len(cg.players) + 1):
-            for combo in itertools.combinations(cg.players, size):
+        for size in range(len(players) + 1):
+            for combo in itertools.combinations(players, size):
                 coalition = frozenset(combo)
-                expected = 0 if baseline else int(_holds_on(subgraph(g, coalition), q, mu))
-                assert cg.value(coalition) == expected, (build.__name__, sorted(coalition))
-                assert int(cg.valuation(coalition)) == expected
+                on_subgraph = int(_holds_on(subgraph(g, coalition), q, mu))
+                assert request.valuation(coalition) == on_subgraph, (player_kind, sorted(coalition))
+                assert cg.valuation(coalition) == (0 if baseline else on_subgraph)
 
 
 def test_mask_valuations_cover_baseline_games():
@@ -120,13 +132,14 @@ def test_mask_valuations_cover_baseline_games():
     g = load_graph("u1 a u2 x\nu2 b u3 n\nv u1 x\nv u2 x\n")
     q = crpq("(x, a b*, y)")
     mu = bind("x=u1,y=u2", q)
-    for build, subgraph in ((explain.edge_game, edge_subgraph), (explain.vertex_game, vertex_subgraph)):
+    for player_kind, build, subgraph in (("edge", edge_game, edge_subgraph), ("vertex", vertex_game, vertex_subgraph)):
+        players, holds, _ = explain._request_game(g, q, mu, player_kind)
+        assert players and holds(0) and _holds_on(subgraph(g, ()), q, mu)
         cg = build(g, q, mu)
-        assert cg.players and _holds_on(subgraph(g, ()), q, mu)
         assert all(
-            cg.value(frozenset(c)) == 0
-            for size in range(len(cg.players) + 1)
-            for c in itertools.combinations(cg.players, size)
+            cg.valuation(frozenset(c)) == 0
+            for size in range(len(players) + 1)
+            for c in itertools.combinations(players, size)
         )
 
 
@@ -147,7 +160,7 @@ def test_solve_short_words_match_the_subset_oracle(graph_text, qtext, btext):
     req = request(g, qtext, btext)
     report = explain.solve(req)
     assert report.method == "exact-lineage"
-    assert report.values == shapley_exact_subset_all(explain.edge_game(g, req.query, req.binding))
+    assert report.values == shapley_exact_subset_all(edge_game(g, req.query, req.binding))
     for eid in g.exo_edges:
         with pytest.raises(InvalidPlayerSet):
             explain.solve(request(g, qtext, btext, focus=eid))
@@ -175,19 +188,19 @@ def test_gap_bound_rejects_infinite_language():
 def test_multiplicative_null_player_snaps_to_zero():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
     q = crpq("(x, a b c, y)", g.alphabet)
-    cg = explain.edge_game(g, q, bind("x=u1,y=u4", q))
+    cg = edge_game(g, q, bind("x=u1,y=u4", q))
     gb = explain.gap_bound(q, len(g.endo_edges))
-    est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=3)["u5->u6"]
+    est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=3)["u5->u6"]
     assert est.value == 0
 
 
 def test_multiplicative_within_factor_on_chain():
     g = load_graph(CHAIN3)
     q = crpq("(x, a b c, y)", g.alphabet)
-    cg = explain.edge_game(g, q, bind("x=u1,y=u4", q))
+    cg = edge_game(g, q, bind("x=u1,y=u4", q))
     gb = explain.gap_bound(q, 3)
     assert gb.gap == Fraction(1, 6)
-    est = explain.shapley_multiplicative_all(cg, gb, eps=0.5, delta=0.05, seed=11)["u1->u2"]
+    est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=11)["u1->u2"]
     exact = Fraction(1, 3)
     assert exact / Fraction(3, 2) <= est.value <= exact * Fraction(3, 2)
 
@@ -290,19 +303,17 @@ def test_lineage_values_match_the_oracles(seed, qtext, player_kind):
     )
     q = crpq(qtext, frozenset("ab"))
     mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
-    request_game, lineage = explain._request_game(g, q, mu, player_kind)
-    players = request_game.players
+    players, wins, lineage = explain._request_game(g, q, mu, player_kind)
     assume(players)
     minimal = set()
     for mask in range(1 << len(players)):
-        wins = request_game.mask_valuation
         if wins(mask) and not any(wins(mask & ~(1 << i)) for i in range(len(players)) if mask >> i & 1):
             minimal.add(frozenset(p for i, p in enumerate(players) if mask >> i & 1))
     assert set(explain.candidate_supports(g, q, mu, player_kind)) == minimal
 
     budget = [10**6]
     values = game.shapley_lineage_all(players, lineage(budget), budget)
-    cg = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, q, mu)
+    cg = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     assert values == brute_shapley(players, cg.valuation) == shapley_exact_subset_all(cg)
     for mode in ("exact", "auto"):
         report = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode=mode))
@@ -323,7 +334,7 @@ def test_solve_falls_back_to_the_sweep_over_the_lineage_budget(monkeypatch):
     assert report.method == "exact-lineage"
     assert report.values == {"u6->u7": Fraction(1, 2), "u7->u8": Fraction(1, 2)}
     q = crpq("(x, a* b c, y)", g.alphabet)
-    _, lineage = explain._request_game(g, q, bind("x=u0,y=u8", q), "edge")
+    _, _, lineage = explain._request_game(g, q, bind("x=u0,y=u8", q), "edge")
     budget = [100]
     assert game.shapley_lineage_all(["u6->u7", "u7->u8"], lineage(budget), budget) == report.values
     with pytest.raises(BudgetExceeded):
@@ -364,9 +375,9 @@ def _counting_holds(calls):
     return counted
 
 
-def _on_lineage(players, terms):
-    """The game whose valuation is the lineage's bitmask test."""
-    return game.CoalitionGame(players, mask_valuation=lambda mask: any(t & mask == t for t in terms))
+def _on_lineage(terms):
+    """The lineage's bitmask test."""
+    return lambda mask: any(t & mask == t for t in terms)
 
 
 @given(
@@ -398,22 +409,21 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
     # an answer when there is one, so that most requests draw permutations
     answers = query.enumerate_answers(g, q) or [[rng.choice(sorted(g.vertices)) for _ in q.variables]]
     mu = query.Assignment(dict(zip(q.variables, rng.choice(answers))))
-    request_game, lineage = explain._request_game(g, q, mu, player_kind)
-    players = request_game.players
-    assume(players and not request_game.mask_valuation(0))
+    players, holds, lineage = explain._request_game(g, q, mu, player_kind)
+    assume(players and not holds(0))
     delta = 0.5 if small else 0.1
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
         report = explain.solve(explain.ExplainRequest(
             g, q, mu, player_kind=player_kind, mode=mode, eps=eps, delta=delta, seed=seed))
-    product = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, q, mu)
+    product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     if small:
         gb = explain.gap_bound(q, len(players))
         expected = game.ShapleyReport(
-            "mc-multiplicative", explain.shapley_multiplicative_all(product, gb, eps, delta, seed))
+            "mc-multiplicative", explain.shapley_multiplicative_all(players, product.value, gb, eps, delta, seed))
     else:
-        expected = game.ShapleyReport("mc-additive", game.shapley_mc_all(product, eps, delta, seed))
+        expected = game.ShapleyReport("mc-additive", game.shapley_mc_all(players, product.value, eps, delta, seed))
     assert report == expected
     trials = report.values[players[0]].samples
     try:
@@ -433,12 +443,14 @@ def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
     report = explain.solve(req)
     players = ["u6->u7", "u7->u8"]
     assert report.values["u6->u7"].samples == 17
-    _, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    _, _, lineage = explain._request_game(g, req.query, req.binding, "edge")
     with pytest.raises(BudgetExceeded):
         lineage([17])
-    on_lineage = _on_lineage(players, lineage([10**6]))
-    product = explain.edge_game(g, req.query, req.binding)
-    assert report.values == game.shapley_mc_all(product, 0.3, 0.1, 5) == game.shapley_mc_all(on_lineage, 0.3, 0.1, 5)
+    on_lineage = _on_lineage(lineage([10**6]))
+    product = edge_game(g, req.query, req.binding)
+    assert product.players == tuple(players)
+    assert (report.values == game.shapley_mc_all(players, product.value, 0.3, 0.1, 5)
+            == game.shapley_mc_all(players, on_lineage, 0.3, 0.1, 5))
 
 
 # four stages of two parallel a-paths: a lineage of 16 terms over 12 edges
@@ -469,12 +481,12 @@ def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_
     assert any(calls)  # product searches past the baseline's
     trials = game.sample_count(0.04, 0.05)
     assert trials == 1153
-    request_game, lineage = explain._request_game(g, req.query, req.binding, player_kind)
+    players, _, lineage = explain._request_game(g, req.query, req.binding, player_kind)
     found = lineage([trials])
-    assert len(found) == terms and (terms > len(g.edges) or trials > 1 << len(request_game.players))
-    product = (explain.edge_game if player_kind == "edge" else explain.vertex_game)(g, req.query, req.binding)
-    on_lineage = _on_lineage(request_game.players, found)
-    assert report.values == game.shapley_mc_all(product, 0.04, 0.05, 2) == game.shapley_mc_all(on_lineage, 0.04, 0.05, 2)
+    assert len(found) == terms and (terms > len(g.edges) or trials > 1 << len(players))
+    product = (edge_game if player_kind == "edge" else vertex_game)(g, req.query, req.binding)
+    assert (report.values == game.shapley_mc_all(players, product.value, 0.04, 0.05, 2)
+            == game.shapley_mc_all(players, _on_lineage(found), 0.04, 0.05, 2))
 
 
 @pytest.mark.parametrize("graph_text, qtext, btext, mode", [
@@ -495,7 +507,7 @@ def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_tex
 
 def test_solve_golden_word_query(fig_graph):
     report = explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6"))
-    assert report.method == "exact-lineage"  # three-symbol word: not short2
+    assert report.method == "exact-lineage"  # a three-symbol word, counted on its lineage
     for eid in ("v1->v3", "v3->v5", "v5->v6"):
         assert report.values[eid] == Fraction(1, 3)
     assert sum(report.values.values()) == 1
@@ -516,7 +528,7 @@ def test_solve_short_words_with_overlapping_matches():
     assert report.method == "exact-lineage"
     assert report.flags == ()
     q = crpq("(x, a b | c a, y)", g.alphabet)
-    oracle = shapley_exact_subset_all(explain.edge_game(g, q, bind("x=u1,y=u2", q)))
+    oracle = shapley_exact_subset_all(edge_game(g, q, bind("x=u1,y=u2", q)))
     assert report.values == oracle
 
 
@@ -602,7 +614,7 @@ def test_auto_searches_the_lineage_once(monkeypatch):
     search."""
     g = load_graph(CHAIN3)
     req = request(g, "(x, a b c, y)", "x=u1,y=u4", eps=0.5, delta=0.2, seed=5)
-    _, lineage = explain._request_game(g, req.query, req.binding, "edge")
+    _, _, lineage = explain._request_game(g, req.query, req.binding, "edge")
     budget = [10**6]
     lineage(budget)
     search = 10**6 - budget[0]

@@ -12,7 +12,9 @@ from pathshap.errors import BudgetExceeded, EnumerationOverflow
 from pathshap.graph import load_graph
 
 from helpers import (
+    Game,
     brute_shapley,
+    edge_game,
     pivot_oracle_counts,
     random_monotone_game,
     shapley_exact_permutation,
@@ -23,9 +25,7 @@ from helpers import (
 
 def make_game(players, winners):
     winners = [frozenset(w) for w in winners]
-    return game.CoalitionGame(
-        players, lambda b: 1 if any(w <= b for w in winners) else 0
-    )
+    return Game.of_sets(players, lambda b: 1 if any(w <= b for w in winners) else 0)
 
 
 # --- exact engines ----------------------------------------------------------
@@ -54,7 +54,7 @@ def test_engines_match_textbook_sum_on_random_games():
     for trial in range(40):
         players = [f"p{i}" for i in range(rng.randint(1, 6))]
         valuation = random_monotone_game(rng, players)
-        g = game.CoalitionGame(players, valuation)
+        g = Game.of_sets(players, valuation)
         expected = brute_shapley(players, valuation)
         assert shapley_exact_subset_all(g) == expected, trial
         assert shapley_exact_permutation_all(g) == expected, trial
@@ -80,7 +80,7 @@ def test_engines_agree_property(players_winners):
     g = make_game(players, winners)
     values = shapley_exact_subset_all(g)
     assert values == shapley_exact_permutation_all(g)
-    assert sum(values.values()) == g.value(frozenset(players))
+    assert sum(values.values()) == g.valuation(frozenset(players))
 
 
 @given(monotone_games(max_players=8, max_winners=4))
@@ -140,8 +140,8 @@ def _looped_fan(branches):
 def _request_lineage(graph_text, qtext, btext, player_kind):
     g = load_graph(graph_text)
     q = query.compile_crpq(qtext, g.alphabet)
-    request_game, lineage = explain._request_game(g, q, query.parse_binding(btext, q), player_kind)
-    return request_game.players, lineage([10**7])
+    players, _, lineage = explain._request_game(g, q, query.parse_binding(btext, q), player_kind)
+    return players, lineage([10**7])
 
 
 FAN_QUERY = "(x, a b | a c | c, y)"
@@ -200,9 +200,7 @@ def test_lineage_counter_spends_its_budget():
 
 def test_overflow_before_any_table_or_valuation():
     calls = []
-    g = game.CoalitionGame(
-        [f"p{i}" for i in range(40)], mask_valuation=lambda mask: calls.append(mask) or 0
-    )
+    g = Game([f"p{i}" for i in range(40)], lambda mask: calls.append(mask) or 0)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationOverflow):
@@ -214,22 +212,12 @@ def test_overflow_before_any_table_or_valuation():
     assert peak < 1 << 20  # a 2^40-entry table would be a terabyte
 
 
-def test_game_takes_exactly_one_valuation_form():
-    with pytest.raises(ValueError):
-        game.CoalitionGame(["a"])
-    with pytest.raises(ValueError):
-        game.CoalitionGame(["a"], lambda b: 0, mask_valuation=lambda m: 0)
-    g = game.CoalitionGame(["a", "b"], mask_valuation=lambda m: m == 3)
-    assert g.valuation(frozenset({"a", "b"})) and not g.valuation(frozenset({"b"}))
-    assert g.value({"a", "b"}) == 1 and g.value({"a"}) == 0
-
-
 def test_shapley_axioms_on_random_games():
     rng = random.Random(17)
     for _ in range(30):
         players = [f"p{i}" for i in range(rng.randint(2, 6))]
         valuation = random_monotone_game(rng, players)
-        g = game.CoalitionGame(players, valuation)
+        g = Game.of_sets(players, valuation)
         values = shapley_exact_subset_all(g)
         grand = valuation(frozenset(players))
         assert sum(values.values()) == grand  # efficiency (v(empty)=0)
@@ -249,7 +237,7 @@ def test_permutation_oracle_on_running_example_edge(fig_graph):
     # an edge shared by both matching paths of the infinite-language atom
     q = query.compile_crpq("(x, a b*, y)", fig_graph.alphabet)
     mu = query.parse_binding("x=v1,y=v6", q)
-    g = explain.edge_game(fig_graph, q, mu)
+    g = edge_game(fig_graph, q, mu)
     assert shapley_exact_permutation(g, "v2->v6") == Fraction(1, 4)
 
 
@@ -265,24 +253,24 @@ def test_mc_validates_parameters():
     g = make_game(["a", "b"], [{"a"}])
     for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
         with pytest.raises(ValueError):
-            game.shapley_mc_all(g, eps, delta, seed=0)
+            game.shapley_mc_all(g.players, g.value, eps, delta, seed=0)
 
 
 def test_mc_exact_on_degenerate_games():
     null = make_game(["a", "b"], [])
-    est = game.shapley_mc_all(null, 0.3, 0.1, seed=1)["a"]
+    est = game.shapley_mc_all(null.players, null.value, 0.3, 0.1, seed=1)["a"]
     assert est.successes == 0 and est.value == 0
     dictator = make_game(["a", "b", "c"], [{"a"}])
-    est = game.shapley_mc_all(dictator, 0.3, 0.1, seed=1)["a"]
+    est = game.shapley_mc_all(dictator.players, dictator.value, 0.3, 0.1, seed=1)["a"]
     assert est.value == 1
 
 
 def test_mc_deterministic_per_seed():
     g = make_game(list("abcde"), [{"a", "b"}, {"c", "d", "e"}])
-    first = game.shapley_mc_all(g, 0.1, 0.05, seed=42)
-    second = game.shapley_mc_all(g, 0.1, 0.05, seed=42)
+    first = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=42)
+    second = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=42)
     assert first == second
-    other = game.shapley_mc_all(g, 0.1, 0.05, seed=43)
+    other = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=43)
     assert other["b"].samples == first["b"].samples  # same contract, different draw
 
 
@@ -297,7 +285,7 @@ def test_mc_deterministic_per_seed():
 def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
     players, winners = players_winners
     g = make_game(players, winners)
-    estimates = game.shapley_mc_all(g, eps, 0.1, seed)
+    estimates = game.shapley_mc_all(g.players, g.value, eps, 0.1, seed)
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(players, g.valuation, trials, seed)
     assert {p: est.successes for p, est in estimates.items()} == expected
@@ -321,7 +309,7 @@ def test_shuffles_draw_the_stdlib_shuffle_stream(seed):
 
 def test_mc_all_players_successes_sum_to_samples():
     g = make_game(list("abcdefg"), [{"a", "b"}, {"c", "d"}, {"e", "f", "g"}])
-    every = game.shapley_mc_all(g, 0.1, 0.05, seed=3)
+    every = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=3)
     samples = game.sample_count(0.1, 0.05)
     assert sum(est.successes for est in every.values()) == samples
     assert all(est.samples == samples for est in every.values())
@@ -329,13 +317,11 @@ def test_mc_all_players_successes_sum_to_samples():
 
 def test_mc_refuses_over_trial_cap_before_any_valuation():
     calls = []
-    g = game.CoalitionGame(
-        [f"p{i}" for i in range(23)], mask_valuation=lambda mask: calls.append(mask) or 1
-    )
+    players = [f"p{i}" for i in range(23)]
     eps = 1e-4
     assert game.sample_count(eps, 0.05) > game.TRIAL_CAP
     with pytest.raises(BudgetExceeded):
-        game.shapley_mc_all(g, eps, 0.05, seed=0)
+        game.shapley_mc_all(players, lambda mask: calls.append(mask) or 1, eps, 0.05, seed=0)
     assert calls == []
 
 
@@ -344,5 +330,25 @@ def test_mc_close_to_exact():
     g = make_game(players, [{"a", "b"}, {"a", "c"}])
     exact = shapley_exact_subset_all(g)["a"]  # 2/3
     assert exact == Fraction(2, 3)
-    est = game.shapley_mc_all(g, 0.05, 0.01, seed=0)["a"]
+    est = game.shapley_mc_all(g.players, g.value, 0.05, 0.01, seed=0)["a"]
     assert abs(est.value - exact) <= Fraction(1, 20)
+
+
+def test_memo_values_a_mask_again_after_a_clear(monkeypatch, fig_graph):
+    """With room for two entries the memo clears when a third mask comes:
+    a mask asked again after a clear runs the product search again, and the
+    sampler's estimates on the memoized search are those on the bare one."""
+    q = query.compile_crpq("(x, a b*, y)", fig_graph.alphabet)
+    players, holds, _ = explain._request_game(fig_graph, q, query.parse_binding("x=v1,y=v6", q), "edge")
+    monkeypatch.setattr(game, "VALUATION_CACHE_SIZE", 2)
+    calls = []
+    value = game.memoized(lambda mask: calls.append(mask) or holds(mask))
+    full = (1 << len(players)) - 1
+    masks = [full, full, 1, 2, full]
+    assert [value(m) for m in masks] == [int(holds(m)) for m in masks]
+    assert calls == [full, 1, 2, full]
+    del calls[:]
+    estimates = game.shapley_mc_all(players, value, 0.1, 0.05, seed=4)
+    assert estimates == game.shapley_mc_all(players, holds, 0.1, 0.05, seed=4)
+    assert len(calls) > len(set(calls))
+    assert sum(est.successes for est in estimates.values()) == game.sample_count(0.1, 0.05)

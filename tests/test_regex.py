@@ -136,29 +136,28 @@ def profile(text, alphabet=ABC):
 
 def test_profile_finite_word():
     p = profile("abc")
-    assert (p.is_empty, p.is_finite, p.max_word_length, p.short2) == (False, True, 3, False)
+    assert (p.is_empty, p.is_finite, p.max_word_length) == (False, True, 3)
 
 
 def test_profile_short2():
     p = profile("a | b c")
-    assert (p.is_empty, p.is_finite, p.max_word_length, p.short2) == (False, True, 2, True)
+    assert (p.is_empty, p.is_finite, p.max_word_length) == (False, True, 2)
 
 
 def test_profile_infinite():
     p = profile("a b*")
     assert (p.is_empty, p.is_finite, p.max_word_length) == (False, False, None)
-    assert not p.short2
 
 
 def test_profile_empty_language():
     for text in ("{}", "{} a", "a {}"):
         p = profile(text)
-        assert p.is_empty and not p.short2
+        assert p.is_empty
 
 
 def test_profile_epsilon_only():
     p = profile("@")
-    assert (p.is_empty, p.is_finite, p.max_word_length, p.short2) == (False, True, 0, True)
+    assert (p.is_empty, p.is_finite, p.max_word_length) == (False, True, 0)
     assert profile("{}*").max_word_length == 0  # star of empty is {epsilon}
 
 
