@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .game import ShapleyReport
 from .graph import load_graph
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pathshap")
     sub = p.add_subparsers(dest="command", required=True)
@@ -54,10 +56,10 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--seed", type=int, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
         if name == "answers":
-            c.add_argument("--cap", type=int, default=query_mod.ANSWER_CAP,
+            c.add_argument("--cap", type=int, default=None,
                            help="most answers (and intermediate join rows) to list")
         if name == "nonzero":
-            c.add_argument("--budget", type=int, default=explain.LINEAGE_BUDGET, help="lineage search steps")
+            c.add_argument("--budget", type=int, default=None, help="lineage search steps")
     return p
 
 
@@ -133,9 +135,9 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_answers(args, out) -> int:
-    g = load_graph(Path(args.graph).read_text())
-    q = query_mod.compile_crpq(args.query, g.alphabet)
-    for answer in query_mod.enumerate_answers(g, q, cap=args.cap):
+    g, q, _ = _load_inputs(args, need_binding=False)
+    cap = query_mod.ANSWER_CAP if args.cap is None else args.cap
+    for answer in query_mod.enumerate_answers(g, q, cap=cap):
         out.write("\t".join(answer) + "\n")
     return 0
 
@@ -171,8 +173,9 @@ def _cmd_nonzero(args, out) -> int:
     if args.focus not in players:
         raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
     focus = 1 << players.index(args.focus)
+    budget = explain.LINEAGE_BUDGET if args.budget is None else args.budget
     try:
-        verdict = any(t & focus for t in lineage([args.budget]))
+        verdict = any(t & focus for t in lineage([budget]))
     except BudgetExceeded:
         out.write("unknown\n")
         return 5

@@ -114,6 +114,54 @@ def test_main_behaves_as_a_fresh_process_on_every_call(fig_graph_text, capsys):
     assert codes == [0, 0, 2, 0]
 
 
+def test_one_parser_answers_every_call_as_a_fresh_process(fig_graph_text, capsys):
+    """The parser is built once per process, and a call after one with
+    non-default options, or after an argparse error, still answers with the
+    defaults, as a process of its own does."""
+    assert cli._parser() is cli._parser()
+    graph = str(fig_graph_text)
+    bound = ["--graph", graph, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6"]
+    nonzero = ["nonzero", *bound, "--focus", "v4->v3"]
+    answers = ["answers", "--graph", graph, "--query", "(x, .*, y)"]
+    argvs = [
+        ["shapley", *bound, "--mode", "exact", "--format", "json", "--player-kind", "vertex",
+         "--seed", "3", "--eps", "0.2"],
+        ["shapley", *bound],
+        nonzero + ["--budget", "1"],
+        nonzero,
+        answers + ["--cap", "1"],
+        answers,
+        ["eval", *bound, "--cap", "3"],
+        ["eval", *bound],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from pathshap import cli; sys.exit(cli.main())"
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+        out = io.StringIO()
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, out.getvalue(), capsys.readouterr().err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 5, 0, 3, 0, 2, 0]
+
+
+def test_default_budget_and_cap_are_read_when_the_command_runs(fig_graph_text, monkeypatch):
+    graph = str(fig_graph_text)
+    nonzero = ["nonzero", "--graph", graph, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6", "--focus", "v4->v3"]
+    answers = ["answers", "--graph", graph, "--query", "(x, .*, y)"]
+    assert run(nonzero) == (0, "true\n")
+    assert run(answers)[0] == 0
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 1)
+    monkeypatch.setattr(query, "ANSWER_CAP", 1)
+    assert run(nonzero) == (5, "unknown\n")
+    assert run(answers) == (3, "")
+
+
 # --- answers ----------------------------------------------------------------
 
 def test_answers_sorted_rows(fig_graph_text):
