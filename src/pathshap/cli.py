@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import explain, query as query_mod
@@ -70,61 +71,72 @@ def _load_inputs(args, need_binding: bool):
     return g, q, mu
 
 
-def _row_fields(player: str, value, method: str) -> dict:
-    row = {"id": player}
-    if isinstance(value, Fraction):
-        row["value"] = str(value)
-    else:
-        row["value"] = float(value.value)
-        row["eps"] = value.eps
-        row["delta"] = value.delta
-        row["samples"] = value.samples
-        row["seed"] = value.seed
-    row["method"] = method
-    return row
+def _ranked(report: ShapleyReport) -> list[tuple]:
+    """The report's (player, value) pairs by descending value, then id.
+    The sort keys are exact integers, each value times the lcm of the
+    values' denominators, so no Fraction is built or compared."""
+    exact = [v if isinstance(v, Fraction) else v.value for v in report.values.values()]
+    scale = math.lcm(*{v.denominator for v in exact})
+    keys = [(-v.numerator * (scale // v.denominator), p) for p, v in zip(report.values, exact)]
+    return [item for _, item in sorted(zip(keys, report.values.items()))]
 
 
-def _sorted_rows(report: ShapleyReport) -> list[dict]:
-    def sort_key(item):
-        player, value = item
-        v = value if isinstance(value, Fraction) else value.value
-        return (-v, player)
-
-    return [
-        _row_fields(player, value, report.method)
-        for player, value in sorted(report.values.items(), key=sort_key)
-    ]
+def _write_json(report: ShapleyReport, ranked: list[tuple], out) -> None:
+    """The report as ``json.dumps(payload, indent=2, sort_keys=True)``
+    writes it, emitted row by row: that call never takes the C encoder,
+    which runs only without ``indent``, and builds the whole text first.
+    Strings are escaped by the stdlib's ``encode_basestring_ascii`` and
+    numbers written by their ``repr``, as the encoder does for ints and
+    finite floats."""
+    flags = "[\n    " + ",\n    ".join(map(_string, report.flags)) + "\n  ]" if report.flags else "[]"
+    out.write(f'{{\n  "flags": {flags},\n  "method": {_string(report.method)},\n  "players": [')
+    texts: dict[int, str] = {}  # by the id of a value: players often share one Fraction
+    separator = "\n    "
+    for player, value in ranked:
+        if isinstance(value, Fraction):
+            text = texts.get(id(value))
+            if text is None:
+                text = texts[id(value)] = _string(str(value))
+            out.write(f'{separator}{{\n      "id": {_string(player)},\n      "value": {text}\n    }}')
+        else:
+            out.write(
+                f'{separator}{{\n      "delta": {value.delta!r},\n      "eps": {value.eps!r},\n'
+                f'      "id": {_string(player)},\n      "samples": {value.samples!r},\n'
+                f'      "seed": {value.seed!r},\n      "value": {float(value.value)!r}\n    }}')
+        separator = ",\n    "
+    out.write("\n  ]\n}\n" if ranked else "]\n}\n")
 
 
 def _render_report(report: ShapleyReport, fmt: str, out) -> None:
-    rows = _sorted_rows(report)
+    ranked = _ranked(report)
     if fmt == "json":
-        payload = {
-            "method": report.method,
-            "players": [
-                {k: v for k, v in row.items() if k != "method"} for row in rows
-            ],
-            "flags": list(report.flags),
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(report, ranked, out)
         return
+    rows = [_cells(player, value, report.method) for player, value in ranked]
     columns = ["id", "value", "method", "eps", "delta", "samples", "seed"]
-    sampled = any("samples" in row for row in rows)
-    if not sampled:
+    if all(len(row) == 3 for row in rows):
         columns = columns[:3]
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
+            writer.writerow(row + [""] * (len(columns) - len(row)))
         for flag in report.flags:
             writer.writerow(["# " + flag])
         return
     out.write("\t".join(columns) + "\n")
     for row in rows:
-        out.write("\t".join(str(row.get(c, "-")) for c in columns) + "\n")
+        out.write("\t".join(map(str, row + ["-"] * (len(columns) - len(row)))) + "\n")
     for flag in report.flags:
         out.write(f"# {flag}\n")
+
+
+def _cells(player: str, value, method: str) -> list:
+    """A csv or table row: id, value and method, then a sampled value's
+    eps, delta, samples and seed."""
+    if isinstance(value, Fraction):
+        return [player, str(value), method]
+    return [player, float(value.value), method, value.eps, value.delta, value.samples, value.seed]
 
 
 def _cmd_eval(args, out) -> int:

@@ -289,22 +289,76 @@ def spend(budget: list[int], steps: int) -> None:
 
 def minimal_masks(masks: Iterable[int], budget: list[int]) -> list[int]:
     """The masks that contain no other of the masks, sorted by size; each
-    spends a step per kept mask it may be compared with."""
+    spends a step per kept mask it may be compared with, plus one.  A kept
+    mask inside a candidate has its lowest bit among the candidate's, so
+    the kept masks are indexed by their lowest bit and a candidate is
+    compared only with those whose lowest bit it holds."""
     out: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        spend(budget, 1 + len(out))
-        if all(c | m != m for c in out):
+    by_low: dict[int, list[int]] = {}
+    lows = 0  # the keys of by_low
+    left = budget[0]  # spent as ``spend`` spends it, one candidate at a time
+    for m in sorted(sorted(set(masks)), key=int.bit_count):  # by size, then value
+        left -= 1 + len(out)
+        if left < 0:
+            budget[0] = left
+            raise BudgetExceeded("lineage budget exhausted")
+        covered = bool(out) and not out[0]  # the empty mask lies inside every mask
+        rest = m & lows
+        while rest and not covered:
+            low = rest & -rest
+            rest ^= low
+            for c in by_low[low]:
+                if c | m == m:
+                    covered = True
+                    break
+        if not covered:
             out.append(m)
+            low = m & -m
+            by_low.setdefault(low, []).append(m)
+            lows |= low
+    budget[0] = left
     return out
 
 
 def _term_components(terms: frozenset[int]) -> list[frozenset[int]]:
-    """The terms grouped into components that share no player."""
-    components: list[int] = []  # the players of each
+    """The terms grouped into components that share no player.  A single
+    term, or terms whose widths add up to the width of their union, are a
+    component each.  Otherwise a union by player bit: each player points to
+    the first term that held it, and a term joins the components of the
+    players it shares with earlier terms, one lookup per component, since
+    a component's players are dropped from the shared bits once found."""
+    if len(terms) == 1 or sum(t.bit_count() for t in terms) == reduce(or_, terms).bit_count():
+        return [frozenset((t,)) for t in terms]
+    owner: dict[int, int] = {}  # player bit -> the first term that held it
+    parent: dict[int, int] = {}  # term -> a term of its component; a root is its own
+    players: dict[int, int] = {}  # root -> the players of its component
+    seen = 0
     for t in terms:
-        near = [c for c in components if c & t]
-        components = [c for c in components if not c & t] + [reduce(or_, near, t)]
-    return [frozenset(t for t in terms if t & c) for c in components]
+        parent[t] = joined = t
+        shared = t & seen
+        while shared:
+            root = _root(parent, owner[shared & -shared])
+            parent[root] = t
+            found = players.pop(root)
+            joined |= found
+            shared &= ~found
+        for b in _bits(t & ~seen):
+            owner[b] = t
+        players[t] = joined
+        seen |= t
+    if len(players) == 1:
+        return [terms]
+    groups: dict[int, list[int]] = {}
+    for t in terms:
+        groups.setdefault(_root(parent, t), []).append(t)
+    return [frozenset(group) for group in groups.values()]
+
+
+def _root(parent: dict[int, int], t: int) -> int:
+    """The root of t's component, halving the path to it."""
+    while parent[t] != t:
+        parent[t] = t = parent[parent[t]]
+    return t
 
 
 def shuffles(n: int, seed: int, trials: int) -> Iterator[list[int]]:

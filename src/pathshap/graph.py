@@ -87,7 +87,9 @@ def load_graph(text: str) -> LabeledGraph:
     """Parse the whitespace-separated graph format.
 
     Edge lines are ``<src> <label> <dst> <n|x>``; vertex lines are
-    ``v <id> <n|x>``.  Lines starting with ``#`` and blank lines are ignored.
+    ``v <id> <n|x>``, so a line of four fields is an edge line even when
+    its source is a vertex named ``v``.  Blank lines and lines whose first
+    non-blank character is ``#`` are ignored.
     """
     vertices: set[str] = set()
     vertex_class: dict[str, str] = {}
@@ -99,7 +101,7 @@ def load_graph(text: str) -> LabeledGraph:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if fields[0] == "v":
+        if fields[0] == "v" and len(fields) != 4:
             if len(fields) != 3:
                 raise MalformedGraph(f"line {lineno}: vertex line needs 'v <id> <n|x>'")
             _, vid, tag = fields

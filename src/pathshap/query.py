@@ -243,7 +243,9 @@ def _atom_lineage(out: OutLists, s: str, t: str, d: Dfa, budget: list[int]) -> l
     """Semi-naive search of the product: each (vertex, state) pair keeps the
     antichain of the need masks of the walks reaching it from (s, start).
     Masks pop smallest first, so one still in its antichain is final and is
-    pushed along each edge once; one a smaller mask superseded is dropped."""
+    pushed along each edge once; one a smaller mask superseded is dropped.
+    An insert scans the antichain once, and rebuilds it only when the new
+    mask lies inside one of its masks."""
     chains = {(s, d.start): [0]}
     work = [(0, 0, s, d.start)]
     while work:
@@ -257,11 +259,23 @@ def _atom_lineage(out: OutLists, s: str, t: str, d: Dfa, budget: list[int]) -> l
             if nq is None:
                 continue
             m = mask | need
-            chain = chains.setdefault((target, nq), [])
-            spend(budget, len(chain))
-            if any(c | m == m for c in chain):
+            chain = chains.get((target, nq))
+            if chain is None:
+                chains[target, nq] = [m]
+            else:
+                spend(budget, len(chain))
+                wider = False  # whether m lies inside a mask of the chain
+                for c in chain:
+                    joined = c | m
+                    if joined == m:
+                        break  # c lies inside m
+                    wider = wider or joined == c
+                else:
+                    if wider:
+                        chain[:] = [c for c in chain if c | m != c]
+                    chain.append(m)
+                    heapq.heappush(work, (m.bit_count(), m, target, nq))
                 continue
-            chain[:] = [c for c in chain if c | m != c] + [m]
             heapq.heappush(work, (m.bit_count(), m, target, nq))
     return minimal_masks((m for q in d.accepting for m in chains.get((t, q), ())), budget)
 

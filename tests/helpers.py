@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles (direct language
 semantics, path enumeration, simple-path search, subset enumeration, the
 textbook subset-form Shapley sum, a sweep of every coalition counted by
-size, per-player marginals over a permutation stream) so the tests never
-trust the code paths they check.  ``Game`` is the one game in two forms:
+size, per-player marginals over a permutation stream, the quadratic scans
+the lineage search and counter indexed, the report through ``json.dumps``)
+so the tests never trust the code paths they check.  ``Game`` is the one game in two forms:
 the library's mask predicate, and a valuation on frozensets of players for
 the textbook oracles; ``edge_game`` and ``vertex_game`` give a request's
 baseline-shifted game in it, built on the request predicate, which the
@@ -13,15 +14,21 @@ tests check against ``edge_subgraph`` and ``vertex_subgraph``.
 
 from __future__ import annotations
 
+import csv
+import heapq
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from pathshap import explain, game, regex as rx
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet
 from pathshap.graph import Edge, LabeledGraph
-from pathshap.query import Assignment, Crpq, _check_vertices
+from pathshap.query import EPSILON_SELF_ANSWER, Assignment, Crpq, _check_vertices
 
 PERMUTATION_CAP = 9
 SUBSET_CAP = 22
@@ -357,3 +364,106 @@ def random_labeled_graph(
     if exo_vertex_prob:
         endo_vertices = [v for v in vertices if rng.random() >= exo_vertex_prob]
     return LabeledGraph(vertices, edges, endo, endo_vertices)
+
+
+# --- the term-set work and the report, as scans and through json.dumps -------
+
+def reference_minimal_masks(masks, budget: list[int]) -> list[int]:
+    """``game.minimal_masks`` as a scan of every kept mask: the masks that
+    contain no other of the masks, sorted by size, each spending a step per
+    kept mask plus one."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        game.spend(budget, 1 + len(out))
+        if all(c | m != m for c in out):
+            out.append(m)
+    return out
+
+
+def reference_term_components(terms: frozenset[int]) -> list[frozenset[int]]:
+    """``game._term_components`` as a scan of every component found so far
+    for each term.  An empty term would make an empty group, which
+    ``game._compile`` never asks for."""
+    components: list[int] = []  # the players of each
+    for t in terms:
+        near = [c for c in components if c & t]
+        components = [c for c in components if not c & t] + [reduce(or_, near, t)]
+    return [frozenset(t for t in terms if t & c) for c in components]
+
+
+def reference_lineage(out, atoms, bound: int, budget: list[int]) -> list[int]:
+    """``query.lineage`` with every antichain insert a scan of the chain
+    and a rebuild of it, and ``reference_minimal_masks``."""
+    terms = [bound]
+    for s, t, d in atoms:
+        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+            continue
+        found = _reference_atom_lineage(out, s, t, d, budget)
+        game.spend(budget, len(terms) * len(found))
+        terms = reference_minimal_masks((a | b for a in terms for b in found), budget)
+    return terms
+
+
+def _reference_atom_lineage(out, s: str, t: str, d, budget: list[int]) -> list[int]:
+    chains = {(s, d.start): [0]}
+    work = [(0, 0, s, d.start)]
+    while work:
+        _, mask, v, q = heapq.heappop(work)
+        game.spend(budget, len(chains[v, q]) + len(out[v]))
+        if mask not in chains[v, q]:
+            continue
+        step = d.useful_moves[q]
+        for need, target, label in out[v]:
+            nq = step.get(label)
+            if nq is None:
+                continue
+            m = mask | need
+            chain = chains.setdefault((target, nq), [])
+            game.spend(budget, len(chain))
+            if any(c | m == m for c in chain):
+                continue
+            chain[:] = [c for c in chain if c | m != c] + [m]
+            heapq.heappush(work, (m.bit_count(), m, target, nq))
+    return reference_minimal_masks((m for q in d.accepting for m in chains.get((t, q), ())), budget)
+
+
+def reference_report(report: game.ShapleyReport, fmt: str) -> str:
+    """A report as ``pathshap shapley --format fmt`` prints it, rows sorted
+    on (-value, id) with Fraction values, and the JSON written by
+    ``json.dumps(payload, indent=2, sort_keys=True)``."""
+    rows = []
+    for player, value in sorted(report.values.items(), key=lambda item: (-_exact(item[1]), item[0])):
+        row = {"id": player}
+        if isinstance(value, Fraction):
+            row["value"] = str(value)
+        else:
+            row.update(value=float(value.value), eps=value.eps, delta=value.delta,
+                       samples=value.samples, seed=value.seed)
+        rows.append(row)
+    if fmt == "json":
+        payload = {"method": report.method, "players": rows, "flags": list(report.flags)}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for row in rows:
+        row["method"] = report.method
+    columns = ["id", "value", "method", "eps", "delta", "samples", "seed"]
+    if not any("samples" in row for row in rows):
+        columns = columns[:3]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(c, "") for c in columns])
+        for flag in report.flags:
+            writer.writerow(["# " + flag])
+        return out.getvalue()
+    out.write("\t".join(columns) + "\n")
+    for row in rows:
+        out.write("\t".join(str(row.get(c, "-")) for c in columns) + "\n")
+    for flag in report.flags:
+        out.write(f"# {flag}\n")
+    return out.getvalue()
+
+
+def _exact(value) -> Fraction:
+    return value if isinstance(value, Fraction) else value.value

@@ -4,14 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pathshap import cli, explain, query
+from pathshap import cli, explain, game, query
 
-from helpers import random_labeled_graph
+from helpers import random_labeled_graph, reference_report
 
 try:
     from importlib.resources import files
@@ -473,3 +476,118 @@ def test_sampled_reports_byte_identical(chain_file):
     assert run(argv) == run(argv)
     different = run(argv[:-3] + ["124", "--format", "json"])
     assert different != run(argv)
+
+
+# --- the report renderer against json.dumps ------------------------------------
+
+def _report_and_reference(argv, monkeypatch):
+    """``shapley --format json``'s output, and the reference rendering of
+    the report it printed."""
+    reports = []
+    render = cli._render_report
+    monkeypatch.setattr(cli, "_render_report",
+                        lambda report, fmt, out: reports.append(report) or render(report, fmt, out))
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    return out, reference_report(reports[0], "json")
+
+
+STRAYS = CHAIN3 + "".join(f"w{i} a w{i + 1} n\n" for i in range(20))
+QUOTED = 'a"1 a b\\2 n\nb\\2 b \u00fc3 n\n\u00fc3 c \u00e9\u4e2d n\n'
+
+
+@pytest.mark.parametrize("graph, argv, flags", [
+    (None, ["--query", "(x, a b*, y)", "--bind", "x=v1,y=v6"], []),
+    (CHAIN3, ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4", "--mode", "approx-additive",
+              "--eps", "0.2", "--delta", "0.1", "--seed", "7"], []),
+    # a null player: its estimate is snapped to 0
+    (CHAIN3 + "u4 a u5 n\n", ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4",
+                               "--mode", "approx-multiplicative", "--eps", "0.5", "--delta", "0.05"], []),
+    (CHAIN3, ["--query", "(x, a b, y)", "--bind", "x=u1,y=u3", "--mode", "approx-additive",
+              "--eps", "1.5"], ["eps-clamped"]),
+    ("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n", ["--query", "(x, a b, y)", "--bind", "x=u1,y=u3"],
+     ["answer-exogenous"]),
+    (None, ["--query", "(x, {}, y)", "--bind", "x=v1,y=v6"], ["empty-language-atom"]),
+    (STRAYS, ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4"], ["no-multiplicative-guarantee:trials="]),
+    (None, ["--query", "(x, a b*, y)", "--bind", "x=v1,y=v6", "--focus", "v2->v6"], []),
+    (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d'], []),
+    (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d', "--player-kind", "vertex",
+              "--mode", "approx-additive", "--eps", "0.3", "--delta", "0.2"], []),
+], ids=["exact", "additive", "multiplicative", "eps-clamped", "answer-exogenous", "empty-language-atom",
+        "no-multiplicative-guarantee", "focus", "quoted-ids", "quoted-ids-sampled"])
+def test_json_report_is_json_dumps_byte_for_byte(graph, argv, flags, fig_graph_text, tmp_path, monkeypatch):
+    if graph == STRAYS:
+        # auto counts the strays' lineage of 23 players unless its budget is cut
+        monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
+    path = fig_graph_text
+    if graph is not None:
+        path = tmp_path / "g.graph"
+        path.write_text(graph, encoding="utf-8")
+    out, reference = _report_and_reference(["shapley", "--graph", str(path)] + argv, monkeypatch)
+    assert out == reference
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert len(report["flags"]) == len(flags)
+    assert all(flag.startswith(prefix) for flag, prefix in zip(report["flags"], flags))
+    if graph == QUOTED:
+        # escaped as json.dumps escapes them: \" and \\, and non-ASCII as \uXXXX
+        assert '"a\\"1' in out and "b\\\\2" in out and "\\u00e9\\u4e2d" in out and out.isascii()
+
+
+def test_report_renderer_writes_a_snapped_estimate_as_zero():
+    gap = Fraction(1, 100)
+    values = {
+        "e1": explain.MultiplicativeEstimate(game.SampledEstimate(3, 1000, 0.001, 0.05, 4), gap, 0.5),
+        "e2": explain.MultiplicativeEstimate(game.SampledEstimate(997, 1000, 0.001, 0.05, 4), gap, 0.5),
+        "e0": explain.MultiplicativeEstimate(game.SampledEstimate(0, 1000, 0.001, 0.05, 4), gap, 0.5),
+    }
+    report = game.ShapleyReport("mc-multiplicative", values, ())
+    assert values["e1"].value == 0 < values["e1"].raw.value
+    for fmt in ("json", "csv", "table"):
+        out = io.StringIO()
+        cli._render_report(report, fmt, out)
+        assert out.getvalue() == reference_report(report, fmt)
+    assert [row["value"] for row in json.loads(reference_report(report, "json"))["players"]] == [0.997, 0.0, 0.0]
+
+
+@st.composite
+def reports(draw):
+    """Reports of every method, their values drawn from few fractions so
+    that ties are common, their ids any text."""
+    method = draw(st.sampled_from(["exact-lineage", "mc-additive", "mc-multiplicative"]))
+    ids = draw(st.lists(st.text(max_size=6), unique=True, max_size=12))
+    samples = draw(st.integers(1, 12))
+    eps, delta, seed = draw(st.floats(1e-6, 0.99)), draw(st.floats(1e-6, 0.99)), draw(st.integers(0, 2**40))
+    values = {}
+    for player in ids:
+        if method == "exact-lineage":
+            values[player] = draw(st.fractions(0, 1, max_denominator=6))
+            continue
+        estimate = game.SampledEstimate(draw(st.integers(0, samples)), samples, eps, delta, seed)
+        if method == "mc-multiplicative":
+            estimate = explain.MultiplicativeEstimate(estimate, Fraction(1, draw(st.integers(1, 12))), eps)
+        values[player] = estimate
+    flags = draw(st.lists(st.sampled_from(["eps-clamped", "answer-exogenous", "empty-language-atom",
+                                           "no-multiplicative-guarantee:trials=inf", 'a "quoted" \\ \u00fc flag']),
+                          max_size=3))
+    return game.ShapleyReport(method, values, tuple(flags))
+
+
+@given(reports())
+@example(game.ShapleyReport("exact-lineage", {}, ()))
+@example(game.ShapleyReport("exact-lineage", {"b": Fraction(1, 3), "a": Fraction(2, 6), "c": Fraction(0)}, ()))
+@settings(max_examples=300, deadline=None)
+def test_integer_sort_key_orders_rows_like_the_fractions(report):
+    """The integer keys rank rows by (-value, id), ties included, and every
+    format prints what the reference renderer prints."""
+    def exact(value):
+        return value if isinstance(value, Fraction) else value.value
+
+    ranked = [player for player, _ in cli._ranked(report)]
+    assert ranked == sorted(report.values, key=lambda p: (-exact(report.values[p]), p))
+    for fmt in ("json", "csv", "table"):
+        out = io.StringIO()
+        cli._render_report(report, fmt, out)
+        assert out.getvalue() == reference_report(report, fmt)
+        if fmt == "json":
+            jsonschema.validate(json.loads(out.getvalue()), SCHEMA)

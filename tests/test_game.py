@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,8 @@ from helpers import (
     edge_game,
     pivot_oracle_counts,
     random_monotone_game,
+    reference_minimal_masks,
+    reference_term_components,
     shapley_exact_permutation,
     shapley_exact_permutation_all,
     shapley_exact_subset_all,
@@ -157,9 +160,10 @@ LAYERED4 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS4, LAYERS4[1:]) for u 
     ([f"p{i}" for i in range(12)], [(1 << i) | (1 << j) for i, j in itertools.combinations(range(12), 2)], 12, 9312),
 ], ids=["looped-fan-edges", "grid-4x4-edges", "layered-4x2-vertices", "all-pairs"])
 def test_lineage_counter_spends_the_pinned_steps(players, terms, size, steps):
-    """The counter's steps fix where ``exact`` refuses with exit 5 and where
-    ``solve`` falls back to the sweep at 4 * 2^n steps, so they are pinned:
-    any change to what the counter charges fails here."""
+    """The counter's steps fix where ``exact`` refuses with exit 5 and
+    where ``auto``, within its sampler's cost, stops counting and samples,
+    so they are pinned: any change to what the counter charges fails
+    here."""
     assert len(players) == size
     budget = [10**7]
     values = game.shapley_lineage_all(players, terms, budget)
@@ -196,6 +200,70 @@ def test_lineage_counter_spends_its_budget():
     assert sum(values.values()) == 1 and budget[0] < 1000
     with pytest.raises(BudgetExceeded):
         game.shapley_lineage_all(players, terms, [1])
+
+
+# --- the term-set work against its quadratic scans ----------------------------
+
+# masks over 10 players: few bits, so that masks contain one another, or any
+MASKS = st.one_of(
+    st.frozensets(st.integers(0, 9), max_size=4).map(lambda bits: sum(1 << b for b in bits)),
+    st.integers(0, (1 << 10) - 1),
+)
+STEPS = st.one_of(st.just(10**7), st.integers(0, 3000))
+
+
+@given(st.lists(MASKS, max_size=40), STEPS)
+@example([6, 0, 6, 1], 10**7)  # mask 0 and a repeated mask
+@example([3, 3, 1, 6, 7, 6], 10**7)
+@example([0, 0, 5], 2)  # runs out at the mask after the empty one
+@example([1, 2, 3, 4, 5, 6, 7], 12)
+@settings(max_examples=300, deadline=None)
+def test_minimal_masks_matches_the_scan(masks, steps):
+    """The indexed antichain keeps the masks the scan keeps and charges
+    the scan's steps, to the mask where the budget runs out."""
+    outcomes = []
+    for minimal in (game.minimal_masks, reference_minimal_masks):
+        budget = [steps]
+        try:
+            outcomes.append((minimal(masks, budget), budget[0]))
+        except BudgetExceeded:
+            outcomes.append(("exhausted", budget[0]))
+    assert outcomes[0] == outcomes[1]
+
+
+@given(st.frozensets(MASKS.filter(bool), min_size=1, max_size=24))
+@example(frozenset({0b11, 0b1100, 0b110000}))  # pairwise disjoint
+@example(frozenset({0b11, 0b110, 0b1100000, 0b1000000000}))  # a chain of two, and two apart
+@example(frozenset({0b1111111}))
+@settings(max_examples=300, deadline=None)
+def test_term_components_matches_the_scan(terms):
+    """The same partition; ``_compile`` hands it no empty term."""
+    def partition(groups):
+        return sorted(sorted(group) for group in groups)
+
+    assert partition(game._term_components(terms)) == partition(reference_term_components(terms))
+
+
+@given(st.lists(MASKS, max_size=14), STEPS)
+@example([0b11, 0b110, 0b1100, 0b11000, 0b110000], 10**7)  # a path of pairs: splits and products
+@example([0, 0b11, 0b11], 10**7)  # mask 0 and a repeated term
+@settings(max_examples=150, deadline=None)
+def test_lineage_counter_charges_the_steps_of_the_scans(terms, steps):
+    """The counter on the indexed term-set work gives the values and the
+    steps it gives on the scans, and runs out of the same budgets."""
+    players = [f"p{i}" for i in range(10)]
+
+    def count():
+        budget = [steps]
+        try:
+            return game.shapley_lineage_all(players, terms, budget), budget[0]
+        except BudgetExceeded:
+            return "exhausted"
+
+    indexed = count()
+    with mock.patch.object(game, "minimal_masks", reference_minimal_masks), \
+            mock.patch.object(game, "_term_components", reference_term_components):
+        assert count() == indexed
 
 
 def test_overflow_before_any_table_or_valuation():

@@ -80,6 +80,28 @@ def test_serialize_round_trip_with_partitions():
     assert load_graph(serialize(g)) == g
 
 
+@pytest.mark.parametrize("text", [
+    "v a w n\nw b v x\n",  # v is an edge's source, then its target
+    "v v x\nv a v n\n",  # a vertex named v, and its self-loop
+])
+def test_serialize_round_trip_with_a_vertex_named_v(text):
+    # a line of four fields is an edge line, whatever its first field
+    g = load_graph(text)
+    assert "v" in g.vertices and g.edges
+    assert load_graph(serialize(g)) == g
+
+
+def test_vertex_line_errors_keep_their_messages():
+    assert load_graph("v w x\n").exo_vertices == {"w"}
+    for text in ("v w\n", "v w x y z\n"):
+        with pytest.raises(MalformedGraph, match="vertex line needs 'v <id> <n|x>'"):
+            load_graph(text)
+    with pytest.raises(MalformedGraph, match="edge line needs"):
+        load_graph("u a w n x\n")
+    with pytest.raises(MalformedGraph, match="unknown classification 'q'"):
+        load_graph("v a w q\n")
+
+
 def test_constructor_rejects_dangling_edge():
     with pytest.raises(MalformedGraph):
         LabeledGraph({"u1"}, [Edge("u1->u2", "u1", "a", "u2")], set(), {"u1"})

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathshap import automata, query
+from pathshap import automata, explain, query
 from pathshap import regex as rx
-from pathshap.errors import EnumerationOverflow, QuerySyntaxError, UnknownVertex
+from pathshap.errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, UnknownVertex
 from pathshap.graph import load_graph
 
-from helpers import path_oracle_eval, random_labeled_graph
+from helpers import path_oracle_eval, random_labeled_graph, reference_lineage
 
 ABC = frozenset("abc")
 
@@ -192,3 +194,51 @@ def test_answers_monotone_under_edge_addition(fig_graph):
     assert set(query.enumerate_answers(smaller, q)) <= set(
         query.enumerate_answers(fig_graph, q)
     )
+
+
+# --- the lineage search against its scans ------------------------------------
+
+LINEAGE_QUERIES = ["(x, a*, y)", "(x, (a|b)* b, y)", "(x, a b | a c | c, y)", "(x, .*, y)",
+                   "(x, a, y) & (y, b*, z)", "(x, a*, x)"]
+
+
+def _lineage_outcomes(g, q, mu, kind, steps):
+    """The request's lineage and the budget left, from the search and from
+    the scans, or where each ran out."""
+    _, _, lineage = explain._request_game(g, q, mu, kind)
+    outcomes = []
+    for search in (lineage, lambda budget: reference_lineage(*lineage.args, budget)):
+        budget = [steps]
+        try:
+            outcomes.append((search(budget), budget[0]))
+        except BudgetExceeded:
+            outcomes.append(("exhausted", budget[0]))
+    return outcomes
+
+
+@given(st.integers(0, 10**6), st.sampled_from(LINEAGE_QUERIES), st.sampled_from(["edge", "vertex"]),
+       st.one_of(st.just(10**7), st.integers(0, 2000)))
+@settings(max_examples=200, deadline=None)
+def test_lineage_matches_the_scans(seed, qtext, kind, steps):
+    """The search with its antichain inserts and minimal masks indexed
+    finds the terms the scans find and charges their steps, to the step
+    where the budget runs out: self-loops, exogenous edges and vertices,
+    bound endogenous vertices and an empty-word atom included."""
+    rng = random.Random(seed)
+    g = random_labeled_graph(rng, rng.randint(2, 7), rng.randint(1, 18), labels="abc",
+                             exo_prob=0.2, allow_self_loops=True, exo_vertex_prob=0.2)
+    q = query.compile_crpq(qtext, g.alphabet)
+    mu = query.Assignment({v: rng.choice(sorted(g.vertices)) for v in q.variables})
+    first, second = _lineage_outcomes(g, q, mu, kind, steps)
+    assert first == second
+
+
+@pytest.mark.parametrize("steps", [10**7, 18, 20])
+def test_lineage_drops_a_mask_a_smaller_one_supersedes(steps):
+    """m -> p -> r and m -> q -> r reach r at the same size: the pop at p
+    first stores {x->m, p->r}, then the exogenous q -> r brings {x->m},
+    which replaces it in r's antichain."""
+    g = load_graph("x a m n\nm a p x\nm a q x\np a r n\nq a r x\nr a y n\n")
+    q = query.compile_crpq("(x, a*, y)", g.alphabet)
+    first, second = _lineage_outcomes(g, q, query.parse_binding("x=x,y=y", q), "edge", steps)
+    assert first == second
