@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import game as game_mod
@@ -146,13 +147,14 @@ def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
 
 
 def shapley_multiplicative_all(
-    players: Sequence[str], value: Callable[[int], int], gb: GapBound, eps: float, delta: float, seed: int
+    players: Sequence[str], value: Callable[[int], int], gb: GapBound, eps: float, delta: float, seed: int,
+    support: Optional[int] = None,
 ) -> dict[str, MultiplicativeEstimate]:
     """Multiplicative (1+eps) estimates of every player of the game
-    ``value`` from the additive sampler: run it at
-    ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
+    ``value`` from the additive sampler over the same ``support``: run it
+    at ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
     eps = min(eps, 0.99)
-    raw = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed)
+    raw = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed, support)
     return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
 
 
@@ -163,12 +165,13 @@ def candidate_supports(
     q: Crpq,
     mu: Assignment,
     player_kind: str = "edge",
-    budget: int = LINEAGE_BUDGET,
+    budget: Optional[int] = None,
 ) -> Iterator[frozenset[str]]:
     """The minimal winning coalitions of the game before the baseline shift,
-    from the request's lineage; ``budget`` caps the search steps."""
+    from the request's lineage; ``budget`` caps the search steps,
+    ``LINEAGE_BUDGET`` as it reads when the search starts if None."""
     players, _, lineage = _request_game(g, q, mu, player_kind)
-    for t in lineage([budget]):
+    for t in lineage([LINEAGE_BUDGET if budget is None else budget]):
         yield frozenset(p for i, p in enumerate(players) if t >> i & 1)
 
 
@@ -253,25 +256,23 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             raise
     if fallback_flag:
         flags.append(fallback_flag)
-    value = _sampled_game(holds, len(players), terms, trials, len(req.graph.edges))
+    # the players that can pivot: those of some term, or every player when the search ran out
+    support = (1 << len(players)) - 1 if terms is None else functools.reduce(or_, terms, 0)
+    value = _sampled_game(holds, terms, len(req.graph.edges))
     if engine == "mc-additive":
-        values = game_mod.shapley_mc_all(players, value, eps, req.delta, req.seed)
+        values = game_mod.shapley_mc_all(players, value, eps, req.delta, req.seed, support)
     else:
-        values = shapley_multiplicative_all(players, value, gb, eps, req.delta, req.seed)
+        values = shapley_multiplicative_all(players, value, gb, eps, req.delta, req.seed, support)
     return ShapleyReport(engine, {p: values[p] for p in targets}, tuple(flags))
 
 
-def _sampled_game(
-    holds: Callable[[int], bool], n: int, terms: Optional[list[int]], trials: float, edges: int
-) -> Callable[[int], int]:
-    """The sampler's valuation of the n players: the ``lineage_test`` of the
-    request's terms when their search finished, there is at most one term
-    per edge of the graph, and either at most one term or no more trials
-    than coalitions; otherwise the product search ``holds``, memoized.
-    Past one term per edge a vertex game's test is slower than the product
-    search, and once the trials outnumber the coalitions the memo answers
-    most checks and a test of several terms is slower too.  The rule is
-    measured (README)."""
-    if terms is None or len(terms) > edges or (len(terms) > 1 and trials > 1 << n):
+def _sampled_game(holds: Callable[[int], bool], terms: Optional[list[int]], edges: int) -> Callable[[int], int]:
+    """The sampler's valuation: the ``lineage_test`` of the request's terms,
+    whose pivots the sampler reads from the terms, when their search
+    finished and there is at most one term per edge of the graph; otherwise
+    the product search ``holds``, memoized.  Past one term per edge a
+    vertex game's term pivot is slower than the product search.  The rule
+    is measured (README)."""
+    if terms is None or len(terms) > edges:
         return game_mod.memoized(holds)
     return game_mod.lineage_test(terms)

@@ -5,11 +5,12 @@ bitmask, bit i the i-th player.  The exact engine counts a game's lineage
 by size, compiled once into a DAG whose one reverse pass values every
 player, each polynomial packed into one int so that a polynomial operation
 is one big-int operation.
-The sampler draws its permutations with the stdlib shuffle's draws inlined
-and values the prefixes on whatever predicate it is given: ``explain.solve``
-hands it a product search behind ``memoized``, or a ``lineage_test`` of
-the terms when its lineage search finished within budget and the terms
-pass its term rule.
+The sampler draws its permutations of the players that can pivot, the
+lineage's support when ``explain.solve`` has it, with the stdlib shuffle's
+draws inlined.  It reads each pivot from the terms of a ``lineage_test``,
+which ``solve`` hands it when its lineage search finished within budget
+and the terms pass its term rule, and otherwise by a binary search over
+the prefixes on a product search behind ``memoized``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul, or_
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceeded
 
@@ -53,7 +54,8 @@ def lineage_test(terms: Iterable[int]) -> Callable[[int], int]:
     """The game of a lineage, its minimal winning masks: a mask wins when it
     holds one of them.  It tests the terms on every call, without a memo: a
     test of a few terms costs about a memo lookup, and the memo's entries
-    would only be garbage."""
+    would only be garbage.  The test keeps the terms as ``terms``, from
+    which ``shapley_mc_all`` reads its pivots without calling it."""
     terms = tuple(terms)
 
     def wins(mask: int) -> int:
@@ -62,6 +64,7 @@ def lineage_test(terms: Iterable[int]) -> Callable[[int], int]:
                 return 1
         return 0
 
+    wins.terms = terms
     return wins
 
 
@@ -185,7 +188,7 @@ def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], S: int, budg
         elif len(terms) == 1:
             entry = (support, "term", one_plus_x ** width - (1 << width * S))
         else:
-            a = max(_bits(support), key=lambda b: sum(1 for t in terms if t & b))
+            a = _most_frequent(terms, support.bit_length())
             parts = (frozenset(t for t in terms if not t & a),
                      frozenset(minimal_masks((t & ~a for t in terms), budget)))
             branches = []
@@ -199,6 +202,17 @@ def _compile(terms: frozenset[int], memo: dict, nodes: list[tuple], S: int, budg
     nodes.append(entry)
     memo[terms] = node = len(nodes) - 1
     return node
+
+
+def _most_frequent(terms: frozenset[int], length: int) -> int:
+    """The bit held by the most terms, ties to the lowest, of terms below
+    bit ``length``, counted in one pass over the terms: each is written as
+    ``length`` binary digits, and ``zip`` reads those rows column by column,
+    highest bit first, so a column's sum is its bit's count plus 48 (the
+    byte of '0') per term."""
+    rows = map(str.encode, map(format, terms, repeat(f"0{length}b")))
+    counts = list(map(sum, zip(*rows)))[::-1]
+    return 1 << counts.index(max(counts))
 
 
 def _reverse(nodes: list[tuple], w: int, S: int, budget: list[int]) -> dict[int, int]:
@@ -361,16 +375,14 @@ def _root(parent: dict[int, int], t: int) -> int:
     return t
 
 
-def shuffles(n: int, seed: int, trials: int) -> Iterator[list[int]]:
-    """``trials`` shuffles in place of the player bits [1, 2, 4, ...],
-    yielding the one list after each: the draws of
-    ``random.Random(seed).shuffle`` inlined.  For i from n - 1 down to 1,
-    j is drawn from getrandbits of (i + 1)'s bit length, redrawn while it
-    exceeds i, and positions i and j swap; so the stream of permutations is
-    the stdlib's, drawn 2.5-3 times faster."""
-    order = [1 << i for i in range(n)]
+def shuffles(order: list[int], seed: int, trials: int) -> Iterator[list[int]]:
+    """``trials`` shuffles of ``order`` in place, yielding it after each:
+    the draws of ``random.Random(seed).shuffle`` inlined.  For i from
+    len(order) - 1 down to 1, j is drawn from getrandbits of (i + 1)'s bit
+    length, redrawn while it exceeds i, and positions i and j swap; so the
+    stream of permutations is the stdlib's, drawn 2.5-3 times faster."""
     getrandbits = random.Random(seed).getrandbits
-    draws = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    draws = [(i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)]
     for _ in range(trials):
         for i, k in draws:
             j = getrandbits(k)
@@ -380,41 +392,80 @@ def shuffles(n: int, seed: int, trials: int) -> Iterator[list[int]]:
         yield order
 
 
+def _term_pivot(terms: Sequence[int]) -> Callable[[list[int]], int]:
+    """The pivot of an order from the terms, with no valuation: the first
+    player whose arrival completes a term.  A term is completed by the
+    arrival of its last member, so each arrival tests only the terms that
+    hold it.  Some term lies in the order, since the sampler draws only
+    when its players win, unless the one minimal term is the empty one: that
+    game is constant, and its orders have no pivot (None)."""
+    holding: dict[int, list[int]] = {}
+    for t in terms:
+        for b in _bits(t):
+            holding.setdefault(b, []).append(t)
+
+    def pivot(order: list[int]) -> int:
+        prefix = 0
+        for b in order:
+            prefix |= b
+            for t in holding.get(b, ()):
+                if t & prefix == t:
+                    return b
+
+    return pivot
+
+
+def _search_pivot(value: Callable[[int], int]) -> Callable[[list[int]], int]:
+    """The pivot of an order of w players by a binary search over its
+    prefixes, in O(log w) valuations of ``value``."""
+
+    def pivot(order: list[int]) -> int:
+        prefixes = list(accumulate(order, or_))
+        lo, hi = 0, len(order) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value(prefixes[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return order[lo]
+
+    return pivot
+
+
 def shapley_mc_all(
-    players: Sequence[str], value: Callable[[int], int], eps: float, delta: float, seed: int
+    players: Sequence[str], value: Callable[[int], int], eps: float, delta: float, seed: int,
+    support: Optional[int] = None,
 ) -> dict[str, SampledEstimate]:
     """Additive Monte-Carlo estimates of every player of the monotone 0/1
     game ``value`` (a mask predicate, bit i the i-th player) from one stream
     of Hoeffding-many permutations.
 
-    The permutations are ``shuffles(n, seed, trials)``.  In a monotone 0/1
-    game with v(empty) = 0 and v(N) = 1 every permutation has exactly one
-    pivot, the player whose arrival makes the prefix win, and the pivot is
-    the only player with marginal 1; a binary search over the prefixes
-    finds it in O(log n) valuations: product searches behind ``memoized``,
-    or a ``lineage_test`` of the terms.  So each
-    player's estimate is still the mean of independent Bernoulli samples of
-    its own marginal, and one permutation serves every player.  If
-    v(N) = 0 nothing is drawn and every estimate is 0.
+    In a monotone 0/1 game with v(empty) = 0 and v(N) = 1 every permutation
+    has exactly one pivot, the player whose arrival makes the prefix win,
+    and the pivot is the only player with marginal 1.  Only the bits of
+    ``support`` (a mask, every player when None) are shuffled, in ascending
+    order, by ``shuffles``: the caller vouches that the other players are
+    null, in no minimal winning coalition, so they are never a pivot, and
+    the support's order within a uniform permutation of all the players is
+    uniform.  A ``lineage_test``'s pivots are read from its terms, which
+    must lie in the support (``_term_pivot``), and any other predicate's
+    are searched over the prefixes (``_search_pivot``).  So each player's
+    estimate is still the mean of independent Bernoulli samples of its own
+    marginal, one permutation serves every player, and the null players
+    read 0.  If v(support) = 0 nothing is drawn and every estimate is 0.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
     trials = capped_sample_count(eps, delta)
-    n = len(players)
-    pivots: dict[int, int] = {}
-    if value((1 << n) - 1):
-        for order in shuffles(n, seed, trials):
-            prefixes = list(accumulate(order, or_))
-            lo, hi = 0, n - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value(prefixes[mid]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            pivots[order[lo]] = pivots.get(order[lo], 0) + 1
+    if support is None:
+        support = (1 << len(players)) - 1
+    terms = getattr(value, "terms", None)
+    pivots: Counter = Counter()
+    if value(support):
+        pivot = _search_pivot(value) if terms is None else _term_pivot(terms)
+        pivots.update(map(pivot, shuffles(_bits(support), seed, trials)))
     return {
-        p: SampledEstimate(pivots.get(1 << i, 0), trials, eps, delta, seed)
+        p: SampledEstimate(pivots[1 << i], trials, eps, delta, seed)
         for i, p in enumerate(players)
     }
-

@@ -307,8 +307,10 @@ def shapley_exact_permutation_all(g, cap: int = PERMUTATION_CAP) -> dict[str, Fr
 def pivot_oracle_counts(players, valuation, trials: int, seed: int) -> dict[str, int]:
     """Every player's count of marginal-1 trials over the permutation stream
     of ``game.shapley_mc_all``: ``random.Random(seed)`` shuffles the player
-    list in place once per trial.  Each player's marginal
-    v(prefix | {a}) - v(prefix) is valued directly, in a linear scan."""
+    list in place once per trial.  Given the players of the sampler's
+    support, in bit order, it counts the players that can pivot, as the
+    sampler does.  Each player's marginal v(prefix | {a}) - v(prefix) is
+    valued directly, in a linear scan."""
     order = list(players)
     counts = {p: 0 for p in order}
     rng = random.Random(seed)

@@ -191,6 +191,30 @@ def test_criterion_4_additive_sampler_calibration(fig_graph):
             f"{failures}/{runs} <= 0.05 at N=185")
 
 
+def test_additive_calibration_through_solve_on_the_lineage_support(fig_graph_text):
+    """Criterion 4's bound through ``solve``, where the sampler shuffles only
+    the lineage's support: the running example plus a stray endogenous
+    edge, so 3 of 10 players can pivot.  The (0.1, 0.05) estimate of
+    v3->v5 fails at a rate of at most 0.05 over 2000 seeds, and the null
+    players read 0 in every run."""
+    g = load_graph(fig_graph_text.read_text() + "v7 a v8 n\n")
+    q = crpq("(x, a b c, y)", g.alphabet)
+    mu = query.parse_binding("x=v1,y=v6", q)
+    assert len(g.endo_edges) == 10
+    runs = 2000
+    failures = 0
+    for seed in range(runs):
+        report = explain.solve(explain.ExplainRequest(g, q, mu, mode="approx-additive", eps=0.1, delta=0.05,
+                                                      seed=seed))
+        est = report.values["v3->v5"]
+        assert est.samples == 185
+        if abs(est.value - Fraction(1, 3)) > Fraction(1, 10):
+            failures += 1
+        assert all(report.values[e].successes == 0 for e in g.endo_edges - {"v1->v3", "v3->v5", "v5->v6"})
+    assert failures / runs <= 0.05
+    _report(f"solve-level additive calibration PASS: failure rate {failures}/{runs} <= 0.05 at N=185")
+
+
 def test_criterion_5_multiplicative_wrapper():
     """Outputs within a factor 1.5 of the exact value (failure rate <= 0.05
     over 1000 runs); null players are exactly zero in every run."""

@@ -1,6 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -265,6 +267,16 @@ def test_candidate_supports_default_budget_reads_a_dense_lineage():
         list(explain.candidate_supports(g, q, mu, budget=1_000_000))
 
 
+def test_candidate_supports_reads_the_lineage_budget_when_it_searches(monkeypatch, fig_graph):
+    """The default budget is ``LINEAGE_BUDGET`` as it reads at the search,
+    as for ``nonzero --budget``, not as it read when the module loaded."""
+    q = crpq("(x, a b c, y)")
+    mu = bind("x=v1,y=v6", q)
+    monkeypatch.setattr(explain, "LINEAGE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        list(explain.candidate_supports(fig_graph, q, mu))
+
+
 def test_nonzero_with_infinite_language():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
     q = crpq("(x, .*, y)", g.alphabet)
@@ -393,11 +405,10 @@ def _on_lineage(terms):
 @settings(max_examples=120, deadline=None)
 def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query_mode, player_kind):
     """solve hands the sampler the lineage's bitmask test exactly when the
-    search fits in the trial count, with at most one term per edge and
-    either at most one term or no more trials than coalitions, and either
-    way reports
-    what the product search gives: self-loops, exogenous edges and vertices,
-    CRPQs, and infinite languages when additive."""
+    search fits in the trial count, with at most one term per edge, and
+    either way reports what the product search gives over the lineage's
+    support (every player when the search ran out): self-loops, exogenous
+    edges and vertices, CRPQs, and infinite languages when additive."""
     qtext, mode, eps = query_mode
     rng = random.Random(seed)
     small = mode == "approx-multiplicative"  # its trial count grows with the players
@@ -417,20 +428,22 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
         patch.setattr(explain, "holds_on_mask", _counting_holds(calls))
         report = explain.solve(explain.ExplainRequest(
             g, q, mu, player_kind=player_kind, mode=mode, eps=eps, delta=delta, seed=seed))
+    trials = report.values[players[0]].samples
+    try:
+        terms = lineage([trials])  # the sampler's search, within its trial count
+        support = reduce(or_, terms, 0)
+        reads_lineage = len(terms) <= len(g.edges)
+    except BudgetExceeded:
+        support, reads_lineage = None, False
     product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     if small:
         gb = explain.gap_bound(q, len(players))
-        expected = game.ShapleyReport(
-            "mc-multiplicative", explain.shapley_multiplicative_all(players, product.value, gb, eps, delta, seed))
+        expected = game.ShapleyReport("mc-multiplicative", explain.shapley_multiplicative_all(
+            players, product.value, gb, eps, delta, seed, support))
     else:
-        expected = game.ShapleyReport("mc-additive", game.shapley_mc_all(players, product.value, eps, delta, seed))
+        expected = game.ShapleyReport(
+            "mc-additive", game.shapley_mc_all(players, product.value, eps, delta, seed, support))
     assert report == expected
-    trials = report.values[players[0]].samples
-    try:
-        terms = lineage([trials])
-        reads_lineage = len(terms) <= len(g.edges) and (len(terms) <= 1 or trials <= 1 << len(players))
-    except BudgetExceeded:
-        reads_lineage = False
     assert all(mask == 0 for mask in calls) == reads_lineage
 
 
@@ -463,13 +476,10 @@ LAYERED3 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS3, LAYERS3[1:]) for u 
 
 @pytest.mark.parametrize("graph_text, btext, player_kind, terms", [
     (LADDER4, "x=s0,y=s4", "edge", 16),
-    (LAYERED3, "x=x,y=y", "vertex", 8),
-], ids=["over-one-term-per-edge", "more-trials-than-coalitions"])
+], ids=["over-one-term-per-edge"])
 def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_text, btext, player_kind, terms):
-    """Both lineages fit in the 1 153 trials at eps 0.04, but the ladder's
-    has more terms than the graph has edges, and the layered vertex game's
-    several terms face fewer coalitions than trials, where the product
-    search's memo answers most checks; so the sampler runs on the product
+    """The ladder's lineage fits in the 1 153 trials at eps 0.04, but it has
+    more terms than the graph has edges, so the sampler runs on the product
     search, with the estimates the lineage's bitmask test gives."""
     g = load_graph(graph_text)
     req = request(g, "(x, a*, y)", btext, player_kind=player_kind, mode="approx-additive", eps=0.04, delta=0.05,
@@ -483,24 +493,31 @@ def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_
     assert trials == 1153
     players, _, lineage = explain._request_game(g, req.query, req.binding, player_kind)
     found = lineage([trials])
-    assert len(found) == terms and (terms > len(g.edges) or trials > 1 << len(players))
+    assert len(found) == terms > len(g.edges)
     product = (edge_game if player_kind == "edge" else vertex_game)(g, req.query, req.binding)
     assert (report.values == game.shapley_mc_all(players, product.value, 0.04, 0.05, 2)
             == game.shapley_mc_all(players, _on_lineage(found), 0.04, 0.05, 2))
 
 
-@pytest.mark.parametrize("graph_text, qtext, btext, mode", [
-    (RUNNING_EXAMPLE, "(x, a b c, y)", "x=v1,y=v6", "approx-additive"),
-    (CHAIN3, "(x, a b c, y)", "x=u1,y=u4", "approx-multiplicative"),
-], ids=["running-additive", "chain-multiplicative"])
-def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_text, qtext, btext, mode):
+@pytest.mark.parametrize("graph_text, qtext, btext, mode, player_kind, eps", [
+    (RUNNING_EXAMPLE, "(x, a b c, y)", "x=v1,y=v6", "approx-additive", "edge", 0.1),
+    (CHAIN3, "(x, a b c, y)", "x=u1,y=u4", "approx-multiplicative", "edge", 0.1),
+    (LAYERED3, "(x, a*, y)", "x=x,y=y", "approx-additive", "vertex", 0.04),
+], ids=["running-additive", "chain-multiplicative", "trials-over-coalitions"])
+def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_text, qtext, btext, mode, player_kind,
+                                                           eps):
     """On the lineage path the only product search of a sampled request is
-    the baseline's, at the empty coalition."""
+    the baseline's, at the empty coalition, which a vertex game with bound
+    endogenous vertices refuses without one.  That holds for the layered
+    vertex game too, whose 8 terms over its 8 players face 1 153 trials,
+    more than its 2^8 coalitions, since the term pivot was measured as fast
+    as the memo there (README)."""
     calls = []
     monkeypatch.setattr(explain, "holds_on_mask", _counting_holds(calls))
-    report = explain.solve(request(load_graph(graph_text), qtext, btext, mode=mode, eps=0.1, delta=0.05, seed=9))
+    report = explain.solve(request(load_graph(graph_text), qtext, btext, player_kind=player_kind, mode=mode, eps=eps,
+                                   delta=0.05, seed=9))
     assert report.method == mode.replace("approx", "mc")
-    assert calls == [0]
+    assert calls == ([0] if player_kind == "edge" else [])
 
 
 # --- dispatcher -------------------------------------------------------------

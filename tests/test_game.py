@@ -2,6 +2,8 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -368,11 +370,51 @@ def test_shuffles_draw_the_stdlib_shuffle_stream(seed):
         expected = [1 << i for i in range(n)]
         rng = random.Random(seed)
         trials = 0
-        for order in game.shuffles(n, seed, 200):
+        for order in game.shuffles([1 << i for i in range(n)], seed, 200):
             rng.shuffle(expected)
             assert order == expected, (n, trials)
             trials += 1
         assert trials == 200
+
+
+@given(
+    monotone_games(max_players=7, max_winners=4),
+    st.integers(min_value=0, max_value=3),
+    st.randoms(use_true_random=False),
+    st.sampled_from([0.2, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_support_sampler_matches_the_oracle_over_the_support(players_winners, nulls, rng, eps, seed):
+    """Over the support of a game's minimal winning masks, with null players
+    among the others, the term pivot and the predicate's search both give
+    the linear-scan oracle's counts over the support's players, and every
+    null player reads 0 over the N samples."""
+    players, winners = players_winners
+    everyone = players + [f"z{i}" for i in range(nulls)]
+    rng.shuffle(everyone)
+    g = make_game(everyone, winners)
+    terms = game.minimal_masks((g.mask_of(w) for w in winners), [10**6])
+    support = reduce(or_, terms, 0)
+    inside = [p for i, p in enumerate(everyone) if support >> i & 1]
+    trials = game.sample_count(eps, 0.1)
+    expected = pivot_oracle_counts(inside, g.valuation, trials, seed)
+    for value in (game.lineage_test(terms), g.value):
+        estimates = game.shapley_mc_all(everyone, value, eps, 0.1, seed, support)
+        assert {p: estimates[p].successes for p in inside} == expected
+        assert all(est.successes == 0 for p, est in estimates.items() if p not in inside)
+        assert all(est.samples == trials for est in estimates.values())
+        assert sum(est.successes for est in estimates.values()) == (trials if terms else 0)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=2**12 - 1), min_size=2, max_size=30, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_split_player_is_the_most_frequent_lowest_bit(terms):
+    """``_compile``'s one-pass count picks the split the per-bit scan picked:
+    the bit in most terms, ties to the lowest."""
+    support = reduce(or_, terms)
+    expected = max(game._bits(support), key=lambda b: sum(1 for t in terms if t & b))
+    assert game._most_frequent(frozenset(terms), support.bit_length()) == expected
 
 
 def test_mc_all_players_successes_sum_to_samples():
