@@ -213,62 +213,30 @@ def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
 # --- language analyses -----------------------------------------------------
 
 def language_profile(d: Dfa) -> LanguageProfile:
-    """Finiteness and word-length analysis over the useful subautomaton."""
+    """Emptiness, finiteness and longest word length, from one pass over the
+    useful subautomaton in Kahn's order.  Every useful state is reached from
+    the start through useful states, so the language is empty when the
+    start is not useful; otherwise it is infinite when the pass leaves some
+    state unvisited, on a cycle, and finite with its longest word the
+    longest path from the start to an accepting state when it does not."""
     if d.start not in d.useful:
-        # start itself accepting covers the {epsilon} language, where the
-        # start is useful; otherwise no accepting state is reachable.
-        if d.start in d.accepting:
-            return LanguageProfile(False, True, 0)
         return LanguageProfile(True, False, None)
-    edges = {
-        q: {d.step(q, a) for a in d.alphabet if d.step(q, a) in d.useful}
-        for q in d.useful
-    }
-    order, cyclic = _topological_order(edges)
-    if cyclic:
+    targets = {q: set(d.useful_moves[q].values()) for q in d.useful}
+    indegree = dict.fromkeys(d.useful, 0)
+    for nexts in targets.values():
+        for nxt in nexts:
+            indegree[nxt] += 1
+    longest = dict.fromkeys(d.useful, 0)
+    ready = [q for q, n in indegree.items() if not n]
+    visited = 0
+    while ready:
+        q = ready.pop()
+        visited += 1
+        for nxt in targets[q]:
+            longest[nxt] = max(longest[nxt], longest[q] + 1)
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    if visited < len(d.useful):
         return LanguageProfile(False, False, None)
-    longest = {q: 0 if q in d.accepting else None for q in d.useful}
-    for q in reversed(order):
-        for nxt in edges[q]:
-            if longest[nxt] is not None:
-                candidate = longest[nxt] + 1
-                if longest[q] is None or candidate > longest[q]:
-                    longest[q] = candidate
-    max_len = longest[d.start]
-    assert max_len is not None
-    return LanguageProfile(False, True, max_len)
-
-
-def _topological_order(edges: dict[int, set[int]]) -> tuple[list[int], bool]:
-    """Topological order of the useful-state graph; flags cycle presence."""
-    order: list[int] = []
-    color: dict[int, int] = {}
-
-    def visit(root: int) -> bool:
-        stack = [(root, iter(sorted(edges[root])))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(edges[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                order.append(node)
-                stack.pop()
-        return False
-
-    for q in sorted(edges):
-        if q not in color:
-            if visit(q):
-                return [], True
-    order.reverse()
-    return order, False
-
+    return LanguageProfile(False, True, max(longest[q] for q in d.accepting & d.useful))

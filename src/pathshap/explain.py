@@ -2,11 +2,12 @@
 
 Builds a request's players, coalition predicate and lineage, provides the
 gap-based multiplicative wrapper, and dispatches between the lineage
-counter and the samplers.  Every exact and auto request searches and
-counts its lineage first, whatever its query, player kind and player
-count, within a step budget: ``LINEAGE_BUDGET`` for ``exact``, which
-refuses past it, and the cost of the sampler it would fall back to for
-``auto``, which samples past it.
+counter and the sampler, whose pivot rule, tolerance and trial count
+``solve`` decides once.  Every exact and auto request searches and counts
+its lineage first, whatever its query, player kind and player count,
+within a step budget: ``LINEAGE_BUDGET`` for ``exact``, which refuses
+past it, and the cost of the sampler it would fall back to for ``auto``,
+which samples past it.
 """
 
 from __future__ import annotations
@@ -68,33 +69,6 @@ class GapBound:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class MultiplicativeEstimate:
-    """Additive estimate rounded down to zero below half the gap."""
-
-    raw: SampledEstimate
-    gap: Fraction
-    eps: float  # requested multiplicative tolerance (after clamping)
-
-    @property
-    def value(self) -> Fraction:
-        if self.raw.value < self.gap / 2:
-            return Fraction(0)
-        return self.raw.value
-
-    @property
-    def samples(self) -> int:
-        return self.raw.samples
-
-    @property
-    def delta(self) -> float:
-        return self.raw.delta
-
-    @property
-    def seed(self) -> int:
-        return self.raw.seed
-
-
 # --- game construction -----------------------------------------------------
 
 def _request_game(
@@ -126,14 +100,19 @@ def _request_game(
 
 # --- gap bound and multiplicative wrapper ----------------------------------
 
-def gap_bound(q: Crpq, m_n: int) -> GapBound:
-    """Smallest possible nonzero value for a finite-language query."""
+def gap_bound(q: Crpq, m_n: int, player_kind: str = "edge") -> GapBound:
+    """Smallest possible nonzero value for a finite-language query over m_n
+    players: 1/(m_n (m_n - 1) ... (m_n - k + 1)), for k = ``k_sum`` the most
+    players of a minimal winning coalition.  A word of length k takes k
+    edges and visits k + 1 vertices, so ``k_sum`` is the sum of the
+    non-empty atoms' longest word lengths, plus one per atom for vertex
+    players."""
     k_sum = 0
     for atom in q.atoms:
         if not atom.profile.is_finite:
             raise InfiniteLanguage(f"atom {atom.text!r} has an infinite language")
         if not atom.profile.is_empty:
-            k_sum += atom.profile.max_word_length or 0
+            k_sum += atom.profile.max_word_length + (player_kind == "vertex")
     denominator = 1
     for j in range(min(k_sum, m_n)):
         denominator *= m_n - j
@@ -146,16 +125,28 @@ def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
     return float(gb.gap) * eps / (1.0 + eps)
 
 
+def snapped(estimates: dict[str, SampledEstimate], gap: Fraction, eps: float) -> dict[str, SampledEstimate]:
+    """The multiplicative rows of additive estimates drawn at
+    ``multiplicative_tolerance``: an estimate below gap/2 reads 0 successes,
+    and every row reports the multiplicative ``eps``."""
+    return {
+        p: SampledEstimate(est.successes if 2 * est.successes >= gap * est.samples else 0,
+                           est.samples, eps, est.delta, est.seed)
+        for p, est in estimates.items()
+    }
+
+
 def shapley_multiplicative_all(
     players: Sequence[str], value: Callable[[int], int], gb: GapBound, eps: float, delta: float, seed: int,
     support: Optional[int] = None,
-) -> dict[str, MultiplicativeEstimate]:
+) -> dict[str, SampledEstimate]:
     """Multiplicative (1+eps) estimates of every player of the game
-    ``value`` from the additive sampler over the same ``support``: run it
-    at ``multiplicative_tolerance`` and snap estimates below gap/2 to zero."""
-    eps = min(eps, 0.99)
-    raw = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed, support)
-    return {p: MultiplicativeEstimate(est, gb.gap, eps) for p, est in raw.items()}
+    ``value``, for eps in (0, 1): the additive sampler over the same
+    ``support`` run at ``multiplicative_tolerance``, ``snapped``."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    additive = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed, support)
+    return snapped(additive, gb.gap, eps)
 
 
 # --- lineage ---------------------------------------------------------------
@@ -210,11 +201,12 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         flags.append("empty-language-atom")
         # the values of an empty lineage, as the lineage counter gives them
         return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
-    gb = gap_bound(req.query, len(players)) if all_finite else None
-    # the sampler a request runs when its lineage is not counted, and its
-    # trials.  An explicit sampler mode is refused over the trial cap before
-    # the baseline search, the request's first valuation; a gap below the
-    # float range gives tolerance 0.0, which the sampler would reject.
+    gb = gap_bound(req.query, len(players), req.player_kind) if all_finite else None
+    # the sampler a request runs when its lineage is not counted, its
+    # tolerance and its trials, decided here once.  An explicit sampler mode
+    # is refused over the trial cap before the baseline search, the
+    # request's first valuation, and an auto request only when it samples;
+    # a gap below the float range gives tolerance 0.0 and infinite trials.
     engine, tolerance, fallback_flag = "mc-additive", eps, None
     if req.mode == "approx-multiplicative":
         engine, tolerance = "mc-multiplicative", multiplicative_tolerance(gb, eps)
@@ -226,8 +218,9 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             fallback_flag = f"no-multiplicative-guarantee:trials={wanted}"
     elif req.mode != "approx-additive":
         fallback_flag = "no-multiplicative-guarantee"
-    count_trials = game_mod.capped_sample_count if req.mode.startswith("approx") else game_mod.sample_count
-    trials = count_trials(tolerance, req.delta)
+    trials = game_mod.sample_count(tolerance, req.delta)
+    if req.mode.startswith("approx"):
+        game_mod.capped(trials)
     if holds(0):
         flags.append("answer-exogenous")
         # the values of a lineage holding mask 0, as the lineage counter gives them
@@ -256,23 +249,20 @@ def solve(req: ExplainRequest) -> ShapleyReport:
             raise
     if fallback_flag:
         flags.append(fallback_flag)
-    # the players that can pivot: those of some term, or every player when the search ran out
-    support = (1 << len(players)) - 1 if terms is None else functools.reduce(or_, terms, 0)
-    value = _sampled_game(holds, terms, len(req.graph.edges))
-    if engine == "mc-additive":
-        values = game_mod.shapley_mc_all(players, value, eps, req.delta, req.seed, support)
+    game_mod.capped(trials)  # an auto request's, once it samples
+    # the pivots read from the terms when their search finished with at most
+    # one term per edge of the graph; past that a vertex game's term pivot is
+    # slower than the product search (README)
+    if terms is not None and len(terms) <= len(req.graph.edges):
+        pivot = game_mod.term_pivot(terms)
     else:
-        values = shapley_multiplicative_all(players, value, gb, eps, req.delta, req.seed, support)
+        pivot = game_mod.search_pivot(game_mod.memoized(holds))
+    # the players that can pivot: those of some term or, when the search ran
+    # out, every player, if they win
+    support = (1 << len(players)) - 1 if terms is None else functools.reduce(or_, terms, 0)
+    if terms is None and not holds(support):
+        support = 0
+    values = game_mod.sample_pivots(players, pivot, support, trials, tolerance, req.delta, req.seed)
+    if engine == "mc-multiplicative":
+        values = snapped(values, gb.gap, eps)
     return ShapleyReport(engine, {p: values[p] for p in targets}, tuple(flags))
-
-
-def _sampled_game(holds: Callable[[int], bool], terms: Optional[list[int]], edges: int) -> Callable[[int], int]:
-    """The sampler's valuation: the ``lineage_test`` of the request's terms,
-    whose pivots the sampler reads from the terms, when their search
-    finished and there is at most one term per edge of the graph; otherwise
-    the product search ``holds``, memoized.  Past one term per edge a
-    vertex game's term pivot is slower than the product search.  The rule
-    is measured (README)."""
-    if terms is None or len(terms) > edges:
-        return game_mod.memoized(holds)
-    return game_mod.lineage_test(terms)

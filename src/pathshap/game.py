@@ -7,10 +7,9 @@ player, each polynomial packed into one int so that a polynomial operation
 is one big-int operation.
 The sampler draws its permutations of the players that can pivot, the
 lineage's support when ``explain.solve`` has it, with the stdlib shuffle's
-draws inlined.  It reads each pivot from the terms of a ``lineage_test``,
-which ``solve`` hands it when its lineage search finished within budget
-and the terms pass its term rule, and otherwise by a binary search over
-the prefixes on a product search behind ``memoized``.
+draws inlined, and reads each one's pivot with the pivot function its
+caller hands it: from the lineage's terms (``term_pivot``) or by a binary
+search over the prefixes on a mask predicate (``search_pivot``).
 """
 
 from __future__ import annotations
@@ -50,24 +49,6 @@ def memoized(value: Callable[[int], int]) -> Callable[[int], int]:
     return cached
 
 
-def lineage_test(terms: Iterable[int]) -> Callable[[int], int]:
-    """The game of a lineage, its minimal winning masks: a mask wins when it
-    holds one of them.  It tests the terms on every call, without a memo: a
-    test of a few terms costs about a memo lookup, and the memo's entries
-    would only be garbage.  The test keeps the terms as ``terms``, from
-    which ``shapley_mc_all`` reads its pivots without calling it."""
-    terms = tuple(terms)
-
-    def wins(mask: int) -> int:
-        for t in terms:
-            if t & mask == t:
-                return 1
-        return 0
-
-    wins.terms = terms
-    return wins
-
-
 @dataclass(frozen=True)
 class SampledEstimate:
     """Monte-Carlo success ratio with its (eps, delta) contract."""
@@ -100,9 +81,8 @@ def sample_count(eps: float, delta: float) -> Union[int, float]:
         return math.inf
 
 
-def capped_sample_count(eps: float, delta: float) -> int:
-    """``sample_count``, refused with ``BudgetExceeded`` above ``TRIAL_CAP``."""
-    trials = sample_count(eps, delta)
+def capped(trials: Union[int, float]) -> int:
+    """``trials``, refused with ``BudgetExceeded`` above ``TRIAL_CAP``."""
     if trials > TRIAL_CAP:
         raise BudgetExceeded(f"{trials} sampler trials exceeds trial cap {TRIAL_CAP}")
     return trials
@@ -392,13 +372,11 @@ def shuffles(order: list[int], seed: int, trials: int) -> Iterator[list[int]]:
         yield order
 
 
-def _term_pivot(terms: Sequence[int]) -> Callable[[list[int]], int]:
+def term_pivot(terms: Sequence[int]) -> Callable[[list[int]], int]:
     """The pivot of an order from the terms, with no valuation: the first
     player whose arrival completes a term.  A term is completed by the
     arrival of its last member, so each arrival tests only the terms that
-    hold it.  Some term lies in the order, since the sampler draws only
-    when its players win, unless the one minimal term is the empty one: that
-    game is constant, and its orders have no pivot (None)."""
+    hold it.  Some term lies in every order of the terms' support."""
     holding: dict[int, list[int]] = {}
     for t in terms:
         for b in _bits(t):
@@ -415,7 +393,7 @@ def _term_pivot(terms: Sequence[int]) -> Callable[[list[int]], int]:
     return pivot
 
 
-def _search_pivot(value: Callable[[int], int]) -> Callable[[list[int]], int]:
+def search_pivot(value: Callable[[int], int]) -> Callable[[list[int]], int]:
     """The pivot of an order of w players by a binary search over its
     prefixes, in O(log w) valuations of ``value``."""
 
@@ -433,39 +411,49 @@ def _search_pivot(value: Callable[[int], int]) -> Callable[[list[int]], int]:
     return pivot
 
 
+def sample_pivots(
+    players: Sequence[str], pivot: Callable[[list[int]], int], support: int, trials: int,
+    eps: float, delta: float, seed: int,
+) -> dict[str, SampledEstimate]:
+    """Monte-Carlo estimates of every player of a monotone 0/1 game (bit i
+    the i-th player) from ``trials`` permutations of the bits of
+    ``support``, in ascending order, drawn by ``shuffles``; ``pivot`` reads
+    each one's pivot.  Each estimate reports ``eps``, ``delta`` and ``seed``.
+
+    In a monotone 0/1 game with v(empty) = 0 and v(N) = 1 every permutation
+    has exactly one pivot, the player whose arrival makes the prefix win,
+    and the pivot is the only player with marginal 1.  The caller vouches
+    that ``support`` wins, or is 0 when no coalition wins, which draws
+    nothing, and that the other players are null, in no minimal winning
+    coalition: they are never a pivot, and the support's order within a
+    uniform permutation of all the players is uniform.  So each player's
+    estimate is the mean of independent Bernoulli samples of its own
+    marginal, one permutation serves every player, and the null players
+    read 0.  A one-player support is the pivot of every order, counted
+    without a draw, as a one-element shuffle draws no random bits.
+    """
+    bits = _bits(support)
+    if len(bits) > 1:
+        pivots = Counter(map(pivot, shuffles(bits, seed, trials)))
+    else:
+        pivots = Counter(dict.fromkeys(bits, trials))
+    return {p: SampledEstimate(pivots[1 << i], trials, eps, delta, seed) for i, p in enumerate(players)}
+
+
 def shapley_mc_all(
     players: Sequence[str], value: Callable[[int], int], eps: float, delta: float, seed: int,
     support: Optional[int] = None,
 ) -> dict[str, SampledEstimate]:
     """Additive Monte-Carlo estimates of every player of the monotone 0/1
-    game ``value`` (a mask predicate, bit i the i-th player) from one stream
-    of Hoeffding-many permutations.
-
-    In a monotone 0/1 game with v(empty) = 0 and v(N) = 1 every permutation
-    has exactly one pivot, the player whose arrival makes the prefix win,
-    and the pivot is the only player with marginal 1.  Only the bits of
-    ``support`` (a mask, every player when None) are shuffled, in ascending
-    order, by ``shuffles``: the caller vouches that the other players are
-    null, in no minimal winning coalition, so they are never a pivot, and
-    the support's order within a uniform permutation of all the players is
-    uniform.  A ``lineage_test``'s pivots are read from its terms, which
-    must lie in the support (``_term_pivot``), and any other predicate's
-    are searched over the prefixes (``_search_pivot``).  So each player's
-    estimate is still the mean of independent Bernoulli samples of its own
-    marginal, one permutation serves every player, and the null players
-    read 0.  If v(support) = 0 nothing is drawn and every estimate is 0.
+    game ``value`` (a mask predicate, bit i the i-th player) from
+    Hoeffding-many permutations of the bits of ``support`` (every player
+    when None), whose other players the caller vouches are null; each
+    pivot is searched over the prefixes (``sample_pivots``,
+    ``search_pivot``).  Refused over ``TRIAL_CAP`` before any valuation.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    trials = capped_sample_count(eps, delta)
+    trials = capped(sample_count(eps, delta))
     if support is None:
         support = (1 << len(players)) - 1
-    terms = getattr(value, "terms", None)
-    pivots: Counter = Counter()
-    if value(support):
-        pivot = _search_pivot(value) if terms is None else _term_pivot(terms)
-        pivots.update(map(pivot, shuffles(_bits(support), seed, trials)))
-    return {
-        p: SampledEstimate(pivots[1 << i], trials, eps, delta, seed)
-        for i, p in enumerate(players)
-    }
+    return sample_pivots(players, search_pivot(value), support if value(support) else 0, trials, eps, delta, seed)

@@ -6,8 +6,7 @@ per edge: the same loop evaluates the query on the whole graph, on a
 filtered graph and on every coalition of an edge or vertex game, and
 ``lineage`` searches the same lists for a game's minimal winning masks.  A
 pair (u, u) answers an atom whose language contains the empty word via the
-empty path; this convention is isolated behind ``EPSILON_SELF_ANSWER`` so it
-can be flipped in one place.
+empty path.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .automata import Dfa, LanguageProfile
 from .errors import EnumerationOverflow, QuerySyntaxError, UnknownVertex
 from .game import minimal_masks, spend
 from .graph import Edge, LabeledGraph
-
-# Whether (u, u) is an answer of an epsilon-accepting atom via the empty path.
-EPSILON_SELF_ANSWER = True
 
 # Most answers (and intermediate join rows) enumerate_answers will produce.
 ANSWER_CAP = 100_000
@@ -217,7 +213,7 @@ def bind_atoms(q: Crpq, mu: Assignment) -> list[tuple[str, str, Dfa]]:
 def holds_on_mask(out: OutLists, atoms: list[tuple[str, str, Dfa]], mask: int) -> bool:
     """The bound atoms all hold on the edges whose need mask lies inside ``mask``."""
     for s, t, d in atoms:
-        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+        if s == t and d.start in d.accepting:
             continue
         if t not in _accepting_reach(out, s, d, mask):
             return False
@@ -231,7 +227,7 @@ def lineage(out: OutLists, atoms: list[tuple[str, str, Dfa]], bound: int, budget
     ``game.spend``) on every edge, mask and term it visits."""
     terms = [bound]
     for s, t, d in atoms:
-        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+        if s == t and d.start in d.accepting:
             continue
         found = _atom_lineage(out, s, t, d, budget)
         spend(budget, len(terms) * len(found))
@@ -311,14 +307,10 @@ def eval_crpq_bound(
 
 
 def atom_relation(g: LabeledGraph, d: Dfa) -> set[tuple[str, str]]:
-    """All (s, t) pairs the atom connects; one product sweep per source."""
+    """All (s, t) pairs the atom connects, (s, s) by the empty path when it
+    accepts the empty word; one product sweep per source."""
     out = _filtered(g, None)
-    pairs: set[tuple[str, str]] = set()
-    for s in g.vertices:
-        if EPSILON_SELF_ANSWER and d.start in d.accepting:
-            pairs.add((s, s))
-        pairs.update((s, v) for v in _accepting_reach(out, s, d, 0))
-    return pairs
+    return {(s, v) for s in g.vertices for v in _accepting_reach(out, s, d, 0)}
 
 
 def enumerate_answers(g: LabeledGraph, q: Crpq, cap: int = ANSWER_CAP) -> list[tuple[str, ...]]:

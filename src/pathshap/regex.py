@@ -76,16 +76,6 @@ def symbols_of(ast: RegexAst) -> frozenset[str]:
     return frozenset()
 
 
-def uses_any_symbol(ast: RegexAst) -> bool:
-    if isinstance(ast, AnySymbol):
-        return True
-    if isinstance(ast, (Union, Concat)):
-        return uses_any_symbol(ast.left) or uses_any_symbol(ast.right)
-    if isinstance(ast, Star):
-        return uses_any_symbol(ast.inner)
-    return False
-
-
 _TOKEN_CHARS = {"|", "*", "(", ")", ".", "@"}
 
 

@@ -28,7 +28,7 @@ from operator import or_
 from pathshap import explain, game, regex as rx
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet
 from pathshap.graph import Edge, LabeledGraph
-from pathshap.query import EPSILON_SELF_ANSWER, Assignment, Crpq, _check_vertices
+from pathshap.query import Assignment, Crpq, _check_vertices
 
 PERMUTATION_CAP = 9
 SUBSET_CAP = 22
@@ -398,7 +398,7 @@ def reference_lineage(out, atoms, bound: int, budget: list[int]) -> list[int]:
     and a rebuild of it, and ``reference_minimal_masks``."""
     terms = [bound]
     for s, t, d in atoms:
-        if EPSILON_SELF_ANSWER and s == t and d.start in d.accepting:
+        if s == t and d.start in d.accepting:
             continue
         found = _reference_atom_lineage(out, s, t, d, budget)
         game.spend(budget, len(terms) * len(found))

@@ -535,14 +535,15 @@ def test_json_report_is_json_dumps_byte_for_byte(graph, argv, flags, fig_graph_t
 
 
 def test_report_renderer_writes_a_snapped_estimate_as_zero():
-    gap = Fraction(1, 100)
-    values = {
-        "e1": explain.MultiplicativeEstimate(game.SampledEstimate(3, 1000, 0.001, 0.05, 4), gap, 0.5),
-        "e2": explain.MultiplicativeEstimate(game.SampledEstimate(997, 1000, 0.001, 0.05, 4), gap, 0.5),
-        "e0": explain.MultiplicativeEstimate(game.SampledEstimate(0, 1000, 0.001, 0.05, 4), gap, 0.5),
+    additive = {
+        "e1": game.SampledEstimate(3, 1000, 0.001, 0.05, 4),
+        "e2": game.SampledEstimate(997, 1000, 0.001, 0.05, 4),
+        "e0": game.SampledEstimate(0, 1000, 0.001, 0.05, 4),
     }
+    values = explain.snapped(additive, Fraction(1, 100), 0.5)
     report = game.ShapleyReport("mc-multiplicative", values, ())
-    assert values["e1"].value == 0 < values["e1"].raw.value
+    assert values["e1"].value == 0 < additive["e1"].value
+    assert {est.eps for est in values.values()} == {0.5}
     for fmt in ("json", "csv", "table"):
         out = io.StringIO()
         cli._render_report(report, fmt, out)
@@ -565,7 +566,7 @@ def reports(draw):
             continue
         estimate = game.SampledEstimate(draw(st.integers(0, samples)), samples, eps, delta, seed)
         if method == "mc-multiplicative":
-            estimate = explain.MultiplicativeEstimate(estimate, Fraction(1, draw(st.integers(1, 12))), eps)
+            estimate = explain.snapped({player: estimate}, Fraction(1, draw(st.integers(1, 12))), eps)[player]
         values[player] = estimate
     flags = draw(st.lists(st.sampled_from(["eps-clamped", "answer-exogenous", "empty-language-atom",
                                            "no-multiplicative-guarantee:trials=inf", 'a "quoted" \\ \u00fc flag']),

@@ -187,6 +187,43 @@ def test_gap_bound_rejects_infinite_language():
         explain.gap_bound(crpq("(x, a b*, y)"), 9)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("branches", range(1, 9))
+def test_vertex_gap_lies_below_every_nonzero_value_of_a_fan(branches, k):
+    """A fan of a-paths of k edges from x to y, under the word of k a's:
+    each term holds the k + 1 vertices of a branch, and the vertex gap lies
+    below the smallest nonzero value, 1/(n(n-1)(n-2)) for 2 + 6 players
+    when k = 2, which the edge gap 1/(n(n-1)) would exceed."""
+    paths = [["x"] + [f"m{i}_{j}" for j in range(1, k)] + ["y"] for i in range(branches)]
+    g = load_graph("".join(f"{u} a {v} n\n" for path in paths for u, v in zip(path, path[1:])))
+    req = request(g, "(x, " + " ".join(["a"] * k) + ", y)", "x=x,y=y", player_kind="vertex", mode="exact")
+    values = explain.solve(req).values
+    gb = explain.gap_bound(req.query, len(values), "vertex")
+    assert gb.k_sum == k + 1
+    assert 0 < gb.gap <= min(v for v in values.values() if v)
+    if (branches, k) == (6, 2):
+        assert values["m0_1"] == Fraction(1, 168) < explain.gap_bound(req.query, 8).gap
+
+
+@given(seed=st.integers(0, 2**32 - 1), player_kind=st.sampled_from(["edge", "vertex"]))
+@settings(max_examples=100, deadline=None)
+def test_gap_lies_below_every_nonzero_value_of_a_random_graph(seed, player_kind):
+    """On small random graphs with self-loops, exogenous edges and vertices,
+    under finite-language CRPQs, the gap of either player kind lies below
+    the smallest nonzero exact value of an answer."""
+    rng = random.Random(seed)
+    g = random_labeled_graph(rng, rng.randint(2, 5), rng.randint(1, 9), exo_prob=0.3, allow_self_loops=True,
+                             exo_vertex_prob=0.3)
+    q = crpq(rng.choice(FINITE_QUERIES + ["(x, a a, y)", "(x, a a a | b, y)"]), frozenset("ab"))
+    answers = query.enumerate_answers(g, q)
+    assume(answers)
+    mu = query.Assignment(dict(zip(q.variables, rng.choice(answers))))
+    players, holds, _ = explain._request_game(g, q, mu, player_kind)
+    assume(players and not holds(0))
+    values = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode="exact")).values
+    assert explain.gap_bound(q, len(players), player_kind).gap <= min(v for v in values.values() if v)
+
+
 def test_multiplicative_null_player_snaps_to_zero():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
     q = crpq("(x, a b c, y)", g.alphabet)
@@ -437,7 +474,7 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
         support, reads_lineage = None, False
     product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     if small:
-        gb = explain.gap_bound(q, len(players))
+        gb = explain.gap_bound(q, len(players), player_kind)
         expected = game.ShapleyReport("mc-multiplicative", explain.shapley_multiplicative_all(
             players, product.value, gb, eps, delta, seed, support))
     else:
@@ -722,7 +759,7 @@ def test_solve_builds_out_lists_once_and_values_the_baseline_once(monkeypatch, f
     for module in (query, explain):
         monkeypatch.setattr(module, "out_lists", counted_out_lists)
         monkeypatch.setattr(module, "holds_on_mask", counted_holds)
-    for name in ("shapley_lineage_all", "shapley_mc_all"):
+    for name in ("shapley_lineage_all", "sample_pivots"):
         monkeypatch.setattr(game, name, entering(getattr(game, name)))
     req = request(fig_graph, qtext, btext, mode=mode, eps=0.1, delta=0.05)
     assert explain.solve(req).method in ("exact-lineage", "mc-additive")
@@ -875,6 +912,25 @@ def test_solve_clamps_large_eps(fig_graph):
     report = explain.solve(req)
     assert "eps-clamped" in report.flags
     assert next(iter(report.values.values())).eps == 0.99
+
+
+def test_solve_clamps_eps_by_one_rule():
+    """A multiplicative eps below 1 is kept, unflagged, with the trials of
+    its own tolerance; eps 1 is clamped to 0.99 and flagged; the wrapper
+    refuses an eps of 1 or more."""
+    g = load_graph(CHAIN3)
+    req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=0.995)
+    report = explain.solve(req)
+    trials = game.sample_count(explain.multiplicative_tolerance(explain.gap_bound(req.query, 3), 0.995), 0.01)
+    assert trials == 384
+    assert report.flags == ()
+    assert {(est.eps, est.samples) for est in report.values.values()} == {(0.995, trials)}
+    clamped = explain.solve(request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=1.0))
+    assert clamped.flags == ("eps-clamped",)
+    assert {est.eps for est in clamped.values.values()} == {0.99}
+    cg = edge_game(g, req.query, req.binding)
+    with pytest.raises(ValueError):
+        explain.shapley_multiplicative_all(cg.players, cg.value, explain.gap_bound(req.query, 3), 1.0, 0.01, 0)
 
 
 def test_solve_validates_parameters(fig_graph):

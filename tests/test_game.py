@@ -399,8 +399,8 @@ def test_support_sampler_matches_the_oracle_over_the_support(players_winners, nu
     inside = [p for i, p in enumerate(everyone) if support >> i & 1]
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(inside, g.valuation, trials, seed)
-    for value in (game.lineage_test(terms), g.value):
-        estimates = game.shapley_mc_all(everyone, value, eps, 0.1, seed, support)
+    for estimates in (game.sample_pivots(everyone, game.term_pivot(terms), support, trials, eps, 0.1, seed),
+                      game.shapley_mc_all(everyone, g.value, eps, 0.1, seed, support)):
         assert {p: estimates[p].successes for p in inside} == expected
         assert all(est.successes == 0 for p, est in estimates.items() if p not in inside)
         assert all(est.samples == trials for est in estimates.values())
@@ -433,6 +433,16 @@ def test_mc_refuses_over_trial_cap_before_any_valuation():
     with pytest.raises(BudgetExceeded):
         game.shapley_mc_all(players, lambda mask: calls.append(mask) or 1, eps, 0.05, seed=0)
     assert calls == []
+
+
+def test_one_player_support_pivots_in_every_order_without_a_draw():
+    def pivot(order):
+        raise AssertionError("no order is drawn")
+
+    for support, successes in ((0b010, [0, 100, 0]), (0, [0, 0, 0])):
+        estimates = game.sample_pivots(["a", "b", "c"], pivot, support, 100, 0.1, 0.05, 7)
+        assert [est.successes for est in estimates.values()] == successes
+        assert all(est.samples == 100 for est in estimates.values())
 
 
 def test_mc_close_to_exact():

@@ -56,8 +56,6 @@ def test_parse_errors_carry_positions(text, pos):
 def test_symbols_of_and_any():
     ast = rx.parse_regex("a (b | rel1)* .")
     assert rx.symbols_of(ast) == {"a", "b", "rel1"}
-    assert rx.uses_any_symbol(ast)
-    assert not rx.uses_any_symbol(rx.parse_regex("ab"))
 
 
 # --- compilation and acceptance ---------------------------------------------
@@ -159,6 +157,12 @@ def test_profile_epsilon_only():
     p = profile("@")
     assert (p.is_empty, p.is_finite, p.max_word_length) == (False, True, 0)
     assert profile("{}*").max_word_length == 0  # star of empty is {epsilon}
+
+
+def test_profile_of_a_word_longer_than_the_recursion_limit():
+    n = 5000  # states 1..n+1 in a chain of a-moves, state 0 dead
+    d = automata.Dfa(range(n + 2), "a", {(q, "a"): q + 1 for q in range(1, n + 1)}, 1, [n + 1])
+    assert automata.language_profile(d) == automata.LanguageProfile(False, True, n)
 
 
 def test_profile_matches_brute_force_on_random_asts():
