@@ -1,4 +1,10 @@
-"""Compilation of regex trees into trimmed, total DFAs and language analyses."""
+"""Compilation of regex trees into trimmed, total DFAs and language analyses.
+
+An atom compiles by the position construction (Glushkov; McNaughton and
+Yamada): each symbol or ``.`` of the tree is a position, and the subset
+construction runs over sets of positions.  That automaton has no
+epsilon-moves, so no DFA state needs an epsilon-closure.
+"""
 
 from __future__ import annotations
 
@@ -86,128 +92,90 @@ def accepts(d: Dfa, word: Sequence[str]) -> bool:
     return d.run(word) in d.accepting
 
 
-# --- Thompson construction -------------------------------------------------
+# --- position construction -------------------------------------------------
 
-class _Nfa:
-    """Fragment automaton with epsilon moves; built once per compile call."""
-
-    def __init__(self):
-        self.count = 0
-        self.eps: dict[int, set[int]] = {}
-        self.moves: dict[tuple[int, str], set[int]] = {}
-
-    def new_state(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def add_eps(self, a: int, b: int) -> None:
-        self.eps.setdefault(a, set()).add(b)
-
-    def add_move(self, a: int, symbol: str, b: int) -> None:
-        self.moves.setdefault((a, symbol), set()).add(b)
-
-
-def _build(nfa: _Nfa, ast: rx.RegexAst, alphabet: frozenset[str]) -> tuple[int, int]:
-    """Return (entry, exit) states of the fragment for ast."""
-    if isinstance(ast, rx.EmptyLanguage):
-        return nfa.new_state(), nfa.new_state()
-    if isinstance(ast, rx.Epsilon):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        nfa.add_eps(s, t)
-        return s, t
-    if isinstance(ast, rx.Symbol):
-        if ast.label not in alphabet:
+def _positions(
+    ast: rx.RegexAst, alphabet: frozenset[str], labels: list[frozenset[str]], follow: list[set[int]]
+) -> tuple[bool, set[int], set[int]]:
+    """Number each symbol or ``.`` of ast as a position, appending the
+    symbols it matches to ``labels`` and its follow set to ``follow``, and
+    fill in the follow sets of ast's positions.  Returns (nullable, first,
+    last): whether ast matches the empty word, the positions that can read
+    its first symbol and those that can read its last."""
+    if isinstance(ast, (rx.Symbol, rx.AnySymbol)):
+        if isinstance(ast, rx.AnySymbol):
+            labels.append(alphabet)
+        elif ast.label in alphabet:
+            labels.append(frozenset((ast.label,)))
+        else:
             raise AlphabetMismatch(f"symbol {ast.label!r} not in alphabet")
-        s = nfa.new_state()
-        t = nfa.new_state()
-        nfa.add_move(s, ast.label, t)
-        return s, t
-    if isinstance(ast, rx.AnySymbol):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        for a in alphabet:
-            nfa.add_move(s, a, t)
-        return s, t
+        follow.append(set())
+        return False, {len(follow) - 1}, {len(follow) - 1}
+    if isinstance(ast, (rx.EmptyLanguage, rx.Epsilon)):
+        return isinstance(ast, rx.Epsilon), set(), set()
     if isinstance(ast, rx.Union):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        for side in (ast.left, ast.right):
-            fs, ft = _build(nfa, side, alphabet)
-            nfa.add_eps(s, fs)
-            nfa.add_eps(ft, t)
-        return s, t
+        ln, lf, ll = _positions(ast.left, alphabet, labels, follow)
+        rn, rf, rl = _positions(ast.right, alphabet, labels, follow)
+        return ln or rn, lf | rf, ll | rl
     if isinstance(ast, rx.Concat):
-        ls, lt = _build(nfa, ast.left, alphabet)
-        rs, rt = _build(nfa, ast.right, alphabet)
-        nfa.add_eps(lt, rs)
-        return ls, rt
+        ln, lf, ll = _positions(ast.left, alphabet, labels, follow)
+        rn, rf, rl = _positions(ast.right, alphabet, labels, follow)
+        for p in ll:
+            follow[p] |= rf
+        return ln and rn, lf | rf if ln else lf, ll | rl if rn else rl
     if isinstance(ast, rx.Star):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        fs, ft = _build(nfa, ast.inner, alphabet)
-        nfa.add_eps(s, fs)
-        nfa.add_eps(ft, t)
-        nfa.add_eps(s, t)
-        nfa.add_eps(ft, fs)
-        return s, t
+        _, first, last = _positions(ast.inner, alphabet, labels, follow)
+        for p in last:
+            follow[p] |= first
+        return True, first, last
     raise TypeError(f"unknown ast node {ast!r}")
 
 
-def _eps_closure(nfa: _Nfa, states: frozenset[int]) -> frozenset[int]:
-    closure = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for nxt in nfa.eps.get(q, ()):
-            if nxt not in closure:
-                closure.add(nxt)
-                stack.append(nxt)
-    return frozenset(closure)
-
-
 def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
-    """Compile a regex tree into a trimmed total DFA over the given alphabet."""
+    """Compile a regex tree into a trimmed total DFA over the given alphabet.
+
+    A state is the set of positions that can have read the last symbol; a
+    position is entered only by reading its symbol, so the set alone fixes
+    what can follow and needs no epsilon-closure.  Its a-successor is the
+    positions matching a in the set's follow sets.  The start state is a
+    sentinel position 0 whose follow set is the tree's ``first``, the empty
+    set is the dead state 0, and a state accepts when it meets ``last``,
+    which holds the sentinel when the tree matches the empty word."""
     sigma = frozenset(alphabet)
     if not sigma:
         raise AlphabetMismatch("alphabet must be nonempty")
-    nfa = _Nfa()
-    entry, exit_ = _build(nfa, ast, sigma)
+    labels: list[frozenset[str]] = [frozenset()]
+    follow: list[set[int]] = [set()]
+    nullable, first, last = _positions(ast, sigma, labels, follow)
+    follow[0] = first
+    if nullable:
+        last.add(0)
 
-    start_set = _eps_closure(nfa, frozenset((entry,)))
-    numbering: dict[frozenset[int], int] = {frozenset(): 0}
+    start_set = frozenset((0,))
+    numbering: dict[frozenset[int], int] = {frozenset(): 0, start_set: 1}
     transition: dict[tuple[int, str], int] = {}
     accepting: set[int] = set()
-
-    def number_of(s: frozenset[int]) -> int:
-        if s not in numbering:
-            numbering[s] = len(numbering)
-        return numbering[s]
-
-    start = number_of(start_set)
     worklist = deque((start_set,))
-    done = {frozenset(), start_set}
-    if exit_ in start_set:
-        accepting.add(start)
     while worklist:
         current = worklist.popleft()
-        cid = number_of(current)
+        cid = numbering[current]
+        if not last.isdisjoint(current):
+            accepting.add(cid)
+        reads: dict[str, set[int]] = {}
+        for p in current:
+            for q in follow[p]:
+                for a in labels[q]:
+                    reads.setdefault(a, set()).add(q)
         for a in sigma:
-            target = set()
-            for q in current:
-                target.update(nfa.moves.get((q, a), ()))
-            target_set = _eps_closure(nfa, frozenset(target))
-            tid = number_of(target_set)
-            transition[(cid, a)] = tid
-            if exit_ in target_set:
-                accepting.add(tid)
-            if target_set not in done:
-                done.add(target_set)
-                worklist.append(target_set)
+            target = frozenset(reads.get(a, ()))
+            if target not in numbering:
+                numbering[target] = len(numbering)
+                worklist.append(target)
+            transition[(cid, a)] = numbering[target]
     # total via the implicit dead state 0 (step() defaults to it)
     for a in sigma:
         transition.setdefault((0, a), 0)
-    return Dfa(range(len(numbering)), sigma, transition, start, accepting)
+    return Dfa(range(len(numbering)), sigma, transition, 1, accepting)
 
 
 # --- language analyses -----------------------------------------------------

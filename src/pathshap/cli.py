@@ -33,6 +33,17 @@ from .game import ShapleyReport
 from .graph import load_graph
 
 
+def _count(text: str) -> int:
+    """An option's value that counts something: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pathshap")
@@ -57,10 +68,10 @@ def _parser() -> argparse.ArgumentParser:
             c.add_argument("--seed", type=int, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
         if name == "answers":
-            c.add_argument("--cap", type=int, default=None,
+            c.add_argument("--cap", type=_count, default=None,
                            help="most answers (and intermediate join rows) to list")
         if name == "nonzero":
-            c.add_argument("--budget", type=int, default=None, help="lineage search steps")
+            c.add_argument("--budget", type=_count, default=None, help="lineage search steps")
     return p
 
 
@@ -148,8 +159,7 @@ def _cmd_eval(args, out) -> int:
 
 def _cmd_answers(args, out) -> int:
     g, q, _ = _load_inputs(args, need_binding=False)
-    cap = query_mod.ANSWER_CAP if args.cap is None else args.cap
-    for answer in query_mod.enumerate_answers(g, q, cap=cap):
+    for answer in query_mod.enumerate_answers(g, q, cap=args.cap):
         out.write("\t".join(answer) + "\n")
     return 0
 
@@ -176,18 +186,16 @@ def _cmd_nonzero(args, out) -> int:
     g, q, mu = _load_inputs(args, need_binding=True)
     if args.focus is None:
         raise PathShapError("nonzero needs --focus <player id>")
+    if args.focus not in (g.endo_edges if args.player_kind == "edge" else g.endo_vertices):
+        raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
     # a player of a monotone game has a nonzero value iff it lies in a
     # minimal winning coalition, a term of the lineage of the game before
     # the baseline shift; when the exogenous part alone wins, the lineage is
     # [0], which holds no player, and the verdict is false, as in the
     # shifted game
-    players, _, lineage = explain._request_game(g, q, mu, args.player_kind)
-    if args.focus not in players:
-        raise PathShapError(f"{args.focus} is not an endogenous {args.player_kind}")
-    focus = 1 << players.index(args.focus)
-    budget = explain.LINEAGE_BUDGET if args.budget is None else args.budget
     try:
-        verdict = any(t & focus for t in lineage([budget]))
+        supports = explain.candidate_supports(g, q, mu, args.player_kind, args.budget)
+        verdict = any(args.focus in support for support in supports)
     except BudgetExceeded:
         out.write("unknown\n")
         return 5

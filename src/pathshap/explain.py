@@ -163,7 +163,7 @@ def candidate_supports(
     ``LINEAGE_BUDGET`` as it reads when the search starts if None."""
     players, _, lineage = _request_game(g, q, mu, player_kind)
     for t in lineage([LINEAGE_BUDGET if budget is None else budget]):
-        yield frozenset(p for i, p in enumerate(players) if t >> i & 1)
+        yield frozenset(players[b.bit_length() - 1] for b in game_mod._bits(t))
 
 
 # --- dispatcher ------------------------------------------------------------

@@ -280,7 +280,7 @@ def _check_vertices(g: LabeledGraph, *vertices: str) -> None:
     """Raise ``UnknownVertex`` for the first of the vertices that g lacks."""
     for v in vertices:
         if v not in g.vertices:
-            raise UnknownVertex(v)
+            raise UnknownVertex(f"unknown vertex {v!r}")
 
 
 def eval_rpq(
@@ -313,9 +313,12 @@ def atom_relation(g: LabeledGraph, d: Dfa) -> set[tuple[str, str]]:
     return {(s, v) for s in g.vertices for v in _accepting_reach(out, s, d, 0)}
 
 
-def enumerate_answers(g: LabeledGraph, q: Crpq, cap: int = ANSWER_CAP) -> list[tuple[str, ...]]:
+def enumerate_answers(g: LabeledGraph, q: Crpq, cap: Optional[int] = None) -> list[tuple[str, ...]]:
     """All satisfying assignments as tuples in the query's variable order,
-    sorted lexicographically."""
+    sorted lexicographically; ``cap`` bounds the answers and intermediate
+    rows, ``ANSWER_CAP`` as it reads when the call runs if None."""
+    if cap is None:
+        cap = ANSWER_CAP
     relations = [
         (atom.source_var, atom.target_var, atom_relation(g, atom.dfa))
         for atom in q.atoms

@@ -91,6 +91,33 @@ def test_parser_rejects_options_a_command_does_not_read(fig_graph_text, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_negative_budget_and_cap_are_refused_at_parse_time(fig_graph_text, capsys):
+    """A count option below 0 exits 2 before any search or enumeration
+    runs; 0 is a valid count."""
+    bound = ["--graph", str(fig_graph_text), "--query", "(x, .*, y)", "--bind", "x=v1,y=v6"]
+    nonzero = ["nonzero", *bound, "--focus", "v4->v3", "--budget"]
+    answers = ["answers", "--graph", str(fig_graph_text), "--query", "(x, .*, y)", "--cap"]
+    for argv in (nonzero + ["-1"], answers + ["-1"], nonzero + ["x"], answers + ["2.5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv, out=io.StringIO())
+        assert exc.value.code == 2, argv
+        assert "expected a nonnegative integer, got" in capsys.readouterr().err
+    assert run(nonzero + ["0"]) == (5, "unknown\n")
+    assert run(answers + ["0"]) == (3, "")
+    assert capsys.readouterr().err == "error: more than 0 intermediate rows\n"
+
+
+def test_unknown_bound_vertex_is_named(fig_graph_text, capsys):
+    graph = str(fig_graph_text)
+    for argv in (
+        ["eval", "--graph", graph, "--query", "(x, a b c, y)", "--bind", "x=v9,y=v6"],
+        ["shapley", "--graph", graph, "--query", "(x, a b c, y)", "--bind", "x=v1,y=v9"],
+        ["nonzero", "--graph", graph, "--query", "(x, a b c, y)", "--bind", "x=v9,y=v6", "--focus", "v1->v3"],
+    ):
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == "error: unknown vertex 'v9'\n", argv
+
+
 def test_main_behaves_as_a_fresh_process_on_every_call(fig_graph_text, capsys):
     """One process sends two different commands, a bad argv and a good one
     through main; each call answers as it does in a process of its own."""

@@ -107,6 +107,30 @@ def test_dfa_is_deterministic_and_total():
             assert d.step(q, a) in d.states
 
 
+@pytest.mark.parametrize("text,shape", [
+    ("a b c", (5, 4, 1)),
+    ("(a|b)* c", (5, 4, 1)),
+    ("a b | a c | c", (6, 5, 3)),
+    ("a (b|c)*", (5, 4, 3)),
+    ("a b*", (4, 3, 2)),
+    ("c", (3, 2, 1)),
+    ("{}", (2, 0, 0)),
+    ("a*", (3, 2, 2)),
+    ("a* b", (4, 3, 1)),
+    ("(a|b|c)*", (5, 4, 4)),
+    (".*", (3, 2, 2)),
+    (". a .", (5, 4, 1)),
+    ("a (b c)* | @", (5, 4, 3)),
+    ("@", (2, 1, 1)),
+])
+def test_dfa_shapes(text, shape):
+    """(states, useful states, accepting states) of each compiled atom: the
+    product the search walks.  A change of construction that moves one
+    changes every search over that atom."""
+    d = compiled(text)
+    assert (len(d.states), len(d.useful), len(d.accepting)) == shape
+
+
 @given(st.lists(st.sampled_from("abc"), max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_acceptance_matches_semantics_property(word_list):
