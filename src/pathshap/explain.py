@@ -13,7 +13,8 @@ which samples past it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
@@ -102,38 +103,29 @@ def _request_game(
 
 def gap_bound(q: Crpq, m_n: int, player_kind: str = "edge") -> GapBound:
     """Smallest possible nonzero value for a finite-language query over m_n
-    players: 1/(m_n (m_n - 1) ... (m_n - k + 1)), for k = ``k_sum`` the most
-    players of a minimal winning coalition.  A word of length k takes k
-    edges and visits k + 1 vertices, so ``k_sum`` is the sum of the
-    non-empty atoms' longest word lengths, plus one per atom for vertex
-    players."""
+    players.  A player of a minimal winning coalition of w players pivots
+    in every order that starts with the rest of the coalition, so its value
+    is at least (w-1)!(n-w)!/n! = 1/(n C(n-1, w-1)), which falls while
+    w - 1 < (n-1)/2; the gap takes w up to k = ``k_sum``, the most players
+    of a minimal winning coalition.  A word of length k takes k edges and
+    visits k + 1 vertices, so ``k_sum`` is the sum of the non-empty atoms'
+    longest word lengths, plus one per atom for vertex players."""
     k_sum = 0
     for atom in q.atoms:
         if not atom.profile.is_finite:
             raise InfiniteLanguage(f"atom {atom.text!r} has an infinite language")
         if not atom.profile.is_empty:
             k_sum += atom.profile.max_word_length + (player_kind == "vertex")
-    denominator = 1
-    for j in range(min(k_sum, m_n)):
-        denominator *= m_n - j
-    return GapBound(k_sum, m_n, Fraction(1, denominator))
+    w = min(k_sum, (m_n + 1) // 2)  # the width of the least bound; 0 when no player has a nonzero value
+    return GapBound(k_sum, m_n, Fraction(1, m_n * math.comb(m_n - 1, w - 1)) if w else Fraction(1))
 
 
 def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
-    """Additive tolerance gap*eps/(1+eps) of the (1+eps) wrapper: within it,
-    every value of at least the gap is estimated within a factor 1+eps."""
+    """Additive tolerance gap*eps/(1+eps) of the (1+eps) wrapper, for any
+    eps > 0: within it, every value phi of at least the gap is estimated in
+    [phi/(1+eps), phi(1+eps)], and a null player, never a pivot, reads
+    exactly 0."""
     return float(gb.gap) * eps / (1.0 + eps)
-
-
-def snapped(estimates: dict[str, SampledEstimate], gap: Fraction, eps: float) -> dict[str, SampledEstimate]:
-    """The multiplicative rows of additive estimates drawn at
-    ``multiplicative_tolerance``: an estimate below gap/2 reads 0 successes,
-    and every row reports the multiplicative ``eps``."""
-    return {
-        p: SampledEstimate(est.successes if 2 * est.successes >= gap * est.samples else 0,
-                           est.samples, eps, est.delta, est.seed)
-        for p, est in estimates.items()
-    }
 
 
 def shapley_multiplicative_all(
@@ -141,12 +133,13 @@ def shapley_multiplicative_all(
     support: Optional[int] = None,
 ) -> dict[str, SampledEstimate]:
     """Multiplicative (1+eps) estimates of every player of the game
-    ``value``, for eps in (0, 1): the additive sampler over the same
-    ``support`` run at ``multiplicative_tolerance``, ``snapped``."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    ``value``, for any finite eps > 0: the additive sampler over the same
+    ``support`` run at ``multiplicative_tolerance``, each row reporting
+    eps."""
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     additive = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed, support)
-    return snapped(additive, gb.gap, eps)
+    return {p: replace(est, eps=eps) for p, est in additive.items()}
 
 
 # --- lineage ---------------------------------------------------------------
@@ -177,8 +170,8 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if req.mode not in ("auto", "exact", "approx-additive", "approx-multiplicative"):
         raise ValueError(f"unknown mode {req.mode!r}")
     # written so that a NaN eps or delta fails
-    if not (0 < req.delta < 1 and req.eps > 0):
-        raise ValueError("eps must be positive and delta must lie in (0, 1)")
+    if not (0 < req.delta < 1 and 0 < req.eps < math.inf):
+        raise ValueError("eps must be positive and finite and delta must lie in (0, 1)")
     players, holds, lineage = _request_game(req.graph, req.query, req.binding, req.player_kind)
     if not players:
         raise NoPlayers(f"no endogenous {req.player_kind} players")
@@ -190,41 +183,32 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     if req.mode == "approx-multiplicative" and not all_finite:
         raise InfiniteLanguage("multiplicative approximation needs finite atom languages")
 
-    flags: list[str] = []
-    eps = req.eps
-    if eps >= 1.0:
-        # the wrapper's threshold argument needs eps < 1; additive estimates
-        # with eps >= 1 are vacuous anyway
-        eps = 0.99
-        flags.append("eps-clamped")
     if any(a.profile.is_empty for a in req.query.atoms):
-        flags.append("empty-language-atom")
         # the values of an empty lineage, as the lineage counter gives them
-        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
-    gb = gap_bound(req.query, len(players), req.player_kind) if all_finite else None
-    # the sampler a request runs when its lineage is not counted, its
-    # tolerance and its trials, decided here once.  An explicit sampler mode
-    # is refused over the trial cap before the baseline search, the
-    # request's first valuation, and an auto request only when it samples;
-    # a gap below the float range gives tolerance 0.0 and infinite trials.
-    engine, tolerance, fallback_flag = "mc-additive", eps, None
-    if req.mode == "approx-multiplicative":
-        engine, tolerance = "mc-multiplicative", multiplicative_tolerance(gb, eps)
-    elif req.mode != "approx-additive" and all_finite:
-        wanted = game_mod.sample_count(multiplicative_tolerance(gb, eps), req.delta)
-        if wanted <= game_mod.TRIAL_CAP:
-            engine, tolerance = "mc-multiplicative", multiplicative_tolerance(gb, eps)
-        else:
-            fallback_flag = f"no-multiplicative-guarantee:trials={wanted}"
-    elif req.mode != "approx-additive":
-        fallback_flag = "no-multiplicative-guarantee"
-    trials = game_mod.sample_count(tolerance, req.delta)
-    if req.mode.startswith("approx"):
-        game_mod.capped(trials)
+        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, ("empty-language-atom",))
+    if req.mode != "exact":
+        # the sampler a request runs when its lineage is not counted and its
+        # trials, decided here once: a multiplicative request samples at
+        # ``multiplicative_tolerance`` and reports its own eps.  An explicit
+        # sampler mode is refused over the trial cap before the baseline
+        # search, the request's first valuation, and an auto request only
+        # when it samples; a tolerance too small for its trial count to be
+        # a float gives infinite trials.
+        engine, tolerance, fallback = "mc-additive", req.eps, ()
+        if req.mode == "approx-multiplicative" or req.mode == "auto" and all_finite:
+            engine = "mc-multiplicative"
+            tolerance = multiplicative_tolerance(gap_bound(req.query, len(players), req.player_kind), req.eps)
+        elif req.mode == "auto":
+            fallback = ("no-multiplicative-guarantee",)
+        trials = game_mod.sample_count(tolerance, req.delta)
+        if req.mode != "auto":
+            game_mod.capped(trials)
+        elif engine == "mc-multiplicative" and trials > game_mod.TRIAL_CAP:
+            fallback = (f"no-multiplicative-guarantee:trials={trials}",)
+            engine, trials = "mc-additive", game_mod.sample_count(req.eps, req.delta)
     if holds(0):
-        flags.append("answer-exogenous")
         # the values of a lineage holding mask 0, as the lineage counter gives them
-        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, tuple(flags))
+        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, ("answer-exogenous",))
 
     if req.mode == "exact":
         budget = LINEAGE_BUDGET
@@ -243,12 +227,10 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         terms = lineage(steps)
         if req.mode in ("auto", "exact"):
             values = game_mod.shapley_lineage_all(players, terms, steps)
-            return ShapleyReport("exact-lineage", {p: values[p] for p in targets}, tuple(flags))
+            return ShapleyReport("exact-lineage", {p: values[p] for p in targets})
     except BudgetExceeded:
         if req.mode == "exact":
             raise
-    if fallback_flag:
-        flags.append(fallback_flag)
     game_mod.capped(trials)  # an auto request's, once it samples
     # the pivots read from the terms when their search finished with at most
     # one term per edge of the graph; past that a vertex game's term pivot is
@@ -262,7 +244,5 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     support = (1 << len(players)) - 1 if terms is None else functools.reduce(or_, terms, 0)
     if terms is None and not holds(support):
         support = 0
-    values = game_mod.sample_pivots(players, pivot, support, trials, tolerance, req.delta, req.seed)
-    if engine == "mc-multiplicative":
-        values = snapped(values, gb.gap, eps)
-    return ShapleyReport(engine, {p: values[p] for p in targets}, tuple(flags))
+    values = game_mod.sample_pivots(players, pivot, support, trials, req.eps, req.delta, req.seed)
+    return ShapleyReport(engine, {p: values[p] for p in targets}, fallback)

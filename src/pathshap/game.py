@@ -72,11 +72,11 @@ class ShapleyReport:
 
 
 def sample_count(eps: float, delta: float) -> Union[int, float]:
-    """Hoeffding trial count for an additive (eps, delta) guarantee;
-    ``math.inf`` when eps is too small for the count to be a float (a
-    multiplicative tolerance from a gap below the float range)."""
+    """Hoeffding trial count for an additive (eps, delta) guarantee, at
+    least 1 however large eps is; ``math.inf`` when eps is too small for
+    the count to be a float (a multiplicative tolerance from a tiny gap)."""
     try:
-        return math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))
+        return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
     except (ZeroDivisionError, OverflowError):
         return math.inf
 
@@ -451,8 +451,8 @@ def shapley_mc_all(
     pivot is searched over the prefixes (``sample_pivots``,
     ``search_pivot``).  Refused over ``TRIAL_CAP`` before any valuation.
     """
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    if not (0 < eps < math.inf and 0 < delta < 1):
+        raise ValueError("eps must be positive and finite and delta must lie in (0, 1)")
     trials = capped(sample_count(eps, delta))
     if support is None:
         support = (1 << len(players)) - 1

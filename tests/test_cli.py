@@ -357,7 +357,7 @@ def test_shapley_nan_eps_exit_2(fig_graph_text, mode, capsys):
         ]
     )
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == "error: eps must be positive and delta must lie in (0, 1)\n"
+    assert capsys.readouterr().err == "error: eps must be positive and finite and delta must lie in (0, 1)\n"
 
 
 # --- nonzero ----------------------------------------------------------------
@@ -527,11 +527,11 @@ QUOTED = 'a"1 a b\\2 n\nb\\2 b \u00fc3 n\n\u00fc3 c \u00e9\u4e2d n\n'
     (None, ["--query", "(x, a b*, y)", "--bind", "x=v1,y=v6"], []),
     (CHAIN3, ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4", "--mode", "approx-additive",
               "--eps", "0.2", "--delta", "0.1", "--seed", "7"], []),
-    # a null player: its estimate is snapped to 0
+    # a null player: never a pivot, it reads 0
     (CHAIN3 + "u4 a u5 n\n", ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4",
                                "--mode", "approx-multiplicative", "--eps", "0.5", "--delta", "0.05"], []),
     (CHAIN3, ["--query", "(x, a b, y)", "--bind", "x=u1,y=u3", "--mode", "approx-additive",
-              "--eps", "1.5"], ["eps-clamped"]),
+              "--eps", "1.5"], []),
     ("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n", ["--query", "(x, a b, y)", "--bind", "x=u1,y=u3"],
      ["answer-exogenous"]),
     (None, ["--query", "(x, {}, y)", "--bind", "x=v1,y=v6"], ["empty-language-atom"]),
@@ -540,7 +540,7 @@ QUOTED = 'a"1 a b\\2 n\nb\\2 b \u00fc3 n\n\u00fc3 c \u00e9\u4e2d n\n'
     (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d'], []),
     (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d', "--player-kind", "vertex",
               "--mode", "approx-additive", "--eps", "0.3", "--delta", "0.2"], []),
-], ids=["exact", "additive", "multiplicative", "eps-clamped", "answer-exogenous", "empty-language-atom",
+], ids=["exact", "additive", "multiplicative", "eps-above-one", "answer-exogenous", "empty-language-atom",
         "no-multiplicative-guarantee", "focus", "quoted-ids", "quoted-ids-sampled"])
 def test_json_report_is_json_dumps_byte_for_byte(graph, argv, flags, fig_graph_text, tmp_path, monkeypatch):
     if graph == STRAYS:
@@ -561,21 +561,19 @@ def test_json_report_is_json_dumps_byte_for_byte(graph, argv, flags, fig_graph_t
         assert '"a\\"1' in out and "b\\\\2" in out and "\\u00e9\\u4e2d" in out and out.isascii()
 
 
-def test_report_renderer_writes_a_snapped_estimate_as_zero():
-    additive = {
-        "e1": game.SampledEstimate(3, 1000, 0.001, 0.05, 4),
-        "e2": game.SampledEstimate(997, 1000, 0.001, 0.05, 4),
-        "e0": game.SampledEstimate(0, 1000, 0.001, 0.05, 4),
+def test_report_renderer_writes_a_multiplicative_null_estimate_as_zero():
+    values = {
+        "e1": game.SampledEstimate(3, 1000, 1.5, 0.05, 4),
+        "e2": game.SampledEstimate(997, 1000, 1.5, 0.05, 4),
+        "e0": game.SampledEstimate(0, 1000, 1.5, 0.05, 4),
     }
-    values = explain.snapped(additive, Fraction(1, 100), 0.5)
     report = game.ShapleyReport("mc-multiplicative", values, ())
-    assert values["e1"].value == 0 < additive["e1"].value
-    assert {est.eps for est in values.values()} == {0.5}
     for fmt in ("json", "csv", "table"):
         out = io.StringIO()
         cli._render_report(report, fmt, out)
         assert out.getvalue() == reference_report(report, fmt)
-    assert [row["value"] for row in json.loads(reference_report(report, "json"))["players"]] == [0.997, 0.0, 0.0]
+    rows = json.loads(reference_report(report, "json"))["players"]
+    assert [(row["value"], row["eps"]) for row in rows] == [(0.997, 1.5), (0.003, 1.5), (0.0, 1.5)]
 
 
 @st.composite
@@ -585,17 +583,14 @@ def reports(draw):
     method = draw(st.sampled_from(["exact-lineage", "mc-additive", "mc-multiplicative"]))
     ids = draw(st.lists(st.text(max_size=6), unique=True, max_size=12))
     samples = draw(st.integers(1, 12))
-    eps, delta, seed = draw(st.floats(1e-6, 0.99)), draw(st.floats(1e-6, 0.99)), draw(st.integers(0, 2**40))
+    eps, delta, seed = draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-6, 0.99)), draw(st.integers(0, 2**40))
     values = {}
     for player in ids:
         if method == "exact-lineage":
             values[player] = draw(st.fractions(0, 1, max_denominator=6))
             continue
-        estimate = game.SampledEstimate(draw(st.integers(0, samples)), samples, eps, delta, seed)
-        if method == "mc-multiplicative":
-            estimate = explain.snapped({player: estimate}, Fraction(1, draw(st.integers(1, 12))), eps)[player]
-        values[player] = estimate
-    flags = draw(st.lists(st.sampled_from(["eps-clamped", "answer-exogenous", "empty-language-atom",
+        values[player] = game.SampledEstimate(draw(st.integers(0, samples)), samples, eps, delta, seed)
+    flags = draw(st.lists(st.sampled_from(["no-multiplicative-guarantee", "answer-exogenous", "empty-language-atom",
                                            "no-multiplicative-guarantee:trials=inf", 'a "quoted" \\ \u00fc flag']),
                           max_size=3))
     return game.ShapleyReport(method, values, tuple(flags))

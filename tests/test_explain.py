@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -171,15 +174,22 @@ def test_solve_short_words_match_the_subset_oracle(graph_text, qtext, btext):
 # --- gap bound and multiplicative wrapper -----------------------------------
 
 def test_gap_bound_values():
+    """The gap is the least (w-1)!(n-w)!/n! over coalition widths w <= K:
+    2!6!/9! for K = 3 on 9 players."""
     gb = explain.gap_bound(crpq("(x, a b c, y)"), 9)
-    assert (gb.k_sum, gb.m_n, gb.gap) == (3, 9, Fraction(1, 9 * 8 * 7))
+    assert (gb.k_sum, gb.m_n, gb.gap) == (3, 9, Fraction(1, 252))
     gb = explain.gap_bound(crpq("(x, a b, y) & (y, c, z)"), 10)
-    assert (gb.k_sum, gb.gap) == (3, Fraction(1, 10 * 9 * 8))
+    assert (gb.k_sum, gb.gap) == (3, Fraction(1, 360))
+    for n, k in itertools.product(range(1, 13), range(1, 13)):
+        least = min(Fraction(math.factorial(w - 1) * math.factorial(n - w), math.factorial(n))
+                    for w in range(1, min(k, n) + 1))
+        gb = explain.gap_bound(crpq("(x, " + " ".join(["a"] * k) + ", y)"), n)
+        assert gb.gap == least, (n, k)
 
 
 def test_gap_bound_truncates_factor_product():
     gb = explain.gap_bound(crpq("(x, a b c, y)"), 2)
-    assert gb.gap == Fraction(1, 2 * 1)  # only m_n factors available
+    assert gb.gap == Fraction(1, 2 * 1)  # no coalition is wider than the m_n players
 
 
 def test_gap_bound_rejects_infinite_language():
@@ -429,6 +439,20 @@ def _on_lineage(terms):
     return lambda mask: any(t & mask == t for t in terms)
 
 
+def _random_request(rng, qtext, small):
+    """A random graph with self-loops, exogenous edges and vertices, the
+    query of ``qtext`` on it, and a binding: an answer when there is one,
+    so that most requests draw permutations.  ``small`` graphs keep the
+    multiplicative trial count, which grows with the players, low."""
+    g = random_labeled_graph(
+        rng, rng.randint(2, 4 if small else 5), rng.randint(1, 5 if small else 9), exo_prob=0.3,
+        allow_self_loops=True, exo_vertex_prob=0.3,
+    )
+    q = crpq(qtext, frozenset("ab"))
+    answers = query.enumerate_answers(g, q) or [[rng.choice(sorted(g.vertices)) for _ in q.variables]]
+    return g, q, query.Assignment(dict(zip(q.variables, rng.choice(answers))))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     # 600 or 17 additive trials, so that some searches run over their budget
@@ -447,16 +471,8 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
     support (every player when the search ran out): self-loops, exogenous
     edges and vertices, CRPQs, and infinite languages when additive."""
     qtext, mode, eps = query_mode
-    rng = random.Random(seed)
-    small = mode == "approx-multiplicative"  # its trial count grows with the players
-    g = random_labeled_graph(
-        rng, rng.randint(2, 4 if small else 5), rng.randint(1, 5 if small else 9), exo_prob=0.3,
-        allow_self_loops=True, exo_vertex_prob=0.3,
-    )
-    q = crpq(qtext, frozenset("ab"))
-    # an answer when there is one, so that most requests draw permutations
-    answers = query.enumerate_answers(g, q) or [[rng.choice(sorted(g.vertices)) for _ in q.variables]]
-    mu = query.Assignment(dict(zip(q.variables, rng.choice(answers))))
+    small = mode == "approx-multiplicative"
+    g, q, mu = _random_request(random.Random(seed), qtext, small)
     players, holds, lineage = explain._request_game(g, q, mu, player_kind)
     assume(players and not holds(0))
     delta = 0.5 if small else 0.1
@@ -482,6 +498,52 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
             "mc-additive", game.shapley_mc_all(players, product.value, eps, delta, seed, support))
     assert report == expected
     assert all(mask == 0 for mask in calls) == reads_lineage
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qtext=st.sampled_from(FINITE_QUERIES),
+    eps=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+    player_kind=st.sampled_from(["edge", "vertex"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtext, eps, player_kind):
+    """A multiplicative report is ``shapley_mc_all`` at
+    ``multiplicative_tolerance`` with only eps restamped, for eps of 1 and
+    more too, with no flag; its null players, and those of the term pivot
+    and of the product search over every player, read 0 successes, with no
+    threshold; an infinite or NaN eps is refused."""
+    g, q, mu = _random_request(random.Random(seed), qtext, small=True)
+    players, holds, lineage = explain._request_game(g, q, mu, player_kind)
+    everyone = (1 << len(players)) - 1
+    assume(players and not holds(0) and holds(everyone))
+    req = explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode="approx-multiplicative", eps=eps,
+                                 delta=0.5, seed=seed)
+    report = explain.solve(req)
+    assert (report.method, report.flags) == ("mc-multiplicative", ())
+    gb = explain.gap_bound(q, len(players), player_kind)
+    tolerance = explain.multiplicative_tolerance(gb, eps)
+    terms = lineage([explain.LINEAGE_BUDGET])
+    product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
+    additive = game.shapley_mc_all(players, product.value, tolerance, 0.5, seed, reduce(or_, terms, 0))
+    assert report.values == {p: replace(est, eps=eps) for p, est in additive.items()}
+    trials = game.sample_count(tolerance, 0.5)
+    assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
+    exact = explain.solve(replace(req, mode="exact")).values
+    null = [p for p in players if exact[p] == 0]
+    on_terms = game.sample_pivots(players, game.term_pivot(terms), reduce(or_, terms, 0), trials, eps, 0.5, seed)
+    on_search = game.sample_pivots(players, game.search_pivot(game.memoized(holds)), everyone, trials, eps, 0.5,
+                                   seed)
+    for estimates in (report.values, on_terms, on_search):
+        assert all(estimates[p].successes == 0 for p in null)
+    for bad in (math.inf, math.nan):
+        for mode in ("auto", "exact", "approx-additive", "approx-multiplicative"):
+            with pytest.raises(ValueError):
+                explain.solve(replace(req, mode=mode, eps=bad))
+        with pytest.raises(ValueError):
+            explain.shapley_multiplicative_all(players, product.value, gb, bad, 0.5, seed)
+        with pytest.raises(ValueError):
+            game.shapley_mc_all(players, product.value, bad, 0.5, seed)
 
 
 def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
@@ -857,18 +919,22 @@ def test_solve_auto_falls_back_to_additive_over_trial_cap(monkeypatch):
 
 
 def test_solve_over_trial_cap_when_the_gap_underflows_a_float(monkeypatch):
-    # one word of length 180 on 180 players: gap 1/180! is below 1e-308;
-    # the one-term lineage is counted unless its budget is cut
+    # one word of length 520 on 520 players: gap 1/(520 C(519, 259)) is
+    # about 1e-158, so the tolerance's square is subnormal and the trial
+    # count past the float range, infinite; the one-term lineage is counted
+    # unless its budget is cut
     monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
-    g = load_graph("".join(f"u{i} a u{i + 1} n\n" for i in range(180)))
-    qtext = "(x, " + " ".join(["a"] * 180) + ", y)"
-    req = request(g, qtext, "x=u0,y=u180", eps=0.5, delta=0.5)
-    assert explain.multiplicative_tolerance(explain.gap_bound(req.query, 180), 0.5) == 0.0
+    g = load_graph("".join(f"u{i} a u{i + 1} n\n" for i in range(520)))
+    qtext = "(x, " + " ".join(["a"] * 520) + ", y)"
+    req = request(g, qtext, "x=u0,y=u520", eps=0.5, delta=0.5)
+    tolerance = explain.multiplicative_tolerance(explain.gap_bound(req.query, 520), 0.5)
+    assert 0 < tolerance * tolerance < sys.float_info.min
+    assert game.sample_count(tolerance, 0.5) == math.inf
     report = explain.solve(req)
     assert report.method == "mc-additive"
     assert report.flags == ("no-multiplicative-guarantee:trials=inf",)
     with pytest.raises(BudgetExceeded):
-        explain.solve(request(g, qtext, "x=u0,y=u180", mode="approx-multiplicative"))
+        explain.solve(request(g, qtext, "x=u0,y=u520", mode="approx-multiplicative"))
 
 
 @pytest.mark.parametrize(
@@ -900,37 +966,31 @@ def test_solve_auto_multiplicative_for_finite_languages(monkeypatch):
     assert Fraction(1, 3) / Fraction(3, 2) <= est.value <= Fraction(1, 3) * Fraction(3, 2)
 
 
-def test_solve_clamps_large_eps(fig_graph):
-    req = request(
-        fig_graph,
-        "(x, a b c, y)",
-        "x=v1,y=v6",
-        mode="approx-additive",
-        eps=2.0,
-        delta=0.1,
-    )
-    report = explain.solve(req)
-    assert "eps-clamped" in report.flags
-    assert next(iter(report.values.values())).eps == 0.99
+def test_solve_samples_large_eps_as_given(fig_graph):
+    """An additive eps of 1 or more is vacuous but valid: sampled and
+    reported as given, unflagged, with at least one trial."""
+    for eps, trials in ((2.0, 1), (1e200, 1)):
+        req = request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode="approx-additive", eps=eps, delta=0.1)
+        report = explain.solve(req)
+        assert report.flags == ()
+        assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
 
 
-def test_solve_clamps_eps_by_one_rule():
-    """A multiplicative eps below 1 is kept, unflagged, with the trials of
-    its own tolerance; eps 1 is clamped to 0.99 and flagged; the wrapper
-    refuses an eps of 1 or more."""
+def test_solve_keeps_every_finite_eps():
+    """A multiplicative eps is sampled at its own tolerance and reported as
+    given, unflagged, below 1 and from 1 up; the wrapper takes the same
+    eps."""
     g = load_graph(CHAIN3)
-    req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=0.995)
-    report = explain.solve(req)
-    trials = game.sample_count(explain.multiplicative_tolerance(explain.gap_bound(req.query, 3), 0.995), 0.01)
-    assert trials == 384
-    assert report.flags == ()
-    assert {(est.eps, est.samples) for est in report.values.values()} == {(0.995, trials)}
-    clamped = explain.solve(request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=1.0))
-    assert clamped.flags == ("eps-clamped",)
-    assert {est.eps for est in clamped.values.values()} == {0.99}
-    cg = edge_game(g, req.query, req.binding)
-    with pytest.raises(ValueError):
-        explain.shapley_multiplicative_all(cg.players, cg.value, explain.gap_bound(req.query, 3), 1.0, 0.01, 0)
+    gb = explain.gap_bound(crpq("(x, a b c, y)"), 3)
+    cg = edge_game(g, crpq("(x, a b c, y)"), bind("x=u1,y=u4", crpq("(x, a b c, y)")))
+    for eps, trials in ((0.995, 384), (1.0, 382), (3.0, 170)):
+        req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=eps)
+        report = explain.solve(req)
+        assert game.sample_count(explain.multiplicative_tolerance(gb, eps), 0.01) == trials
+        assert report.flags == ()
+        assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
+        wrapped = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps, 0.01, 0)
+        assert {(est.eps, est.samples) for est in wrapped.values()} == {(eps, trials)}
 
 
 def test_solve_validates_parameters(fig_graph):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -317,11 +318,14 @@ def test_sample_count_formula():
     assert game.sample_count(0.05, 0.01) == 1060
     assert game.sample_count(0.1, 0.05) == 185
     assert game.sample_count(0.2, 0.1) == 38
+    # never 0 trials, however vacuous the tolerance
+    assert game.sample_count(1.5, 0.01) == 2
+    assert game.sample_count(1e200, 0.01) == game.sample_count(math.inf, 0.01) == 1
 
 
 def test_mc_validates_parameters():
     g = make_game(["a", "b"], [{"a"}])
-    for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
+    for eps, delta in ((0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (0.5, 0.0), (0.5, 1.0)):
         with pytest.raises(ValueError):
             game.shapley_mc_all(g.players, g.value, eps, delta, seed=0)
 
