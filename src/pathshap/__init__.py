@@ -2,21 +2,8 @@
 query answers on edge-labeled directed graphs."""
 
 from .automata import Dfa, LanguageProfile, accepts, compile, language_profile
-from .explain import (
-    ExplainRequest,
-    GapBound,
-    candidate_supports,
-    gap_bound,
-    shapley_multiplicative_all,
-    solve,
-)
-from .game import (
-    SampledEstimate,
-    ShapleyReport,
-    sample_count,
-    shapley_lineage_all,
-    shapley_mc_all,
-)
+from .explain import ExplainRequest, candidate_supports, gap_bound, solve
+from .game import SampledEstimate, ShapleyReport, sample_count, shapley_lineage_all
 from .graph import Edge, LabeledGraph, edge_subgraph, load_graph, serialize, vertex_subgraph
 from .query import (
     Assignment,
@@ -37,7 +24,6 @@ __all__ = [
     "Dfa",
     "Edge",
     "ExplainRequest",
-    "GapBound",
     "LabeledGraph",
     "LanguageProfile",
     "RegexAst",
@@ -61,8 +47,6 @@ __all__ = [
     "sample_count",
     "serialize",
     "shapley_lineage_all",
-    "shapley_mc_all",
-    "shapley_multiplicative_all",
     "solve",
     "vertex_subgraph",
 ]

@@ -21,7 +21,7 @@ class LanguageProfile:
     """Shape of a DFA's language, used to pick the right algorithm."""
 
     is_empty: bool
-    is_finite: bool
+    is_finite: bool  # the empty language is finite
     max_word_length: Optional[int]  # None when empty or infinite
 
 
@@ -183,12 +183,12 @@ def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
 def language_profile(d: Dfa) -> LanguageProfile:
     """Emptiness, finiteness and longest word length, from one pass over the
     useful subautomaton in Kahn's order.  Every useful state is reached from
-    the start through useful states, so the language is empty when the
-    start is not useful; otherwise it is infinite when the pass leaves some
+    the start through useful states, so the language is empty, and finite
+    with no longest word, when the start is not useful; otherwise it is infinite when the pass leaves some
     state unvisited, on a cycle, and finite with its longest word the
     longest path from the start to an accepting state when it does not."""
     if d.start not in d.useful:
-        return LanguageProfile(True, False, None)
+        return LanguageProfile(True, True, None)
     targets = {q: set(d.useful_moves[q].values()) for q in d.useful}
     indegree = dict.fromkeys(d.useful, 0)
     for nexts in targets.values():

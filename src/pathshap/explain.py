@@ -1,23 +1,23 @@
 """Edge and vertex contribution games over a graph/query/answer triple.
 
-Builds a request's players, coalition predicate and lineage, provides the
-gap-based multiplicative wrapper, and dispatches between the lineage
-counter and the sampler, whose pivot rule, tolerance and trial count
-``solve`` decides once.  Every exact and auto request searches and counts
-its lineage first, whatever its query, player kind and player count,
-within a step budget: ``LINEAGE_BUDGET`` for ``exact``, which refuses
-past it, and the cost of the sampler it would fall back to for ``auto``,
-which samples past it.
+Builds a request's players, coalition predicate and lineage, and
+dispatches between the lineage counter and the sampler, whose pivot rule,
+support, tolerance and trial count ``solve`` decides once: it is the only
+caller of ``game.sample_pivots``.  Every exact and auto request searches
+and counts its lineage first, whatever its query, player kind and player
+count, within a step budget: ``LINEAGE_BUDGET`` for ``exact``, which
+refuses past it, and the cost of the sampler it would fall back to for
+``auto``, which samples past it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from . import game as game_mod
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     InvalidPlayerSet,
     NoPlayers,
 )
-from .game import SampledEstimate, ShapleyReport
+from .game import ShapleyReport
 from .graph import LabeledGraph
 from .query import (
     Assignment,
@@ -63,13 +63,6 @@ class ExplainRequest:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class GapBound:
-    k_sum: int
-    m_n: int
-    gap: Fraction
-
-
 # --- game construction -----------------------------------------------------
 
 def _request_game(
@@ -99,47 +92,34 @@ def _request_game(
     return players, holds, functools.partial(lineage, out, atoms, bound)
 
 
-# --- gap bound and multiplicative wrapper ----------------------------------
+# --- gap bound -------------------------------------------------------------
 
-def gap_bound(q: Crpq, m_n: int, player_kind: str = "edge") -> GapBound:
-    """Smallest possible nonzero value for a finite-language query over m_n
+def gap_bound(q: Crpq, n: int, player_kind: str = "edge") -> Fraction:
+    """Smallest possible nonzero value for a finite-language query over n
     players.  A player of a minimal winning coalition of w players pivots
     in every order that starts with the rest of the coalition, so its value
     is at least (w-1)!(n-w)!/n! = 1/(n C(n-1, w-1)), which falls while
-    w - 1 < (n-1)/2; the gap takes w up to k = ``k_sum``, the most players
+    w - 1 < (n-1)/2; the gap takes w up to K = ``k_sum``, the most players
     of a minimal winning coalition.  A word of length k takes k edges and
-    visits k + 1 vertices, so ``k_sum`` is the sum of the non-empty atoms'
-    longest word lengths, plus one per atom for vertex players."""
+    visits k + 1 vertices, so K is the sum of the non-empty atoms' longest
+    word lengths, plus one per atom for vertex players.  An empty atom adds
+    nothing: its query has no winning coalition at all."""
     k_sum = 0
     for atom in q.atoms:
         if not atom.profile.is_finite:
             raise InfiniteLanguage(f"atom {atom.text!r} has an infinite language")
         if not atom.profile.is_empty:
             k_sum += atom.profile.max_word_length + (player_kind == "vertex")
-    w = min(k_sum, (m_n + 1) // 2)  # the width of the least bound; 0 when no player has a nonzero value
-    return GapBound(k_sum, m_n, Fraction(1, m_n * math.comb(m_n - 1, w - 1)) if w else Fraction(1))
+    w = min(k_sum, (n + 1) // 2)  # the width of the least bound; 0 when no player has a nonzero value
+    return Fraction(1, n * math.comb(n - 1, w - 1)) if w else Fraction(1)
 
 
-def multiplicative_tolerance(gb: GapBound, eps: float) -> float:
-    """Additive tolerance gap*eps/(1+eps) of the (1+eps) wrapper, for any
+def multiplicative_tolerance(gap: Fraction, eps: float) -> float:
+    """Additive tolerance gap*eps/(1+eps) of the (1+eps) reduction, for any
     eps > 0: within it, every value phi of at least the gap is estimated in
     [phi/(1+eps), phi(1+eps)], and a null player, never a pivot, reads
     exactly 0."""
-    return float(gb.gap) * eps / (1.0 + eps)
-
-
-def shapley_multiplicative_all(
-    players: Sequence[str], value: Callable[[int], int], gb: GapBound, eps: float, delta: float, seed: int,
-    support: Optional[int] = None,
-) -> dict[str, SampledEstimate]:
-    """Multiplicative (1+eps) estimates of every player of the game
-    ``value``, for any finite eps > 0: the additive sampler over the same
-    ``support`` run at ``multiplicative_tolerance``, each row reporting
-    eps."""
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    additive = game_mod.shapley_mc_all(players, value, multiplicative_tolerance(gb, eps), delta, seed, support)
-    return {p: replace(est, eps=eps) for p, est in additive.items()}
+    return float(gap) * eps / (1.0 + eps)
 
 
 # --- lineage ---------------------------------------------------------------
@@ -179,13 +159,13 @@ def solve(req: ExplainRequest) -> ShapleyReport:
         raise InvalidPlayerSet(f"{req.focus} is not an endogenous {req.player_kind}")
     targets = [req.focus] if req.focus is not None else players
 
+    if any(a.profile.is_empty for a in req.query.atoms):
+        # the values of an empty lineage, as the lineage counter gives them,
+        # in every mode: no coalition wins, whatever the other atoms are
+        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, ("empty-language-atom",))
     all_finite = all(a.profile.is_finite for a in req.query.atoms)
     if req.mode == "approx-multiplicative" and not all_finite:
         raise InfiniteLanguage("multiplicative approximation needs finite atom languages")
-
-    if any(a.profile.is_empty for a in req.query.atoms):
-        # the values of an empty lineage, as the lineage counter gives them
-        return ShapleyReport("exact-lineage", {p: Fraction(0) for p in targets}, ("empty-language-atom",))
     if req.mode != "exact":
         # the sampler a request runs when its lineage is not counted and its
         # trials, decided here once: a multiplicative request samples at

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import mul, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import BudgetExceeded
 
@@ -439,21 +439,3 @@ def sample_pivots(
         pivots = Counter(dict.fromkeys(bits, trials))
     return {p: SampledEstimate(pivots[1 << i], trials, eps, delta, seed) for i, p in enumerate(players)}
 
-
-def shapley_mc_all(
-    players: Sequence[str], value: Callable[[int], int], eps: float, delta: float, seed: int,
-    support: Optional[int] = None,
-) -> dict[str, SampledEstimate]:
-    """Additive Monte-Carlo estimates of every player of the monotone 0/1
-    game ``value`` (a mask predicate, bit i the i-th player) from
-    Hoeffding-many permutations of the bits of ``support`` (every player
-    when None), whose other players the caller vouches are null; each
-    pivot is searched over the prefixes (``sample_pivots``,
-    ``search_pivot``).  Refused over ``TRIAL_CAP`` before any valuation.
-    """
-    if not (0 < eps < math.inf and 0 < delta < 1):
-        raise ValueError("eps must be positive and finite and delta must lie in (0, 1)")
-    trials = capped(sample_count(eps, delta))
-    if support is None:
-        support = (1 << len(players)) - 1
-    return sample_pivots(players, search_pivot(value), support if value(support) else 0, trials, eps, delta, seed)

@@ -10,6 +10,8 @@ the library's mask predicate, and a valuation on frozensets of players for
 the textbook oracles; ``edge_game`` and ``vertex_game`` give a request's
 baseline-shifted game in it, built on the request predicate, which the
 tests check against ``edge_subgraph`` and ``vertex_subgraph``.
+``mc_estimates`` is the one library composition kept here: the sampler
+on a bare game, which the library runs only inside ``explain.solve``.
 """
 
 from __future__ import annotations
@@ -304,12 +306,25 @@ def shapley_exact_permutation_all(g, cap: int = PERMUTATION_CAP) -> dict[str, Fr
     return {p: Fraction(c, total_perms) for p, c in counts.items()}
 
 
+def mc_estimates(players, value, eps: float, delta: float, seed: int, support=None):
+    """The sampler's estimates of every player of the game ``value`` (a
+    mask predicate) at the Hoeffding count of (eps, delta):
+    ``game.sample_pivots`` with the search pivot over the bits of
+    ``support``, every player when None, or over none when ``support``
+    loses.  No parameter check and no trial cap: ``explain.solve`` makes
+    those decisions."""
+    if support is None:
+        support = (1 << len(players)) - 1
+    return game.sample_pivots(players, game.search_pivot(value), support if value(support) else 0,
+                              game.sample_count(eps, delta), eps, delta, seed)
+
+
 def pivot_oracle_counts(players, valuation, trials: int, seed: int) -> dict[str, int]:
-    """Every player's count of marginal-1 trials over the permutation stream
-    of ``game.shapley_mc_all``: ``random.Random(seed)`` shuffles the player
-    list in place once per trial.  Given the players of the sampler's
-    support, in bit order, it counts the players that can pivot, as the
-    sampler does.  Each player's marginal v(prefix | {a}) - v(prefix) is
+    """Every player's count of marginal-1 trials over the sampler's
+    permutation stream (``game.sample_pivots``): ``random.Random(seed)``
+    shuffles the player list in place once per trial.  Given the players
+    of the sampler's support, in bit order, it counts the players that can
+    pivot, as the sampler does.  Each player's marginal v(prefix | {a}) - v(prefix) is
     valued directly, in a linear scan."""
     order = list(players)
     counts = {p: 0 for p in order}

@@ -11,13 +11,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from pathshap import cli, explain, game, query
+from pathshap import cli, explain, query
 from pathshap.graph import Edge, LabeledGraph, load_graph, serialize
 
 from helpers import (
     Game,
     edge_game,
     edge_on_simple_path,
+    mc_estimates,
     random_labeled_graph,
     random_monotone_game,
     shapley_exact_permutation_all,
@@ -182,7 +183,7 @@ def test_criterion_4_additive_sampler_calibration(fig_graph):
     runs = 2000
     failures = 0
     for seed in range(runs):
-        est = game.shapley_mc_all(cg.players, cg.value, eps=0.1, delta=0.05, seed=seed)["v3->v5"]
+        est = mc_estimates(cg.players, cg.value, eps=0.1, delta=0.05, seed=seed)["v3->v5"]
         assert est.samples == 185  # ceil(ln(40) / 0.02)
         if abs(est.value - exact) > Fraction(1, 10):
             failures += 1
@@ -217,30 +218,29 @@ def test_additive_calibration_through_solve_on_the_lineage_support(fig_graph_tex
 
 def test_criterion_5_multiplicative_wrapper():
     """Outputs within a factor 1.5 of the exact value (failure rate <= 0.05
-    over 1000 runs); null players are exactly zero in every run."""
+    over 1000 runs); null players are exactly zero in every run, also when
+    the sampler shuffles every player, the null one included, at the
+    multiplicative tolerance."""
     g = load_graph(CHAIN3)
     q = crpq("(x, a b c, y)", g.alphabet)
     mu = query.parse_binding("x=u1,y=u4", q)
-    cg = edge_game(g, q, mu)
-    gb = explain.gap_bound(q, 3)
-    assert gb.gap == Fraction(1, 6)
+    assert explain.gap_bound(q, 3) == Fraction(1, 6)
     exact = Fraction(1, 3)
     lo, hi = exact / Fraction(3, 2), exact * Fraction(3, 2)
     failures = 0
     runs = 1000
     for seed in range(runs):
-        est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=seed)["u2->u3"]
-        if not lo <= est.value <= hi:
+        report = explain.solve(explain.ExplainRequest(g, q, mu, mode="approx-multiplicative", eps=0.5, delta=0.05,
+                                                      seed=seed))
+        if not lo <= report.values["u2->u3"].value <= hi:
             failures += 1
     assert failures / runs <= 0.05
 
     stray = load_graph(CHAIN3 + "u5 a u6 n\n")
     cg_null = edge_game(stray, q, mu)
-    gb_null = explain.gap_bound(q, len(stray.endo_edges))
+    tolerance = explain.multiplicative_tolerance(explain.gap_bound(q, len(stray.endo_edges)), 0.5)
     for seed in range(100):
-        est = explain.shapley_multiplicative_all(
-            cg_null.players, cg_null.value, gb_null, eps=0.5, delta=0.05, seed=seed
-        )["u5->u6"]
+        est = mc_estimates(cg_null.players, cg_null.value, tolerance, 0.05, seed)["u5->u6"]
         assert est.value == 0
     _report(f"criterion 5 PASS: multiplicative wrapper failure rate "
             f"{failures}/{runs} <= 0.05; null player exactly 0 in 100/100 runs")

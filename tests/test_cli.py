@@ -535,13 +535,16 @@ QUOTED = 'a"1 a b\\2 n\nb\\2 b \u00fc3 n\n\u00fc3 c \u00e9\u4e2d n\n'
     ("u1 a u2 x\nu2 b u3 x\nu1 b u3 n\n", ["--query", "(x, a b, y)", "--bind", "x=u1,y=u3"],
      ["answer-exogenous"]),
     (None, ["--query", "(x, {}, y)", "--bind", "x=v1,y=v6"], ["empty-language-atom"]),
+    # an empty atom empties the lineage beside an infinite one too
+    (None, ["--query", "(x, a*, y) & (y, {}, z)", "--bind", "x=v1,y=v2,z=v6", "--mode", "approx-multiplicative"],
+     ["empty-language-atom"]),
     (STRAYS, ["--query", "(x, a b c, y)", "--bind", "x=u1,y=u4"], ["no-multiplicative-guarantee:trials="]),
     (None, ["--query", "(x, a b*, y)", "--bind", "x=v1,y=v6", "--focus", "v2->v6"], []),
     (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d'], []),
     (QUOTED, ["--query", "(x, a b c, y)", "--bind", 'x=a"1,y=\u00e9\u4e2d', "--player-kind", "vertex",
               "--mode", "approx-additive", "--eps", "0.3", "--delta", "0.2"], []),
 ], ids=["exact", "additive", "multiplicative", "eps-above-one", "answer-exogenous", "empty-language-atom",
-        "no-multiplicative-guarantee", "focus", "quoted-ids", "quoted-ids-sampled"])
+        "empty-language-atom-multiplicative", "no-multiplicative-guarantee", "focus", "quoted-ids", "quoted-ids-sampled"])
 def test_json_report_is_json_dumps_byte_for_byte(graph, argv, flags, fig_graph_text, tmp_path, monkeypatch):
     if graph == STRAYS:
         # auto counts the strays' lineage of 23 players unless its budget is cut

