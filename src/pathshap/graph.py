@@ -2,27 +2,25 @@
 
 Graphs are immutable after construction.  At most one edge is allowed per
 ordered (source, target) pair, so an edge id can be (and is) derived from its
-endpoints.  Vertices referenced only by edge lines default to endogenous.
+endpoints; two pairs whose ids collide (a vertex name holding ``->``) are
+rejected.  Vertices referenced only by edge lines default to endogenous.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidPlayerSet, MalformedGraph
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge; a tuple, so it equals, unpacks and orders like
+    ``(id, source, label, target)``."""
+
     id: str
     source: str
     label: str
     target: str
-
-
-def edge_id(source: str, target: str) -> str:
-    return f"{source}->{target}"
 
 
 class LabeledGraph:
@@ -43,6 +41,7 @@ class LabeledGraph:
         self.endo_vertices = frozenset(endo_vertices)
         self.exo_vertices = self.vertices - self.endo_vertices
         self._check()
+        self.alphabet = frozenset(e.label for e in self.edges)
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             out[e.source].append(e)
@@ -61,10 +60,6 @@ class LabeledGraph:
             raise MalformedGraph("endogenous edge partition references unknown edges")
         if not self.endo_vertices <= self.vertices:
             raise MalformedGraph("endogenous vertex partition references unknown vertices")
-
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(e.label for e in self.edges)
 
     def out_edges(self, v: str) -> list[Edge]:
         return self._out[v]
@@ -89,42 +84,47 @@ def load_graph(text: str) -> LabeledGraph:
     Edge lines are ``<src> <label> <dst> <n|x>``; vertex lines are
     ``v <id> <n|x>``, so a line of four fields is an edge line even when
     its source is a vertex named ``v``.  Blank lines and lines whose first
-    non-blank character is ``#`` are ignored.
+    non-blank character is ``#`` are ignored.  Each line is split once.
     """
     vertices: set[str] = set()
     vertex_class: dict[str, str] = {}
     edges: list[Edge] = []
-    seen_pairs: set[str] = set()
+    # edge id -> its (source, target): a repeated pair repeats its id, and a
+    # repeated id of another pair is a collision, not a parallel edge
+    pairs: dict[str, tuple[str, str]] = {}
     endo_edges: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if fields[0] == "v" and len(fields) != 4:
+        if len(fields) == 4:
+            src, label, dst, tag = fields
+            if tag not in ("n", "x"):
+                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")
+            eid = f"{src}->{dst}"
+            pair = pairs.get(eid)
+            if pair is not None:
+                if pair == (src, dst):
+                    raise MalformedGraph(f"line {lineno}: parallel edge for pair ({src}, {dst})")
+                raise MalformedGraph(f"line {lineno}: pairs ({pair[0]}, {pair[1]}) and ({src}, {dst}) "
+                                     f"have the same edge id {eid}")
+            pairs[eid] = (src, dst)
+            edges.append(Edge(eid, src, label, dst))
+            if tag == "n":
+                endo_edges.add(eid)
+            vertices.add(src)
+            vertices.add(dst)
+        elif fields[0] == "v":
             if len(fields) != 3:
                 raise MalformedGraph(f"line {lineno}: vertex line needs 'v <id> <n|x>'")
             _, vid, tag = fields
             if tag not in ("n", "x"):
                 raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")
-            if vertex_class.get(vid, tag) != tag:
+            if vertex_class.setdefault(vid, tag) != tag:
                 raise MalformedGraph(f"line {lineno}: vertex {vid} reclassified")
-            vertex_class[vid] = tag
             vertices.add(vid)
         else:
-            if len(fields) != 4:
-                raise MalformedGraph(f"line {lineno}: edge line needs '<src> <label> <dst> <n|x>'")
-            src, label, dst, tag = fields
-            if tag not in ("n", "x"):
-                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")
-            eid = edge_id(src, dst)
-            if eid in seen_pairs:
-                raise MalformedGraph(f"line {lineno}: parallel edge for pair ({src}, {dst})")
-            seen_pairs.add(eid)
-            edges.append(Edge(eid, src, label, dst))
-            if tag == "n":
-                endo_edges.add(eid)
-            vertices.update((src, dst))
+            raise MalformedGraph(f"line {lineno}: edge line needs '<src> <label> <dst> <n|x>'")
     endo_vertices = {v for v in vertices if vertex_class.get(v, "n") == "n"}
     return LabeledGraph(vertices, edges, endo_edges, endo_vertices)
 

@@ -11,6 +11,7 @@ empty path.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -97,12 +98,23 @@ def _split_atoms(text: str) -> list[str]:
     return parts
 
 
+# Most (query text, graph alphabet) pairs compile_crpq keeps compiled.
+COMPILE_MEMO = 256
+
+
 def compile_crpq(text: str, graph_alphabet: Iterable[str]) -> Crpq:
     """Parse and compile a query; the alphabet is the union of the graph's
-    labels and the labels mentioned by the query."""
+    labels and the labels mentioned by the query.  The result is memoized
+    on (text, graph alphabet), so repeated calls share one read-only
+    ``Crpq``; a query that fails to compile is not memoized."""
+    return _compile(text, frozenset(graph_alphabet))
+
+
+@functools.lru_cache(maxsize=COMPILE_MEMO)
+def _compile(text: str, graph_alphabet: frozenset[str]) -> Crpq:
     triples = parse_crpq_text(text)
     asts = [(src, rx.parse_regex(expr), expr, dst) for src, expr, dst in triples]
-    alphabet = frozenset(graph_alphabet)
+    alphabet = graph_alphabet
     for _, ast, _, _ in asts:
         alphabet |= rx.symbols_of(ast)
     if not alphabet:

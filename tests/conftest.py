@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import Phase, settings
 
 from pathshap.graph import load_graph
+
+# tests/mutants.py runs its tests under this profile: any failure kills a
+# mutant, so a failing example is neither shrunk nor explained, nor saved
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate), database=None)
 
 RUNNING_EXAMPLE = """\
 # running example graph

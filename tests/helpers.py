@@ -4,8 +4,8 @@ Everything here recomputes results from first principles (direct language
 semantics, path enumeration, simple-path search, subset enumeration, the
 textbook subset-form Shapley sum, a sweep of every coalition counted by
 size, per-player marginals over a permutation stream, the quadratic scans
-the lineage search and counter indexed, the report through ``json.dumps``)
-so the tests never trust the code paths they check.  ``Game`` is the one game in two forms:
+the lineage search and counter indexed, the report through ``json.dumps``, the graph loader as it parsed before
+it split each line once) so the tests never trust the code paths they check.  ``Game`` is the one game in two forms:
 the library's mask predicate, and a valuation on frozensets of players for
 the textbook oracles; ``edge_game`` and ``vertex_game`` give a request's
 baseline-shifted game in it, built on the request predicate, which the
@@ -28,7 +28,7 @@ from functools import reduce
 from operator import or_
 
 from pathshap import explain, game, regex as rx
-from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet
+from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet, MalformedGraph
 from pathshap.graph import Edge, LabeledGraph
 from pathshap.query import Assignment, Crpq, _check_vertices
 
@@ -381,6 +381,50 @@ def random_labeled_graph(
     if exo_vertex_prob:
         endo_vertices = [v for v in vertices if rng.random() >= exo_vertex_prob]
     return LabeledGraph(vertices, edges, endo, endo_vertices)
+
+
+def reference_load_graph(text: str) -> LabeledGraph:
+    """``graph.load_graph`` as it parsed before it split each line once:
+    strip, then the comment test, then split.  Its parallel-edge check keys
+    on the edge id, so it reports a pair whose id collides with another
+    pair's as a parallel edge; texts for it hold no vertex name with
+    ``->``."""
+    vertices: set[str] = set()
+    vertex_class: dict[str, str] = {}
+    edges: list[Edge] = []
+    seen_pairs: set[str] = set()
+    endo_edges: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "v" and len(fields) != 4:
+            if len(fields) != 3:
+                raise MalformedGraph(f"line {lineno}: vertex line needs 'v <id> <n|x>'")
+            _, vid, tag = fields
+            if tag not in ("n", "x"):
+                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")
+            if vertex_class.get(vid, tag) != tag:
+                raise MalformedGraph(f"line {lineno}: vertex {vid} reclassified")
+            vertex_class[vid] = tag
+            vertices.add(vid)
+        else:
+            if len(fields) != 4:
+                raise MalformedGraph(f"line {lineno}: edge line needs '<src> <label> <dst> <n|x>'")
+            src, label, dst, tag = fields
+            if tag not in ("n", "x"):
+                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")
+            eid = f"{src}->{dst}"
+            if eid in seen_pairs:
+                raise MalformedGraph(f"line {lineno}: parallel edge for pair ({src}, {dst})")
+            seen_pairs.add(eid)
+            edges.append(Edge(eid, src, label, dst))
+            if tag == "n":
+                endo_edges.add(eid)
+            vertices.update((src, dst))
+    endo_vertices = {v for v in vertices if vertex_class.get(v, "n") == "n"}
+    return LabeledGraph(vertices, edges, endo_edges, endo_vertices)
 
 
 # --- the term-set work and the report, as scans and through json.dumps -------

@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""A standing mutation check: each mutant below must fail its tests.
+
+An entry names a file under ``src/``, a text that occurs in it exactly
+once, the text that replaces it, and the pytest node ids that must catch
+the edit.  For each entry the script copies ``src/`` to a temporary
+directory, applies the edit there, and runs ``python -m pytest -x -q`` on
+the node ids with the copy first on ``PYTHONPATH``.  The script fails when
+a mutant passes its tests, when an old text no longer occurs exactly once,
+or when the node ids do not all pass on the unmutated sources (so that a
+node id that went missing cannot read as a kill).  Pytest does not collect
+this file, since it collects ``test_*.py``.
+
+Run from anywhere in a checkout::
+
+    python3 tests/mutants.py               # every mutant
+    python3 tests/mutants.py <name> ...    # the named mutants
+
+A change that makes a mutant by hand to show that its tests bite adds it
+here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # node ids relative to the root of the checkout
+
+
+GRAPH = "pathshap/graph.py"
+MALFORMED = "tests/test_graph.py::test_malformed_inputs"
+PROPERTY = "tests/test_graph.py::test_loader_matches_the_reference_loader"
+COLLISION = "tests/test_graph.py::test_an_edge_id_collision_is_not_a_parallel_edge"
+
+MUTANTS = (
+    Mutant(
+        "loader: no classification check on edge lines", GRAPH,
+        '            src, label, dst, tag = fields\n'
+        '            if tag not in ("n", "x"):\n'
+        '                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")\n',
+        '            src, label, dst, tag = fields\n',
+        (MALFORMED, PROPERTY),
+    ),
+    Mutant(
+        "loader: no parallel-edge error", GRAPH,
+        '                    raise MalformedGraph(f"line {lineno}: parallel edge for pair ({src}, {dst})")\n',
+        '                    pass\n',
+        (COLLISION, PROPERTY),
+    ),
+    Mutant(
+        "loader: no edge-id collision error", GRAPH,
+        '                raise MalformedGraph(f"line {lineno}: pairs ({pair[0]}, {pair[1]}) and ({src}, {dst}) "\n'
+        '                                     f"have the same edge id {eid}")\n',
+        '                pass\n',
+        (COLLISION,),
+    ),
+    Mutant(
+        "loader: no vertex-line field count", GRAPH,
+        '''                raise MalformedGraph(f"line {lineno}: vertex line needs 'v <id> <n|x>'")\n''',
+        '                pass\n',
+        ("tests/test_graph.py::test_vertex_line_errors_keep_their_messages", PROPERTY),
+    ),
+    Mutant(
+        "loader: no classification check on vertex lines", GRAPH,
+        '            _, vid, tag = fields\n'
+        '            if tag not in ("n", "x"):\n'
+        '                raise MalformedGraph(f"line {lineno}: unknown classification {tag!r}")\n',
+        '            _, vid, tag = fields\n',
+        (MALFORMED, PROPERTY),
+    ),
+    Mutant(
+        "loader: no reclassified-vertex error", GRAPH,
+        '                raise MalformedGraph(f"line {lineno}: vertex {vid} reclassified")\n',
+        '                pass\n',
+        (MALFORMED, PROPERTY),
+    ),
+    Mutant(
+        "loader: no edge-line field count", GRAPH,
+        '''            raise MalformedGraph(f"line {lineno}: edge line needs '<src> <label> <dst> <n|x>'")\n''',
+        '            pass\n',
+        (MALFORMED, PROPERTY),
+    ),
+    Mutant(
+        "loader: the parallel check keyed on the edge id", GRAPH,
+        '                if pair == (src, dst):\n',
+        '                if pair is not None:\n',
+        (COLLISION, "tests/test_graph.py::test_cli_reports_an_edge_id_collision_with_exit_2"),
+    ),
+    Mutant(
+        "loader: a four-field line starting with v read as a vertex line", GRAPH,
+        '        if len(fields) == 4:\n',
+        '        if len(fields) == 4 and fields[0] != "v":\n',
+        ("tests/test_graph.py::test_serialize_round_trip_with_a_vertex_named_v", PROPERTY),
+    ),
+    Mutant(
+        "loader: an indented comment read as a line", GRAPH,
+        '        if not fields or fields[0][0] == "#":\n',
+        '        if not fields or raw.startswith("#"):\n',
+        (PROPERTY,),
+    ),
+    Mutant(
+        "compile memo: the key without the graph alphabet", "pathshap/query.py",
+        '    return _compile(text, frozenset(graph_alphabet))\n',
+        '    return _compile(text, _first_alphabet.setdefault(text, frozenset(graph_alphabet)))\n\n\n'
+        '_first_alphabet: dict = {}\n',
+        ("tests/test_query.py::test_compile_crpq_memo_keys_on_the_alphabet",
+         "tests/test_cli.py::test_main_compiles_a_query_per_graph_alphabet_as_fresh_processes_do"),
+    ),
+)
+
+
+def run_tests(src: Path, tests, workdir: Path) -> subprocess.CompletedProcess:
+    """``pytest -x -q`` on the node ids in ``workdir``, importing pathshap
+    from ``src``, under the Hypothesis profile ``mutants`` of
+    ``tests/conftest.py``: a property stops at its first failing example."""
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+            *(str(ROOT / node) for node in tests)]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+
+
+def check(mutant: Mutant, workdir: Path) -> str:
+    """'killed', or why the mutant fails the check."""
+    src = workdir / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"STALE: the old text occurs {count} times in src/{mutant.file}"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    run = run_tests(src, mutant.tests, workdir)
+    if run.returncode == 1:  # pytest's code for failed tests; collection errors and missing ids are others
+        return "killed"
+    if run.returncode == 0:
+        return "SURVIVED: every named test passed"
+    return f"ERROR: pytest exited {run.returncode}\n{run.stdout[-2000:]}{run.stderr[-2000:]}"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in chosen}
+    if unknown:
+        print(f"error: no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = tuple(dict.fromkeys(node for m in chosen for node in m.tests))
+        start = time.perf_counter()
+        baseline = run_tests(ROOT / "src", tests, Path(tmp))
+        print(f"unmutated: {len(tests)} node ids, pytest exit {baseline.returncode} "
+              f"({time.perf_counter() - start:.1f} s)")
+        if baseline.returncode != 0:
+            print(baseline.stdout[-3000:] + baseline.stderr[-3000:])
+            return 1
+        for i, mutant in enumerate(chosen):
+            workdir = Path(tmp) / f"mutant-{i}"
+            workdir.mkdir()
+            start = time.perf_counter()
+            verdict = check(mutant, workdir)
+            failed += verdict != "killed"
+            head, _, detail = verdict.partition("\n")
+            print(f"{head}: {mutant.name} ({time.perf_counter() - start:.1f} s)")
+            if detail:
+                print(detail)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

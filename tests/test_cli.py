@@ -180,6 +180,33 @@ def test_one_parser_answers_every_call_as_a_fresh_process(fig_graph_text, capsys
     assert codes == [0, 0, 5, 0, 3, 0, 2, 0]
 
 
+def test_main_compiles_a_query_per_graph_alphabet_as_fresh_processes_do(tmp_path, capsys):
+    """One process sends the same ``.`` query to two graphs whose alphabets
+    differ; each call answers as a process of its own does, although the
+    query compiles once per (text, alphabet) in the process."""
+    ab = tmp_path / "ab.graph"
+    ab.write_text("u a w n\nw b z n\n")
+    abc = tmp_path / "abc.graph"
+    abc.write_text("u a w n\nw c z n\nz b y n\n")
+    argvs = []
+    for path in (ab, abc, ab):
+        argvs += [["answers", "--graph", str(path), "--query", "(x, . ., y)"],
+                  ["shapley", "--graph", str(path), "--query", "(x, . ., y)", "--bind", "x=u,y=z",
+                   "--format", "csv"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from pathshap import cli; sys.exit(cli.main())"
+    outputs = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+        out = io.StringIO()
+        code = cli.main(argv, out=out)
+        assert (code, out.getvalue(), capsys.readouterr().err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        outputs.append(out.getvalue())
+    assert outputs[0] == "u\tz\n" and outputs[2] == "u\tz\nw\ty\n"
+    assert outputs[:2] == outputs[4:]
+
+
 def test_default_budget_and_cap_are_read_when_the_command_runs(fig_graph_text, monkeypatch):
     graph = str(fig_graph_text)
     nonzero = ["nonzero", "--graph", graph, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6", "--focus", "v4->v3"]

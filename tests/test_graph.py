@@ -1,17 +1,22 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathshap import cli
 from pathshap.errors import InvalidPlayerSet, MalformedGraph
 from pathshap.graph import (
     Edge,
     LabeledGraph,
-    edge_id,
     edge_subgraph,
     load_graph,
     serialize,
     vertex_subgraph,
 )
+
+from helpers import reference_load_graph
 
 
 def test_running_example_counts(fig_graph):
@@ -23,7 +28,6 @@ def test_running_example_counts(fig_graph):
 
 
 def test_edge_id_scheme(fig_graph):
-    assert edge_id("v1", "v3") == "v1->v3"
     e = fig_graph.edges_by_id["v1->v3"]
     assert (e.source, e.label, e.target) == ("v1", "a", "v3")
 
@@ -53,12 +57,106 @@ def test_exogenous_edges_parse():
         "u1 a u2 q\n",  # unknown classification
         "u1 a n\n",  # short edge line
         "v u1\n",  # short vertex line
+        "v u1 q\n",  # unknown vertex classification
         "v u1 n\nv u1 x\n",  # reclassified vertex
     ],
 )
 def test_malformed_inputs(text):
     with pytest.raises(MalformedGraph):
         load_graph(text)
+
+
+def test_edge_is_a_tuple_of_its_fields():
+    e = Edge("u1->u2", "u1", "a", "u2")
+    assert e == ("u1->u2", "u1", "a", "u2") and hash(e) == hash(("u1->u2", "u1", "a", "u2"))
+    eid, source, label, target = e
+    assert (eid, source, label, target) == (e.id, e.source, e.label, e.target)
+    assert sorted([Edge("u2->u1", "u2", "a", "u1"), e]) == [e, ("u2->u1", "u2", "a", "u1")]
+
+
+def test_alphabet_is_computed_once(fig_graph):
+    assert fig_graph.alphabet is fig_graph.alphabet
+    assert load_graph("v w n\n").alphabet == frozenset()
+
+
+def test_names_holding_an_arrow_load_while_their_ids_differ():
+    g = load_graph("a->b x c n\nc y a->b x\n")
+    assert set(g.edges_by_id) == {"a->b->c", "c->a->b"}
+    assert g.edges_by_id["a->b->c"] == ("a->b->c", "a->b", "x", "c")
+
+
+def test_an_edge_id_collision_is_not_a_parallel_edge():
+    # the pairs (a->b, c) and (a, b->c) both have the id a->b->c
+    with pytest.raises(MalformedGraph) as info:
+        load_graph("a->b x c n\na y b->c n\n")
+    assert str(info.value) == "line 2: pairs (a->b, c) and (a, b->c) have the same edge id a->b->c"
+    with pytest.raises(MalformedGraph, match=r"^line 2: parallel edge for pair \(a->b, c\)$"):
+        load_graph("a->b x c n\na->b y c n\n")
+
+
+def test_cli_reports_an_edge_id_collision_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "g"
+    path.write_text("a->b x c n\na y b->c n\n")
+    out = io.StringIO()
+    assert cli.main(["eval", "--graph", str(path), "--query", "(x, x, y)", "--bind", "x=a->b,y=c"], out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error: line 2: pairs (a->b, c) and (a, b->c) have the same edge id a->b->c\n"
+
+
+# --- the loader against the reference loader ---------------------------------
+
+NAMES = ("u1", "u2", "u3", "v", "w", "#w")  # "#w" is a name unless it starts a line
+LABELS = ("a", "b", "v", "#")
+SPACE = st.sampled_from((" ", "  ", "\t", " \t", "\xa0"))
+
+
+@st.composite
+def graph_line(draw) -> str:
+    """One line of a graph text, without its ending: an edge or vertex
+    line, a comment, a blank line, or a malformed line of any kind."""
+    kind = draw(st.sampled_from(("edge",) * 5 + ("vertex",) * 3 + ("comment", "blank", "fields", "bad-tag")))
+    tag = st.sampled_from(("n", "x"))
+    if kind == "edge":
+        fields = [draw(st.sampled_from(NAMES)), draw(st.sampled_from(LABELS)), draw(st.sampled_from(NAMES)),
+                  draw(tag)]
+    elif kind == "vertex":
+        fields = ["v", draw(st.sampled_from(("u1", "v", "#w", "lone"))), draw(tag)]
+    elif kind == "comment":
+        fields = ["#" + draw(st.sampled_from(("", " u1 a u2 n", "comment")))]
+    elif kind == "blank":
+        fields = []
+    elif kind == "fields":  # too few or too many fields for an edge or vertex line
+        fields = draw(st.lists(st.sampled_from(NAMES + LABELS + ("n", "x")), min_size=1, max_size=6))
+    else:
+        fields = draw(st.sampled_from((["u1", "a", "u2"], ["v", "u1"])))
+        fields.append(draw(st.sampled_from(("q", "N", "nx"))))
+    indent = draw(st.sampled_from(("", " ", "\t")))
+    trailing = draw(st.sampled_from(("", " ", "\t ")))
+    return indent + "".join(f + draw(SPACE) for f in fields[:-1]) + "".join(fields[-1:]) + trailing
+
+
+@given(lines=st.lists(st.tuples(graph_line(), st.sampled_from(("\n", "\r\n"))), max_size=12),
+       last_ending=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_the_reference_loader(lines, last_ending):
+    text = "".join(line + ending for line, ending in lines)
+    if lines and not last_ending:
+        text = text[:-len(lines[-1][1])]
+    try:
+        expected = reference_load_graph(text)
+    except MalformedGraph as exc:
+        with pytest.raises(MalformedGraph) as info:
+            load_graph(text)
+        assert str(info.value) == str(exc)
+        return
+    g = load_graph(text)
+    assert g == expected
+    assert g.edges == expected.edges
+    assert g.edges_by_id == expected.edges_by_id
+    assert g.alphabet == expected.alphabet
+    assert g.exo_edges == expected.exo_edges and g.exo_vertices == expected.exo_vertices
+    for v in expected.vertices:
+        assert g.out_edges(v) == expected.out_edges(v)
 
 
 def test_self_loop_allowed():

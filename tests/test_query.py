@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pathshap import automata, explain, query
 from pathshap import regex as rx
-from pathshap.errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, UnknownVertex
+from pathshap.errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, RegexSyntaxError, UnknownVertex
 from pathshap.graph import load_graph
 
 from helpers import path_oracle_eval, random_labeled_graph, reference_lineage
@@ -47,6 +47,44 @@ def test_compile_crpq_variables_in_order():
 def test_compile_crpq_extends_alphabet_with_query_symbols():
     q = query.compile_crpq("(x, d, y)", frozenset("a"))
     assert "d" in q.atoms[0].dfa.alphabet
+
+
+def _counting_parses(monkeypatch) -> list[str]:
+    """The texts ``compile_crpq`` splits into atoms from now on."""
+    calls = []
+    parse = query.parse_crpq_text
+    monkeypatch.setattr(query, "parse_crpq_text", lambda text: calls.append(text) or parse(text))
+    return calls
+
+
+def test_compile_crpq_memo_returns_the_identical_query(monkeypatch):
+    text = "(x, a b*, y) & (y, c, z)"
+    first = query.compile_crpq(text, frozenset("abc"))
+    calls = _counting_parses(monkeypatch)
+    assert query.compile_crpq(text, {"c", "b", "a"}) is first
+    assert query.compile_crpq(text, ["a", "b", "c"]) is first
+    assert calls == []
+
+
+def test_compile_crpq_memo_keys_on_the_alphabet():
+    ab = query.compile_crpq("(x, ., y)", frozenset("ab"))
+    abc = query.compile_crpq("(x, ., y)", frozenset("abc"))
+    assert ab.atoms[0].dfa.alphabet == {"a", "b"} and abc.atoms[0].dfa.alphabet == {"a", "b", "c"}
+    assert not automata.accepts(ab.atoms[0].dfa, ["c"])
+    assert automata.accepts(abc.atoms[0].dfa, ["c"])
+
+
+@pytest.mark.parametrize("text, error", [
+    ("(x, a, y", QuerySyntaxError),
+    ("(x, a, y) & (y, b", QuerySyntaxError),
+    ("(x, a |, y)", RegexSyntaxError),
+])
+def test_compile_crpq_errors_are_raised_on_every_call(text, error, monkeypatch):
+    calls = _counting_parses(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(error):
+            query.compile_crpq(text, ABC)
+    assert calls == [text] * 3
 
 
 def test_parse_binding():
