@@ -9,15 +9,13 @@ epsilon-moves, so no DFA state needs an epsilon-closure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import regex as rx
 from .errors import AlphabetMismatch
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(NamedTuple):
     """Shape of a DFA's language, used to pick the right algorithm."""
 
     is_empty: bool

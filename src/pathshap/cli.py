@@ -13,7 +13,6 @@ overflow, 4 multiplicative approximation requested for an infinite language,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -65,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
             )
             c.add_argument("--eps", type=float, default=0.05)
             c.add_argument("--delta", type=float, default=0.01)
-            c.add_argument("--seed", type=int, default=0)
+            c.add_argument("--seed", type=_count, default=0)
             c.add_argument("--format", choices=("json", "csv", "table"), default="table")
         if name == "answers":
             c.add_argument("--cap", type=_count, default=None,
@@ -128,6 +127,8 @@ def _render_report(report: ShapleyReport, fmt: str, out) -> None:
     if all(len(row) == 3 for row in rows):
         columns = columns[:3]
     if fmt == "csv":
+        import csv  # here, not at the top: most requests never write csv, and a process pays its import
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import game as game_mod
 from .errors import (
@@ -50,8 +49,7 @@ from .query import (
 LINEAGE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ExplainRequest:
+class ExplainRequest(NamedTuple):
     graph: LabeledGraph
     query: Crpq
     binding: Assignment
@@ -152,6 +150,9 @@ def solve(req: ExplainRequest) -> ShapleyReport:
     # written so that a NaN eps or delta fails
     if not (0 < req.delta < 1 and 0 < req.eps < math.inf):
         raise ValueError("eps must be positive and finite and delta must lie in (0, 1)")
+    # random.Random(-s) draws the stream of Random(s)
+    if req.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {req.seed}")
     players, holds, lineage = _request_game(req.graph, req.query, req.binding, req.player_kind)
     if not players:
         raise NoPlayers(f"no endogenous {req.player_kind} players")

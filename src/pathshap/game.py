@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import mul, or_
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import BudgetExceeded
 
@@ -49,8 +48,7 @@ def memoized(value: Callable[[int], int]) -> Callable[[int], int]:
     return cached
 
 
-@dataclass(frozen=True)
-class SampledEstimate:
+class SampledEstimate(NamedTuple):
     """Monte-Carlo success ratio with its (eps, delta) contract."""
 
     successes: int
@@ -64,8 +62,7 @@ class SampledEstimate:
         return Fraction(self.successes, self.samples)
 
 
-@dataclass(frozen=True)
-class ShapleyReport:
+class ShapleyReport(NamedTuple):
     method: str  # exact-lineage | mc-additive | mc-multiplicative
     values: dict[str, Union[Fraction, SampledEstimate]]
     flags: tuple[str, ...] = ()

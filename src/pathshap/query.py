@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import automata, regex as rx
 from .automata import Dfa, LanguageProfile
@@ -26,8 +25,7 @@ from .graph import Edge, LabeledGraph
 ANSWER_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class RpqAtom:
+class RpqAtom(NamedTuple):
     source_var: str
     dfa: Dfa
     target_var: str
@@ -35,15 +33,13 @@ class RpqAtom:
     text: str = ""
 
 
-@dataclass(frozen=True)
-class Crpq:
+class Crpq(NamedTuple):
     variables: tuple[str, ...]
     atoms: tuple[RpqAtom, ...]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    binding: dict[str, str] = field(default_factory=dict)
+class Assignment(NamedTuple):
+    binding: dict[str, str]
 
     def __getitem__(self, var: str) -> str:
         return self.binding[var]

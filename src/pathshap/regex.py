@@ -17,52 +17,74 @@ runs of bare letters always split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RegexSyntaxError
 
 
 class RegexAst:
-    """Base class for expression tree nodes."""
+    """Base class for expression tree nodes: immutable, each node's fields
+    named by its ``__slots__``.  Two nodes are equal when they are of one
+    type with equal fields, so ``Union(a, b) != Concat(a, b)``."""
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node from its fields, not by setattr
+        return type(self), self._fields()
+
+
 class EmptyLanguage(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Epsilon(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Symbol(RegexAst):
-    label: str
+    __slots__ = ("label",)
 
 
-@dataclass(frozen=True)
 class AnySymbol(RegexAst):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Union(RegexAst):
-    left: RegexAst
-    right: RegexAst
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Concat(RegexAst):
-    left: RegexAst
-    right: RegexAst
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Star(RegexAst):
-    inner: RegexAst
+    __slots__ = ("inner",)
 
 
 def symbols_of(ast: RegexAst) -> frozenset[str]:

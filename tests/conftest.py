@@ -6,6 +6,11 @@ from pathshap.graph import load_graph
 # tests/mutants.py runs its tests under this profile: any failure kills a
 # mutant, so a failing example is neither shrunk nor explained, nor saved
 settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate), database=None)
+# CI runs the tests under this profile: a failing property reports its first
+# failing example without shrinking or explaining it, which took one failure
+# minutes, and prints the blob that replays it under the default profile
+settings.register_profile("ci", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+                          print_blob=True)
 
 RUNNING_EXAMPLE = """\
 # running example graph

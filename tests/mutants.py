@@ -43,6 +43,9 @@ class Mutant(NamedTuple):
 
 
 GRAPH = "pathshap/graph.py"
+GAME = "pathshap/game.py"
+REGEX = "pathshap/regex.py"
+SUPPORT = "tests/test_game.py::test_support_sampler_matches_the_oracle_over_the_support"
 MALFORMED = "tests/test_graph.py::test_malformed_inputs"
 PROPERTY = "tests/test_graph.py::test_loader_matches_the_reference_loader"
 COLLISION = "tests/test_graph.py::test_an_edge_id_collision_is_not_a_parallel_edge"
@@ -120,6 +123,63 @@ MUTANTS = (
         '_first_alphabet: dict = {}\n',
         ("tests/test_query.py::test_compile_crpq_memo_keys_on_the_alphabet",
          "tests/test_cli.py::test_main_compiles_a_query_per_graph_alphabet_as_fresh_processes_do"),
+    ),
+    Mutant(
+        "regex nodes: equality without the type check", REGEX,
+        '        if type(other) is not type(self):\n'
+        '            return NotImplemented\n',
+        '',
+        ("tests/test_regex.py::test_nodes_equal_by_type_and_fields",),
+    ),
+    Mutant(
+        "regex nodes: fields assignable", REGEX,
+        '    def __setattr__(self, name, value):\n'
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n\n',
+        '',
+        ("tests/test_regex.py::test_nodes_refuse_changes_and_keep_the_dataclass_repr",),
+    ),
+    Mutant(
+        "solve: a negative seed accepted", "pathshap/explain.py",
+        '    if req.seed < 0:\n'
+        '        raise ValueError(f"seed must be nonnegative, got {req.seed}")\n',
+        '',
+        ("tests/test_explain.py::test_solve_refuses_a_negative_seed",),
+    ),
+    Mutant(
+        "cli: --seed parsed as any integer", "pathshap/cli.py",
+        '            c.add_argument("--seed", type=_count, default=0)\n',
+        '            c.add_argument("--seed", type=int, default=0)\n',
+        ("tests/test_cli.py::test_negative_seed_is_refused_at_parse_time",),
+    ),
+    Mutant(
+        "sampler: the draws' rejection bound at i", GAME,
+        '            while j > i:\n',
+        '            while j >= i:\n',
+        ("tests/test_game.py::test_shuffles_draw_the_stdlib_shuffle_stream",),
+    ),
+    Mutant(
+        "sampler: the term pivot on any member of a term", GAME,
+        '                if t & prefix == t:\n',
+        '                if t & prefix:\n',
+        (SUPPORT,),
+    ),
+    Mutant(
+        "sampler: every player shuffled instead of the support", GAME,
+        '        pivots = Counter(map(pivot, shuffles(bits, seed, trials)))\n',
+        '        pivots = Counter(map(pivot, shuffles([1 << i for i in range(len(players))], seed, trials)))\n',
+        (SUPPORT,),
+    ),
+    Mutant(
+        "sampler: a one-player support draws its trials", GAME,
+        '    if len(bits) > 1:\n',
+        '    if bits:\n',
+        ("tests/test_game.py::test_one_player_support_pivots_in_every_order_without_a_draw",),
+    ),
+    Mutant(
+        "sampler: the pivot credits the previous arrival", GAME,
+        '        return order[lo]\n',
+        '        return order[lo - 1]\n',
+        ("tests/test_game.py::test_pivot_sampler_matches_linear_scan_oracle",),
     ),
 )
 

@@ -107,6 +107,22 @@ def test_negative_budget_and_cap_are_refused_at_parse_time(fig_graph_text, capsy
     assert capsys.readouterr().err == "error: more than 0 intermediate rows\n"
 
 
+def test_negative_seed_is_refused_at_parse_time(fig_graph_text, capsys):
+    """``random.Random(-s)`` draws the stream of ``Random(s)``, so
+    ``--seed -3`` would print seed -3 beside the estimates of seed 3: it
+    exits 2, as a negative ``--cap`` or ``--budget`` does; 0 is a valid
+    seed."""
+    argv = ["shapley", "--graph", str(fig_graph_text), "--query", "(x, a b c, y)", "--bind", "x=v1,y=v6",
+            "--mode", "approx-additive", "--eps", "0.2", "--format", "csv", "--seed"]
+    for seed in ("-3", "-1", "3.0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [seed], out=io.StringIO())
+        assert exc.value.code == 2, seed
+        assert f"argument --seed: expected a nonnegative integer, got {seed!r}" in capsys.readouterr().err
+    code, out = run(argv + ["0"])
+    assert code == 0 and out.splitlines()[1].endswith(",0"), out
+
+
 def test_unknown_bound_vertex_is_named(fig_graph_text, capsys):
     graph = str(fig_graph_text)
     for argv in (
@@ -142,6 +158,25 @@ def test_main_behaves_as_a_fresh_process_on_every_call(fig_graph_text, capsys):
         assert (code, out.getvalue(), capsys.readouterr().err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(code)
     assert codes == [0, 0, 2, 0]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv(fig_graph_text):
+    """Every command runs in a fresh process, which pays for each module
+    that ``from pathshap import cli`` imports: ``dataclasses`` (which
+    imports ``inspect``) is not among them, and ``csv`` is imported only
+    when a csv report is written."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import io, sys\n"
+              "from pathshap import cli\n"
+              "loaded = lambda: ' '.join(m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules)\n"
+              "print(loaded())\n"
+              "cli.main(sys.argv[1:], out=io.StringIO())\n"
+              "print(loaded())\n")
+    argv = ["shapley", "--graph", str(fig_graph_text), "--query", "(x, a b c, y)", "--bind", "x=v1,y=v6",
+            "--format", "csv"]
+    fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "\ncsv\n", "")
 
 
 def test_one_parser_answers_every_call_as_a_fresh_process(fig_graph_text, capsys):

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -494,7 +493,7 @@ def test_sampler_reports_alike_on_the_lineage_and_the_product_search(seed, query
     if small:
         tolerance = explain.multiplicative_tolerance(explain.gap_bound(q, len(players), player_kind), eps)
         estimates = mc_estimates(players, product.value, tolerance, delta, seed, support)
-        expected = game.ShapleyReport("mc-multiplicative", {p: replace(est, eps=eps) for p, est in estimates.items()})
+        expected = game.ShapleyReport("mc-multiplicative", {p: est._replace(eps=eps) for p, est in estimates.items()})
     else:
         expected = game.ShapleyReport("mc-additive", mc_estimates(players, product.value, eps, delta, seed, support))
     assert report == expected
@@ -526,10 +525,10 @@ def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtex
     terms = lineage([explain.LINEAGE_BUDGET])
     product = (edge_game if player_kind == "edge" else vertex_game)(g, q, mu)
     additive = mc_estimates(players, product.value, tolerance, 0.5, seed, reduce(or_, terms, 0))
-    assert report.values == {p: replace(est, eps=eps) for p, est in additive.items()}
+    assert report.values == {p: est._replace(eps=eps) for p, est in additive.items()}
     trials = game.sample_count(tolerance, 0.5)
     assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
-    exact = explain.solve(replace(req, mode="exact")).values
+    exact = explain.solve(req._replace(mode="exact")).values
     null = [p for p in players if exact[p] == 0]
     on_terms = game.sample_pivots(players, game.term_pivot(terms), reduce(or_, terms, 0), trials, eps, 0.5, seed)
     on_search = game.sample_pivots(players, game.search_pivot(game.memoized(holds)), everyone, trials, eps, 0.5,
@@ -539,7 +538,7 @@ def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtex
     for bad in (math.inf, math.nan):
         for mode in ("auto", "exact", "approx-additive", "approx-multiplicative"):
             with pytest.raises(ValueError):
-                explain.solve(replace(req, mode=mode, eps=bad))
+                explain.solve(req._replace(mode=mode, eps=bad))
 
 
 def test_sampler_falls_back_to_the_product_search_over_the_trial_count():
@@ -1050,3 +1049,18 @@ def test_solve_validates_parameters(fig_graph):
         explain.solve(
             request(fig_graph, "(x, a, y)", "x=v1,y=v2", player_kind="hyperedge")
         )
+
+
+def test_solve_refuses_a_negative_seed(monkeypatch, fig_graph):
+    """``random.Random(-s)`` draws the stream of ``Random(s)``, so a
+    negative seed would report itself over another seed's estimates: every
+    mode refuses it before any valuation, and seed 0 samples."""
+    assert random.Random(-3).getrandbits(64) == random.Random(3).getrandbits(64)
+    calls = []
+    monkeypatch.setattr(explain, "holds_on_mask", _counting_holds(calls))
+    for mode in ("auto", "exact", "approx-additive", "approx-multiplicative"):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode=mode, seed=-3))
+    assert calls == []
+    report = explain.solve(request(fig_graph, "(x, a b c, y)", "x=v1,y=v6", mode="approx-additive", seed=0))
+    assert {est.seed for est in report.values.values()} == {0}

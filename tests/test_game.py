@@ -382,6 +382,7 @@ def test_shuffles_draw_the_stdlib_shuffle_stream(seed):
     st.sampled_from([0.2, 0.3, 0.5]),
     st.integers(min_value=0, max_value=2**32),
 )
+@example((["p0", "p1", "p2"], [frozenset({"p0", "p1"})]), 1, random.Random(0), 0.3, 7)  # a two-player term, two nulls
 @settings(max_examples=60, deadline=None)
 def test_support_sampler_matches_the_oracle_over_the_support(players_winners, nulls, rng, eps, seed):
     """Over the support of a game's minimal winning masks, with null players

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -51,6 +53,38 @@ def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(RegexSyntaxError) as exc:
         rx.parse_regex(text)
     assert exc.value.position == pos
+
+
+def test_nodes_equal_by_type_and_fields():
+    """Two nodes are equal when they are of one type with equal fields, and
+    equal nodes hash alike: a union and a concatenation of the same parts
+    differ, and so do the fieldless nodes."""
+    a, b = rx.Symbol("a"), rx.Symbol("b")
+    assert rx.Union(a, b) != rx.Concat(a, b) and rx.Concat(a, b) != rx.Union(a, b)
+    assert rx.EmptyLanguage() != rx.Epsilon() and rx.Epsilon() != rx.AnySymbol()
+    assert rx.Union(a, b) != rx.Union(b, a) and rx.Symbol("a") != "a"
+    nodes = [rx.parse_regex(text) for text in ("a b", "a|b", "(a b)*", "{}", "@", ".", "rel1")]
+    for node in nodes:
+        twin = copy.deepcopy(node)
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+    assert len(set(nodes + [rx.parse_regex("a b"), rx.parse_regex("a|b")])) == len(nodes)
+
+
+def test_nodes_refuse_changes_and_keep_the_dataclass_repr():
+    node = rx.parse_regex("a (b|.)* @ {}")
+    assert repr(node) == (
+        "Concat(left=Concat(left=Concat(left=Symbol(label='a'), right=Star(inner=Union(left=Symbol(label='b'), "
+        "right=AnySymbol()))), right=Epsilon()), right=EmptyLanguage())"
+    )
+    for target, name in ((node, "left"), (node.left.left.left, "label"), (rx.Epsilon(), "label")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, rx.Symbol("c"))
+        with pytest.raises(AttributeError):
+            delattr(target, name)
+    assert repr(node.left.left.left) == "Symbol(label='a')"
+    assert pickle.loads(pickle.dumps(node)) == node
+    with pytest.raises(TypeError):
+        rx.Union(rx.Symbol("a"))
 
 
 def test_symbols_of_and_any():
