@@ -1,4 +1,4 @@
-"""Compilation of regex trees into trimmed, total DFAs and language analyses.
+"""Compilation of regex trees into trimmed DFAs and language analyses.
 
 An atom compiles by the position construction (Glushkov; McNaughton and
 Yamada): each symbol or ``.`` of the tree is a position, and the subset
@@ -24,70 +24,32 @@ class LanguageProfile(NamedTuple):
 
 
 class Dfa:
-    """Deterministic automaton with a total transition function.
+    """Deterministic automaton trimmed to the states the product search can use.
 
-    State 0 is always the dead (absorbing, non-accepting) state.  ``useful``
-    holds the states both reachable from the start and co-reachable to an
-    accepting state; the dead state is never useful.  ``useful_moves`` keeps
-    only the transitions into useful states, for the product search.
+    ``moves`` maps every kept state to its moves, symbol to next state; a
+    move it lacks leads to rejection.  Every kept state other than the start
+    is reachable from the start and reaches an accepting state; the start
+    is kept with no moves when the language is empty.  Equal by identity.
     """
 
-    def __init__(
-        self,
-        states: Iterable[int],
-        alphabet: Iterable[str],
-        transition: dict[tuple[int, str], int],
-        start: int,
-        accepting: Iterable[int],
-    ):
-        self.states = frozenset(states)
-        self.alphabet = frozenset(alphabet)
-        self.transition = dict(transition)
+    __slots__ = ("start", "accepting", "moves", "alphabet")
+
+    def __init__(self, start: int, accepting: frozenset[int], moves: dict[int, dict[str, int]],
+                 alphabet: frozenset[str]):
         self.start = start
-        self.accepting = frozenset(accepting)
-        self.useful = self._useful_states()
-        # per state, the symbols that lead to a useful state, and where
-        self.useful_moves: dict[int, dict[str, int]] = {q: {} for q in self.states}
-        for (q, a), nxt in self.transition.items():
-            if nxt in self.useful:
-                self.useful_moves[q][a] = nxt
-
-    def step(self, state: int, symbol: str) -> int:
-        return self.transition.get((state, symbol), 0)
-
-    def run(self, word: Sequence[str]) -> int:
-        state = self.start
-        for symbol in word:
-            state = self.step(state, symbol)
-        return state
-
-    def _useful_states(self) -> frozenset[int]:
-        reachable = {self.start}
-        frontier = deque((self.start,))
-        while frontier:
-            q = frontier.popleft()
-            for a in self.alphabet:
-                nxt = self.step(q, a)
-                if nxt not in reachable:
-                    reachable.add(nxt)
-                    frontier.append(nxt)
-        predecessors: dict[int, set[int]] = {q: set() for q in self.states}
-        for (q, _a), nxt in self.transition.items():
-            predecessors.setdefault(nxt, set()).add(q)
-        co_reachable = set(self.accepting)
-        frontier = deque(self.accepting)
-        while frontier:
-            q = frontier.popleft()
-            for p in predecessors.get(q, ()):
-                if p not in co_reachable:
-                    co_reachable.add(p)
-                    frontier.append(p)
-        return frozenset((reachable & co_reachable) - {0})
+        self.accepting = accepting
+        self.moves = moves
+        self.alphabet = alphabet
 
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:
     """True iff the word is in the automaton's language."""
-    return d.run(word) in d.accepting
+    state = d.start
+    for symbol in word:
+        state = d.moves[state].get(symbol)
+        if state is None:
+            return False
+    return state in d.accepting
 
 
 # --- position construction -------------------------------------------------
@@ -130,18 +92,19 @@ def _positions(
 
 
 def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
-    """Compile a regex tree into a trimmed total DFA over the given alphabet.
+    """Compile a regex tree into a trimmed DFA over the given alphabet.
 
     A state is the set of positions that can have read the last symbol; a
     position is entered only by reading its symbol, so the set alone fixes
     what can follow and needs no epsilon-closure.  Its a-successor is the
-    positions matching a in the set's follow sets.  The start state is a
-    sentinel position 0 whose follow set is the tree's ``first``, the empty
-    set is the dead state 0, and a state accepts when it meets ``last``,
-    which holds the sentinel when the tree matches the empty word."""
+    positions matching a in the set's follow sets, recorded only when that
+    set is not empty.  The start state, numbered 0, holds only a sentinel
+    position 0 whose follow set is the tree's ``first``, and a state accepts
+    when it meets ``last``, which holds the sentinel when the tree matches
+    the empty word.  Every state so built is reachable from the start; one
+    backward pass then keeps those that reach an accepting state, and the
+    start."""
     sigma = frozenset(alphabet)
-    if not sigma:
-        raise AlphabetMismatch("alphabet must be nonempty")
     labels: list[frozenset[str]] = [frozenset()]
     follow: list[set[int]] = [set()]
     nullable, first, last = _positions(ast, sigma, labels, follow)
@@ -149,11 +112,10 @@ def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
     if nullable:
         last.add(0)
 
-    start_set = frozenset((0,))
-    numbering: dict[frozenset[int], int] = {frozenset(): 0, start_set: 1}
-    transition: dict[tuple[int, str], int] = {}
+    numbering: dict[frozenset[int], int] = {frozenset((0,)): 0}
+    moves: dict[int, dict[str, int]] = {}
     accepting: set[int] = set()
-    worklist = deque((start_set,))
+    worklist = deque(numbering)
     while worklist:
         current = worklist.popleft()
         cid = numbering[current]
@@ -164,35 +126,49 @@ def compile(ast: rx.RegexAst, alphabet: Iterable[str]) -> Dfa:
             for q in follow[p]:
                 for a in labels[q]:
                     reads.setdefault(a, set()).add(q)
-        for a in sigma:
-            target = frozenset(reads.get(a, ()))
+        moves[cid] = step = {}
+        for a, positions in reads.items():
+            target = frozenset(positions)
             if target not in numbering:
                 numbering[target] = len(numbering)
                 worklist.append(target)
-            transition[(cid, a)] = numbering[target]
-    # total via the implicit dead state 0 (step() defaults to it)
-    for a in sigma:
-        transition.setdefault((0, a), 0)
-    return Dfa(range(len(numbering)), sigma, transition, 1, accepting)
+            step[a] = numbering[target]
+
+    predecessors: dict[int, list[int]] = {q: [] for q in moves}
+    for q, step in moves.items():
+        for nxt in step.values():
+            predecessors[nxt].append(q)
+    kept = set(accepting)
+    frontier = list(accepting)
+    while frontier:
+        for p in predecessors[frontier.pop()]:
+            if p not in kept:
+                kept.add(p)
+                frontier.append(p)
+    kept.add(0)
+    trimmed = {q: {a: nxt for a, nxt in step.items() if nxt in kept}
+               for q, step in moves.items() if q in kept}
+    return Dfa(0, frozenset(accepting), trimmed, sigma)
 
 
 # --- language analyses -----------------------------------------------------
 
 def language_profile(d: Dfa) -> LanguageProfile:
-    """Emptiness, finiteness and longest word length, from one pass over the
-    useful subautomaton in Kahn's order.  Every useful state is reached from
-    the start through useful states, so the language is empty, and finite
-    with no longest word, when the start is not useful; otherwise it is infinite when the pass leaves some
-    state unvisited, on a cycle, and finite with its longest word the
-    longest path from the start to an accepting state when it does not."""
-    if d.start not in d.useful:
+    """Emptiness, finiteness and longest word length, from one pass over
+    the moves in Kahn's order.  The language is empty, and finite with no
+    longest word, when no state accepts.  Otherwise every state is reached
+    from the start and reaches an accepting state, so the language is
+    infinite when the pass leaves some state unvisited, on a cycle, and
+    finite with its longest word the longest path from the start to an
+    accepting state when it does not."""
+    if not d.accepting:
         return LanguageProfile(True, True, None)
-    targets = {q: set(d.useful_moves[q].values()) for q in d.useful}
-    indegree = dict.fromkeys(d.useful, 0)
+    targets = {q: set(step.values()) for q, step in d.moves.items()}
+    indegree = dict.fromkeys(d.moves, 0)
     for nexts in targets.values():
         for nxt in nexts:
             indegree[nxt] += 1
-    longest = dict.fromkeys(d.useful, 0)
+    longest = dict.fromkeys(d.moves, 0)
     ready = [q for q, n in indegree.items() if not n]
     visited = 0
     while ready:
@@ -203,6 +179,6 @@ def language_profile(d: Dfa) -> LanguageProfile:
             indegree[nxt] -= 1
             if not indegree[nxt]:
                 ready.append(nxt)
-    if visited < len(d.useful):
+    if visited < len(d.moves):
         return LanguageProfile(False, False, None)
-    return LanguageProfile(False, True, max(longest[q] for q in d.accepting & d.useful))
+    return LanguageProfile(False, True, max(longest[q] for q in d.accepting))

@@ -47,9 +47,24 @@ class Assignment(NamedTuple):
 
 def parse_crpq_text(text: str) -> list[tuple[str, str, str]]:
     """Split '(x, a*, y) & (y, b c, z)' into (source_var, regex, target_var) triples."""
+    if not text.strip():
+        raise QuerySyntaxError("query must have at least one atom")
+    chunks = []
+    depth = begin = 0
+    for i, c in enumerate(text + "&"):  # the sentinel & ends the last chunk
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth < 0:
+                raise QuerySyntaxError("unbalanced parentheses in query")
+        elif c == "&" and not depth:
+            chunks.append(text[begin:i].strip())
+            begin = i + 1
+    if depth:
+        raise QuerySyntaxError("unbalanced parentheses in query")
     atoms = []
-    for chunk in _split_atoms(text):
-        chunk = chunk.strip()
+    for chunk in chunks:
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise QuerySyntaxError(f"atom must be parenthesized: {chunk!r}")
         body = chunk[1:-1]
@@ -65,33 +80,7 @@ def parse_crpq_text(text: str) -> list[tuple[str, str, str]]:
         if not expr:
             raise QuerySyntaxError(f"empty expression in atom {chunk!r}")
         atoms.append((src, expr, dst))
-    if not atoms:
-        raise QuerySyntaxError("query must have at least one atom")
     return atoms
-
-
-def _split_atoms(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise QuerySyntaxError("unbalanced parentheses in query")
-        if c == "&" and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-    if depth != 0:
-        raise QuerySyntaxError("unbalanced parentheses in query")
-    last = "".join(current)
-    if last.strip() or not parts:
-        parts.append(last)
-    return parts
 
 
 # Most (query text, graph alphabet) pairs compile_crpq keeps compiled.
@@ -113,9 +102,6 @@ def _compile(text: str, graph_alphabet: frozenset[str]) -> Crpq:
     alphabet = graph_alphabet
     for _, ast, _, _ in asts:
         alphabet |= rx.symbols_of(ast)
-    if not alphabet:
-        # no labels anywhere: wildcard-free queries still need a symbol space
-        alphabet = frozenset(("_",))
     variables: list[str] = []
     atoms: list[RpqAtom] = []
     for src, ast, expr, dst in asts:
@@ -169,7 +155,7 @@ def _filtered(g: LabeledGraph, edge_ok: Optional[Callable[[str], bool]]) -> OutL
 def _accepting_reach(out: OutLists, s: str, d: Dfa, mask: int) -> Iterator[str]:
     """The product search: the vertex of every (vertex, state) pair reachable
     from (s, start) whose state accepts, each pair once, lazily."""
-    moves = d.useful_moves
+    moves = d.moves
     accepting = d.accepting
     missing = ~mask
     start = (s, d.start)
@@ -204,7 +190,7 @@ def product_reach(g: LabeledGraph, atoms: list[tuple[str, str, Dfa]]) -> int:
         while stack:
             v, q = stack.pop()
             for e in g.out_edges(v):
-                nq = d.useful_moves[q].get(e.label)
+                nq = d.moves[q].get(e.label)
                 if nq is not None:
                     total += 1
                     if (e.target, nq) not in seen:
@@ -257,7 +243,7 @@ def _atom_lineage(out: OutLists, s: str, t: str, d: Dfa, budget: list[int]) -> l
         spend(budget, len(chains[v, q]) + len(out[v]))
         if mask not in chains[v, q]:
             continue
-        step = d.useful_moves[q]
+        step = d.moves[q]
         for need, target, label in out[v]:
             nq = step.get(label)
             if nq is None:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from pathshap import explain, game, regex as rx
+from pathshap import automata, explain, game, regex as rx
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet, MalformedGraph
 from pathshap.graph import Edge, LabeledGraph
 from pathshap.query import Assignment, Crpq, _check_vertices
@@ -112,7 +112,8 @@ def all_words(alphabet, max_len: int):
 
 
 def random_ast(rng: random.Random, alphabet, depth: int = 3):
-    choices = ["symbol", "symbol", "epsilon", "any"]
+    """A random tree of the given depth; with an empty alphabet, one without symbols."""
+    choices = ["symbol", "symbol", "epsilon", "any", "empty"] if alphabet else ["epsilon", "any", "empty"]
     if depth > 0:
         choices += ["union", "concat", "concat", "star"]
     kind = rng.choice(choices)
@@ -122,6 +123,8 @@ def random_ast(rng: random.Random, alphabet, depth: int = 3):
         return rx.Epsilon()
     if kind == "any":
         return rx.AnySymbol()
+    if kind == "empty":
+        return rx.EmptyLanguage()
     if kind == "union":
         return rx.Union(random_ast(rng, alphabet, depth - 1), random_ast(rng, alphabet, depth - 1))
     if kind == "concat":
@@ -149,13 +152,13 @@ def words_of_paths(g: LabeledGraph, s: str, t: str, max_len: int):
 
 def path_oracle_eval(g: LabeledGraph, s: str, t: str, dfa, ast=None, alphabet=None) -> bool:
     """Bounded walk enumeration checked against direct word acceptance."""
-    bound = len(g.vertices) * len(dfa.states)
+    bound = len(g.vertices) * len(dfa.moves)
     bound = min(bound, 12)  # keeps the enumeration feasible on dense graphs
     for word in words_of_paths(g, s, t, bound):
         if ast is not None:
             if ast_matches(ast, word, alphabet):
                 return True
-        elif dfa.run(word) in dfa.accepting:
+        elif automata.accepts(dfa, word):
             return True
     return False
 
@@ -473,7 +476,7 @@ def _reference_atom_lineage(out, s: str, t: str, d, budget: list[int]) -> list[i
         game.spend(budget, len(chains[v, q]) + len(out[v]))
         if mask not in chains[v, q]:
             continue
-        step = d.useful_moves[q]
+        step = d.moves[q]
         for need, target, label in out[v]:
             nq = step.get(label)
             if nq is None:

@@ -45,6 +45,10 @@ class Mutant(NamedTuple):
 GRAPH = "pathshap/graph.py"
 GAME = "pathshap/game.py"
 REGEX = "pathshap/regex.py"
+AUTOMATA = "pathshap/automata.py"
+TRIMMED = "tests/test_regex.py::test_compiled_automaton_is_trimmed_and_exact"
+SHUFFLES = "tests/test_game.py::test_shuffles_draw_the_stdlib_shuffle_stream"
+PINNED = "tests/test_game.py::test_lineage_counter_spends_the_pinned_steps"
 SUPPORT = "tests/test_game.py::test_support_sampler_matches_the_oracle_over_the_support"
 MALFORMED = "tests/test_graph.py::test_malformed_inputs"
 PROPERTY = "tests/test_graph.py::test_loader_matches_the_reference_loader"
@@ -155,7 +159,7 @@ MUTANTS = (
         "sampler: the draws' rejection bound at i", GAME,
         '            while j > i:\n',
         '            while j >= i:\n',
-        ("tests/test_game.py::test_shuffles_draw_the_stdlib_shuffle_stream",),
+        (SHUFFLES,),
     ),
     Mutant(
         "sampler: the term pivot on any member of a term", GAME,
@@ -180,6 +184,74 @@ MUTANTS = (
         '        return order[lo]\n',
         '        return order[lo - 1]\n',
         ("tests/test_game.py::test_pivot_sampler_matches_linear_scan_oracle",),
+    ),
+    Mutant(
+        "sampler: the permutation read reversed", GAME,
+        '            order[i], order[j] = order[j], order[i]\n'
+        '        yield order\n',
+        '            order[i], order[j] = order[j], order[i]\n'
+        '        yield order[::-1]\n',
+        (SHUFFLES,),
+    ),
+    Mutant(
+        "sampler: the draws' bit length of i", GAME,
+        '    draws = [(i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
+        '    draws = [(i, i.bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
+        (SHUFFLES,),
+    ),
+    Mutant(
+        "solve: the term rule's bound exclusive", "pathshap/explain.py",
+        '    if terms is not None and len(terms) <= len(req.graph.edges):\n',
+        '    if terms is not None and len(terms) < len(req.graph.edges):\n',
+        ("tests/test_explain.py::test_sampler_on_the_lineage_searches_the_product_once",),
+    ),
+    Mutant(
+        "counter: a node's charge without its components", GAME,
+        '        spend(budget, (len(terms) + len(groups)) * width)\n',
+        '        spend(budget, len(terms) * width)\n',
+        (PINNED,),
+    ),
+    Mutant(
+        "counter: ties to the highest bit", GAME,
+        '    return 1 << counts.index(max(counts))\n',
+        '    return 1 << len(counts) - 1 - counts[::-1].index(max(counts))\n',
+        (PINNED,),
+    ),
+    Mutant(
+        "cli: the sort key without the common denominator", "pathshap/cli.py",
+        '    keys = [(-v.numerator * (scale // v.denominator), p) for p, v in zip(report.values, exact)]\n',
+        '    keys = [(-v.numerator, p) for p, v in zip(report.values, exact)]\n',
+        ("tests/test_cli.py::test_integer_sort_key_orders_rows_like_the_fractions",),
+    ),
+    Mutant(
+        "compile: no backward trim", AUTOMATA,
+        '    kept.add(0)\n',
+        '    kept.update(moves)\n',
+        ("tests/test_regex.py::test_dfa_shapes", TRIMMED),
+    ),
+    Mutant(
+        "accepts: a missing move read as a self-loop", AUTOMATA,
+        '        state = d.moves[state].get(symbol)\n'
+        '        if state is None:\n'
+        '            return False\n',
+        '        state = d.moves[state].get(symbol, state)\n',
+        ("tests/test_regex.py::test_word_abc_accepts_only_abc", TRIMMED),
+    ),
+    Mutant(
+        "language_profile: emptiness read from the start's presence", AUTOMATA,
+        '    if not d.accepting:\n',
+        '    if d.start not in d.moves:\n',
+        ("tests/test_regex.py::test_profile_empty_language", TRIMMED),
+    ),
+    Mutant(
+        "parse_crpq_text: an empty last chunk dropped", "pathshap/query.py",
+        '        raise QuerySyntaxError("unbalanced parentheses in query")\n'
+        '    atoms = []\n',
+        '        raise QuerySyntaxError("unbalanced parentheses in query")\n'
+        '    if len(chunks) > 1 and not chunks[-1]:\n'
+        '        chunks.pop()\n'
+        '    atoms = []\n',
+        ("tests/test_query.py::test_parse_crpq_text_rejects", "tests/test_cli.py::test_a_trailing_ampersand_exits_2"),
     ),
 )
 

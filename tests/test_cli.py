@@ -75,6 +75,25 @@ def test_eval_errors_exit_2(fig_graph_text):
     assert code == 2
 
 
+def test_a_trailing_ampersand_exits_2(fig_graph_text, capsys):
+    """A query that ends in ``&`` lacks its last atom, as one that starts
+    with ``&`` lacks its first."""
+    for text in ("(x, a, y) &", "& (x, a, y)"):
+        code, out = run(["eval", "--graph", str(fig_graph_text), "--query", text, "--bind", "x=v1,y=v2"])
+        assert (code, out) == (2, "")
+        assert "atom must be parenthesized: ''" in capsys.readouterr().err
+
+
+def test_eval_on_a_graph_without_labels(tmp_path):
+    """A graph of vertex lines only gives an empty alphabet: atoms without
+    symbols compile over it, and a vertex answers an atom with the empty word."""
+    path = tmp_path / "vertices.graph"
+    path.write_text("v w n\nv u n\n")
+    for text, bind, answer in (("(x, @, y)", "x=w,y=w", "1"), ("(x, .*, y)", "x=w,y=w", "1"),
+                               ("(x, ., y)", "x=w,y=w", "0"), ("(x, @, y)", "x=w,y=u", "0")):
+        assert run(["eval", "--graph", str(path), "--query", text, "--bind", bind]) == (0, answer + "\n"), text
+
+
 def test_parser_rejects_options_a_command_does_not_read(fig_graph_text, capsys):
     base = ["--graph", str(fig_graph_text), "--query", "(x, a, y)"]
     for argv in (

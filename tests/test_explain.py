@@ -566,6 +566,10 @@ LADDER4 = "".join(f"s{i} a s{i + 1} n\ns{i} a m{i} n\nm{i} a s{i + 1} n\n" for i
 # lineage of 8 terms over 12 edges and 8 players, 2^8 coalitions
 LAYERS3 = [["x"], ["p0", "p1"], ["q0", "q1"], ["r0", "r1"], ["y"]]
 LAYERED3 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS3, LAYERS3[1:]) for u in a for v in b)
+# three stages of two, two and three parallel a-routes, and a stray b-edge:
+# a lineage of 12 terms over 12 edges, at the term rule's bound
+AT_THE_RULE = ("s0 a s1 n\ns0 a m0 n\nm0 a s1 n\ns1 a s2 n\ns1 a m1 n\nm1 a s2 n\n"
+               "s2 a s3 n\ns2 a m2 n\nm2 a s3 n\ns2 a n2 n\nn2 a s3 n\ns0 b z n\n")
 
 
 @pytest.mark.parametrize("graph_text, btext, player_kind, terms", [
@@ -597,7 +601,8 @@ def test_sampler_keeps_the_product_search_past_the_term_rule(monkeypatch, graph_
     (RUNNING_EXAMPLE, "(x, a b c, y)", "x=v1,y=v6", "approx-additive", "edge", 0.1),
     (CHAIN3, "(x, a b c, y)", "x=u1,y=u4", "approx-multiplicative", "edge", 0.1),
     (LAYERED3, "(x, a*, y)", "x=x,y=y", "approx-additive", "vertex", 0.04),
-], ids=["running-additive", "chain-multiplicative", "trials-over-coalitions"])
+    (AT_THE_RULE, "(x, a*, y)", "x=s0,y=s3", "approx-additive", "edge", 0.04),
+], ids=["running-additive", "chain-multiplicative", "trials-over-coalitions", "one-term-per-edge"])
 def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_text, qtext, btext, mode, player_kind,
                                                            eps):
     """On the lineage path the only product search of a sampled request is
@@ -605,7 +610,8 @@ def test_sampler_on_the_lineage_searches_the_product_once(monkeypatch, graph_tex
     endogenous vertices refuses without one.  That holds for the layered
     vertex game too, whose 8 terms over its 8 players face 1 153 trials,
     more than its 2^8 coalitions, since the term pivot was measured as fast
-    as the memo there (README)."""
+    as the memo there (README), and for a lineage with as many terms as the
+    graph has edges."""
     calls = []
     monkeypatch.setattr(explain, "holds_on_mask", _counting_holds(calls))
     report = explain.solve(request(load_graph(graph_text), qtext, btext, player_kind=player_kind, mode=mode, eps=eps,

@@ -31,7 +31,8 @@ def test_parse_crpq_text_parenthesized_expression():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x, a, y", "(x, a)", "(x a y)", "(1x, a, y)", "(x, , y)", "((x, a, y)"],
+    ["", "x, a, y", "(x, a)", "(x a y)", "(1x, a, y)", "(x, , y)", "((x, a, y)",
+     "(x, a, y) &", "(x, a, y) & ", "(x, a, y)&"],
 )
 def test_parse_crpq_text_rejects(text):
     with pytest.raises(QuerySyntaxError):

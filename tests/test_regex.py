@@ -127,42 +127,48 @@ def test_epsilon_and_empty_language():
     assert not any(automata.accepts(d, w) for w in all_words(ABC, 3))
 
 
-def test_compile_rejects_foreign_symbols_and_empty_alphabet():
+def test_compile_rejects_foreign_symbols_and_accepts_an_empty_alphabet():
     with pytest.raises(AlphabetMismatch):
         automata.compile(rx.parse_regex("d"), ABC)
     with pytest.raises(AlphabetMismatch):
         automata.compile(rx.parse_regex("a"), frozenset())
+    for text, words in (("@", {()}), (".*", {()}), ("{}", set()), ("@ | .", {()})):
+        d = automata.compile(rx.parse_regex(text), frozenset())
+        assert d.alphabet == frozenset() and d.moves == {d.start: {}}
+        assert {w for w in ((), ("a",)) if automata.accepts(d, w)} == words
 
 
-def test_dfa_is_deterministic_and_total():
+def test_dfa_moves_stay_among_the_kept_states():
     d = compiled("(a|b)* c")
-    for q in d.states:
-        for a in d.alphabet:
-            assert d.step(q, a) in d.states
+    for step in d.moves.values():
+        assert set(step) <= d.alphabet
+        assert set(step.values()) <= set(d.moves)
+    assert d.start in d.moves and d.accepting <= set(d.moves)
 
 
 @pytest.mark.parametrize("text,shape", [
-    ("a b c", (5, 4, 1)),
-    ("(a|b)* c", (5, 4, 1)),
-    ("a b | a c | c", (6, 5, 3)),
-    ("a (b|c)*", (5, 4, 3)),
-    ("a b*", (4, 3, 2)),
-    ("c", (3, 2, 1)),
-    ("{}", (2, 0, 0)),
-    ("a*", (3, 2, 2)),
-    ("a* b", (4, 3, 1)),
-    ("(a|b|c)*", (5, 4, 4)),
-    (".*", (3, 2, 2)),
-    (". a .", (5, 4, 1)),
-    ("a (b c)* | @", (5, 4, 3)),
-    ("@", (2, 1, 1)),
+    ("a b c", (4, 1)),
+    ("(a|b)* c", (4, 1)),
+    ("a b | a c | c", (5, 3)),
+    ("a (b|c)*", (4, 3)),
+    ("a b*", (3, 2)),
+    ("c", (2, 1)),
+    ("{}", (1, 0)),
+    ("a*", (2, 2)),
+    ("a* b", (3, 1)),
+    ("(a|b|c)*", (4, 4)),
+    (".*", (2, 2)),
+    (". a .", (4, 1)),
+    ("a (b c)* | @", (4, 3)),
+    ("@", (1, 1)),
+    ("a | b {}", (2, 1)),
 ])
 def test_dfa_shapes(text, shape):
-    """(states, useful states, accepting states) of each compiled atom: the
-    product the search walks.  A change of construction that moves one
-    changes every search over that atom."""
+    """(kept states, accepting states) of each compiled atom: the product
+    the search walks.  A change of construction that moves one changes
+    every search over that atom.  The empty language keeps only its start."""
     d = compiled(text)
-    assert (len(d.states), len(d.useful), len(d.accepting)) == shape
+    assert (len(d.moves), len(d.accepting)) == shape
 
 
 @given(st.lists(st.sampled_from("abc"), max_size=6))
@@ -182,6 +188,49 @@ def test_random_asts_match_direct_semantics():
         d = automata.compile(ast, sigma)
         for w in all_words(sigma, 4):
             assert automata.accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
+
+
+def _closure(seeds, edges) -> set:
+    """The states reachable from seeds along edges, a map of state to successors."""
+    found = set(seeds)
+    frontier = list(found)
+    while frontier:
+        for nxt in edges.get(frontier.pop(), ()):
+            if nxt not in found:
+                found.add(nxt)
+                frontier.append(nxt)
+    return found
+
+
+@given(st.randoms(use_true_random=False), st.sets(st.sampled_from("ab")), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_compiled_automaton_is_trimmed_and_exact(rng, sigma, depth):
+    """Over alphabets down to the empty one, every kept state but the start
+    is reachable and reaches acceptance, every move stays among the kept
+    states, ``accepts`` agrees with the direct semantics on words that may
+    hold the foreign symbol z (which ``.`` does not match), and the profile
+    agrees with the accepted lengths below twice the state count."""
+    sigma = frozenset(sigma)
+    ast = random_ast(rng, sigma, depth)
+    d = automata.compile(ast, sigma)
+    assert d.start in d.moves and d.accepting <= set(d.moves)
+    for step in d.moves.values():
+        assert set(step) <= sigma and set(step.values()) <= set(d.moves)
+    predecessors = {}
+    for q, step in d.moves.items():
+        for nxt in step.values():
+            predecessors.setdefault(nxt, set()).add(q)
+    forward = _closure((d.start,), {q: set(step.values()) for q, step in d.moves.items()})
+    assert set(d.moves) - {d.start} <= forward & _closure(d.accepting, predecessors)
+    for w in all_words(sigma | {"z"}, 4):
+        assert automata.accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
+    # an n-state automaton accepts a word of length >= n only if it accepts
+    # one of length in [n, 2n), and then infinitely many
+    n = len(d.moves)
+    lengths = {len(w) for w in all_words(sigma, 2 * n - 1) if automata.accepts(d, w)}
+    finite = all(k < n for k in lengths)
+    longest = max(lengths) if finite and lengths else None
+    assert automata.language_profile(d) == automata.LanguageProfile(not lengths, finite, longest), ast
 
 
 # --- language profiles ------------------------------------------------------
@@ -218,8 +267,8 @@ def test_profile_epsilon_only():
 
 
 def test_profile_of_a_word_longer_than_the_recursion_limit():
-    n = 5000  # states 1..n+1 in a chain of a-moves, state 0 dead
-    d = automata.Dfa(range(n + 2), "a", {(q, "a"): q + 1 for q in range(1, n + 1)}, 1, [n + 1])
+    n = 5000  # states 0..n in a chain of a-moves
+    d = automata.Dfa(0, frozenset((n,)), {q: {"a": q + 1} for q in range(n)} | {n: {}}, frozenset("a"))
     assert automata.language_profile(d) == automata.LanguageProfile(False, True, n)
 
 
