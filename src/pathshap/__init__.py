@@ -1,15 +1,14 @@
 """Shapley-value responsibility of edges and vertices for regular path
 query answers on edge-labeled directed graphs."""
 
-from .automata import Dfa, LanguageProfile, accepts, compile, language_profile
-from .explain import ExplainRequest, candidate_supports, gap_bound, solve
+from .automata import Dfa, LanguageProfile, compile, language_profile
+from .explain import ExplainRequest, gap_bound, solve
 from .game import SampledEstimate, ShapleyReport, sample_count, shapley_lineage_all
-from .graph import Edge, LabeledGraph, edge_subgraph, load_graph, serialize, vertex_subgraph
+from .graph import Edge, LabeledGraph, edge_subgraph, load_graph
 from .query import (
     Assignment,
     Crpq,
     RpqAtom,
-    atom_relation,
     compile_crpq,
     enumerate_answers,
     eval_crpq_bound,
@@ -30,9 +29,6 @@ __all__ = [
     "RpqAtom",
     "SampledEstimate",
     "ShapleyReport",
-    "accepts",
-    "atom_relation",
-    "candidate_supports",
     "compile",
     "compile_crpq",
     "edge_subgraph",
@@ -45,8 +41,6 @@ __all__ = [
     "parse_binding",
     "parse_regex",
     "sample_count",
-    "serialize",
     "shapley_lineage_all",
     "solve",
-    "vertex_subgraph",
 ]

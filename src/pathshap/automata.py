@@ -9,7 +9,7 @@ epsilon-moves, so no DFA state needs an epsilon-closure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from . import regex as rx
 from .errors import AlphabetMismatch
@@ -40,16 +40,6 @@ class Dfa:
         self.accepting = accepting
         self.moves = moves
         self.alphabet = alphabet
-
-
-def accepts(d: Dfa, word: Sequence[str]) -> bool:
-    """True iff the word is in the automaton's language."""
-    state = d.start
-    for symbol in word:
-        state = d.moves[state].get(symbol)
-        if state is None:
-            return False
-    return state in d.accepting
 
 
 # --- position construction -------------------------------------------------

@@ -129,18 +129,6 @@ def load_graph(text: str) -> LabeledGraph:
     return LabeledGraph(vertices, edges, endo_edges, endo_vertices)
 
 
-def serialize(g: LabeledGraph) -> str:
-    """Emit the graph in the same format load_graph accepts (sorted blocks)."""
-    lines = []
-    for v in sorted(g.vertices):
-        tag = "n" if v in g.endo_vertices else "x"
-        lines.append(f"v {v} {tag}")
-    for e in g.edges:
-        tag = "n" if e.id in g.endo_edges else "x"
-        lines.append(f"{e.source} {e.label} {e.target} {tag}")
-    return "\n".join(lines) + "\n"
-
-
 def edge_subgraph(g: LabeledGraph, coalition: Iterable[str]) -> LabeledGraph:
     """Keep the coalition's edges plus all exogenous edges; all vertices stay."""
     b = frozenset(coalition)
@@ -153,20 +141,4 @@ def edge_subgraph(g: LabeledGraph, coalition: Iterable[str]) -> LabeledGraph:
         (e for e in g.edges if e.id in keep),
         b,
         g.endo_vertices,
-    )
-
-
-def vertex_subgraph(g: LabeledGraph, coalition: Iterable[str]) -> LabeledGraph:
-    """Induced subgraph on the coalition's vertices plus all exogenous vertices."""
-    b = frozenset(coalition)
-    bad = b - g.endo_vertices
-    if bad:
-        raise InvalidPlayerSet(f"not endogenous vertices: {sorted(bad)}")
-    keep = b | g.exo_vertices
-    edges = [e for e in g.edges if e.source in keep and e.target in keep]
-    return LabeledGraph(
-        keep,
-        edges,
-        {e.id for e in edges} & g.endo_edges,
-        b,
     )

@@ -277,16 +277,10 @@ def _check_vertices(g: LabeledGraph, *vertices: str) -> None:
             raise UnknownVertex(f"unknown vertex {v!r}")
 
 
-def eval_rpq(
-    g: LabeledGraph,
-    s: str,
-    t: str,
-    d: Dfa,
-    edge_ok: Optional[Callable[[str], bool]] = None,
-) -> bool:
+def eval_rpq(g: LabeledGraph, s: str, t: str, d: Dfa) -> bool:
     """True iff some path from s to t (possibly empty) matches the automaton."""
     _check_vertices(g, s, t)
-    return holds_on_mask(_filtered(g, edge_ok), [(s, t, d)], 0)
+    return holds_on_mask(_filtered(g, None), [(s, t, d)], 0)
 
 
 def eval_crpq_bound(

@@ -4,14 +4,19 @@ Everything here recomputes results from first principles (direct language
 semantics, path enumeration, simple-path search, subset enumeration, the
 textbook subset-form Shapley sum, a sweep of every coalition counted by
 size, per-player marginals over a permutation stream, the quadratic scans
-the lineage search and counter indexed, the report through ``json.dumps``, the graph loader as it parsed before
-it split each line once) so the tests never trust the code paths they check.  ``Game`` is the one game in two forms:
-the library's mask predicate, and a valuation on frozensets of players for
-the textbook oracles; ``edge_game`` and ``vertex_game`` give a request's
-baseline-shifted game in it, built on the request predicate, which the
-tests check against ``edge_subgraph`` and ``vertex_subgraph``.
-``mc_estimates`` is the one library composition kept here: the sampler
-on a bare game, which the library runs only inside ``explain.solve``.
+the lineage search and counter indexed, the report through ``json.dumps``,
+the graph loader as it parsed before it split each line once) so the tests
+never trust the code paths they check.  ``Game`` is the one game in two
+forms: the library's mask predicate, and a valuation on frozensets of
+players for the textbook oracles; ``edge_game`` and ``vertex_game`` give a
+request's baseline-shifted game in it, built on the request predicate,
+which the tests check against the definition's subgraphs: the library's
+``graph.edge_subgraph`` and ``vertex_subgraph`` here.  Three functions
+that only tests call live here, not in the library: ``accepts`` (a word
+test on a compiled automaton), ``serialize`` (a graph writer) and
+``vertex_subgraph``.  ``mc_estimates`` is the one library composition kept
+here: the sampler on a bare game, which the library runs only inside
+``explain.solve``.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from typing import Iterable, Sequence
 
-from pathshap import automata, explain, game, regex as rx
+from pathshap import explain, game, regex as rx
+from pathshap.automata import Dfa
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, InvalidPlayerSet, MalformedGraph
 from pathshap.graph import Edge, LabeledGraph
 from pathshap.query import Assignment, Crpq, _check_vertices
@@ -106,6 +113,16 @@ def ast_matches(ast, word: tuple[str, ...], alphabet: frozenset[str]) -> bool:
     raise TypeError(ast)
 
 
+def accepts(d: Dfa, word: Sequence[str]) -> bool:
+    """True iff the word is in the automaton's language."""
+    state = d.start
+    for symbol in word:
+        state = d.moves[state].get(symbol)
+        if state is None:
+            return False
+    return state in d.accepting
+
+
 def all_words(alphabet, max_len: int):
     for length in range(max_len + 1):
         yield from itertools.product(sorted(alphabet), repeat=length)
@@ -158,7 +175,7 @@ def path_oracle_eval(g: LabeledGraph, s: str, t: str, dfa, ast=None, alphabet=No
         if ast is not None:
             if ast_matches(ast, word, alphabet):
                 return True
-        elif automata.accepts(dfa, word):
+        elif accepts(dfa, word):
             return True
     return False
 
@@ -384,6 +401,34 @@ def random_labeled_graph(
     if exo_vertex_prob:
         endo_vertices = [v for v in vertices if rng.random() >= exo_vertex_prob]
     return LabeledGraph(vertices, edges, endo, endo_vertices)
+
+
+def serialize(g: LabeledGraph) -> str:
+    """Emit the graph in the same format load_graph accepts (sorted blocks)."""
+    lines = []
+    for v in sorted(g.vertices):
+        tag = "n" if v in g.endo_vertices else "x"
+        lines.append(f"v {v} {tag}")
+    for e in g.edges:
+        tag = "n" if e.id in g.endo_edges else "x"
+        lines.append(f"{e.source} {e.label} {e.target} {tag}")
+    return "\n".join(lines) + "\n"
+
+
+def vertex_subgraph(g: LabeledGraph, coalition: Iterable[str]) -> LabeledGraph:
+    """Induced subgraph on the coalition's vertices plus all exogenous vertices."""
+    b = frozenset(coalition)
+    bad = b - g.endo_vertices
+    if bad:
+        raise InvalidPlayerSet(f"not endogenous vertices: {sorted(bad)}")
+    keep = b | g.exo_vertices
+    edges = [e for e in g.edges if e.source in keep and e.target in keep]
+    return LabeledGraph(
+        keep,
+        edges,
+        {e.id for e in edges} & g.endo_edges,
+        b,
+    )
 
 
 def reference_load_graph(text: str) -> LabeledGraph:

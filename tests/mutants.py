@@ -230,14 +230,6 @@ MUTANTS = (
         ("tests/test_regex.py::test_dfa_shapes", TRIMMED),
     ),
     Mutant(
-        "accepts: a missing move read as a self-loop", AUTOMATA,
-        '        state = d.moves[state].get(symbol)\n'
-        '        if state is None:\n'
-        '            return False\n',
-        '        state = d.moves[state].get(symbol, state)\n',
-        ("tests/test_regex.py::test_word_abc_accepts_only_abc", TRIMMED),
-    ),
-    Mutant(
         "language_profile: emptiness read from the start's presence", AUTOMATA,
         '    if not d.accepting:\n',
         '    if d.start not in d.moves:\n',

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from pathshap import cli, explain, query
-from pathshap.graph import Edge, LabeledGraph, load_graph, serialize
+from pathshap.graph import Edge, LabeledGraph, load_graph
 
 from helpers import (
     Game,
@@ -20,6 +20,7 @@ from helpers import (
     edge_on_simple_path,
     mc_estimates,
     random_labeled_graph,
+    serialize,
     random_monotone_game,
     shapley_exact_permutation_all,
     shapley_exact_subset_all,

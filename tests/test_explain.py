@@ -17,7 +17,7 @@ from pathshap.errors import (
     InvalidPlayerSet,
     NoPlayers,
 )
-from pathshap.graph import edge_subgraph, load_graph, vertex_subgraph
+from pathshap.graph import edge_subgraph, load_graph
 
 from conftest import RUNNING_EXAMPLE
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     random_labeled_graph,
     shapley_exact_subset_all,
     vertex_game,
+    vertex_subgraph,
 )
 
 CHAIN3 = "u1 a u2 n\nu2 b u3 n\nu3 c u4 n\n"

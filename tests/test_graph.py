@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 
 from pathshap import cli
 from pathshap.errors import InvalidPlayerSet, MalformedGraph
-from pathshap.graph import (
-    Edge,
-    LabeledGraph,
-    edge_subgraph,
-    load_graph,
-    serialize,
-    vertex_subgraph,
-)
+from pathshap.graph import Edge, LabeledGraph, edge_subgraph, load_graph
 
-from helpers import reference_load_graph
+from helpers import reference_load_graph, serialize, vertex_subgraph
 
 
 def test_running_example_counts(fig_graph):

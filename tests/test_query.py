@@ -9,7 +9,7 @@ from pathshap import regex as rx
 from pathshap.errors import BudgetExceeded, EnumerationOverflow, QuerySyntaxError, RegexSyntaxError, UnknownVertex
 from pathshap.graph import load_graph
 
-from helpers import path_oracle_eval, random_labeled_graph, reference_lineage
+from helpers import accepts, path_oracle_eval, random_labeled_graph, reference_lineage
 
 ABC = frozenset("abc")
 
@@ -71,8 +71,8 @@ def test_compile_crpq_memo_keys_on_the_alphabet():
     ab = query.compile_crpq("(x, ., y)", frozenset("ab"))
     abc = query.compile_crpq("(x, ., y)", frozenset("abc"))
     assert ab.atoms[0].dfa.alphabet == {"a", "b"} and abc.atoms[0].dfa.alphabet == {"a", "b", "c"}
-    assert not automata.accepts(ab.atoms[0].dfa, ["c"])
-    assert automata.accepts(abc.atoms[0].dfa, ["c"])
+    assert not accepts(ab.atoms[0].dfa, ["c"])
+    assert accepts(abc.atoms[0].dfa, ["c"])
 
 
 @pytest.mark.parametrize("text, error", [
@@ -126,11 +126,12 @@ def test_eval_rpq_unknown_vertex(fig_graph):
 
 
 def test_eval_rpq_edge_filter(fig_graph):
-    d = dfa("abc")
+    q = query.compile_crpq("(x, abc, y)", fig_graph.alphabet)
+    mu = query.parse_binding("x=v1,y=v6", q)
     allowed = {"v1->v3", "v3->v5"}
-    assert not query.eval_rpq(fig_graph, "v1", "v6", d, edge_ok=allowed.__contains__)
+    assert not query.eval_crpq_bound(fig_graph, q, mu, edge_ok=allowed.__contains__)
     allowed = {"v1->v3", "v3->v5", "v5->v6"}
-    assert query.eval_rpq(fig_graph, "v1", "v6", d, edge_ok=allowed.__contains__)
+    assert query.eval_crpq_bound(fig_graph, q, mu, edge_ok=allowed.__contains__)
 
 
 def test_eval_rpq_matches_path_enumeration_oracle():

@@ -10,7 +10,7 @@ from pathshap import automata
 from pathshap import regex as rx
 from pathshap.errors import AlphabetMismatch, RegexSyntaxError
 
-from helpers import all_words, ast_matches, random_ast
+from helpers import accepts, all_words, ast_matches, random_ast
 
 ABC = frozenset("abc")
 
@@ -100,31 +100,31 @@ def compiled(text, alphabet=ABC):
 
 def test_word_abc_accepts_only_abc():
     d = compiled("abc")
-    assert automata.accepts(d, ("a", "b", "c"))
-    assert not automata.accepts(d, ("a", "b"))
-    assert not automata.accepts(d, ("a", "b", "c", "c"))
+    assert accepts(d, ("a", "b", "c"))
+    assert not accepts(d, ("a", "b"))
+    assert not accepts(d, ("a", "b", "c", "c"))
 
 
 def test_a_bstar_language():
     d = compiled("a b*")
-    assert automata.accepts(d, ("a",))
-    assert automata.accepts(d, ("a", "b", "b", "b"))
-    assert not automata.accepts(d, ())
-    assert not automata.accepts(d, ("b",))
+    assert accepts(d, ("a",))
+    assert accepts(d, ("a", "b", "b", "b"))
+    assert not accepts(d, ())
+    assert not accepts(d, ("b",))
 
 
 def test_any_symbol_uses_declared_alphabet():
     d = compiled(".", alphabet={"a", "b"})
-    assert automata.accepts(d, ("a",)) and automata.accepts(d, ("b",))
-    assert not automata.accepts(d, ("a", "b"))
+    assert accepts(d, ("a",)) and accepts(d, ("b",))
+    assert not accepts(d, ("a", "b"))
 
 
 def test_epsilon_and_empty_language():
     d = compiled("@")
-    assert automata.accepts(d, ())
-    assert not automata.accepts(d, ("a",))
+    assert accepts(d, ())
+    assert not accepts(d, ("a",))
     d = compiled("{}")
-    assert not any(automata.accepts(d, w) for w in all_words(ABC, 3))
+    assert not any(accepts(d, w) for w in all_words(ABC, 3))
 
 
 def test_compile_rejects_foreign_symbols_and_accepts_an_empty_alphabet():
@@ -135,7 +135,7 @@ def test_compile_rejects_foreign_symbols_and_accepts_an_empty_alphabet():
     for text, words in (("@", {()}), (".*", {()}), ("{}", set()), ("@ | .", {()})):
         d = automata.compile(rx.parse_regex(text), frozenset())
         assert d.alphabet == frozenset() and d.moves == {d.start: {}}
-        assert {w for w in ((), ("a",)) if automata.accepts(d, w)} == words
+        assert {w for w in ((), ("a",)) if accepts(d, w)} == words
 
 
 def test_dfa_moves_stay_among_the_kept_states():
@@ -177,7 +177,7 @@ def test_acceptance_matches_semantics_property(word_list):
     word = tuple(word_list)
     for text in ("a b* c | b", "(a|b)* c", ". a .", "a (b c)* | @"):
         ast = rx.parse_regex(text)
-        assert automata.accepts(compiled(text), word) == ast_matches(ast, word, ABC)
+        assert accepts(compiled(text), word) == ast_matches(ast, word, ABC)
 
 
 def test_random_asts_match_direct_semantics():
@@ -187,7 +187,7 @@ def test_random_asts_match_direct_semantics():
         ast = random_ast(rng, sigma)
         d = automata.compile(ast, sigma)
         for w in all_words(sigma, 4):
-            assert automata.accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
+            assert accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
 
 
 def _closure(seeds, edges) -> set:
@@ -223,11 +223,11 @@ def test_compiled_automaton_is_trimmed_and_exact(rng, sigma, depth):
     forward = _closure((d.start,), {q: set(step.values()) for q, step in d.moves.items()})
     assert set(d.moves) - {d.start} <= forward & _closure(d.accepting, predecessors)
     for w in all_words(sigma | {"z"}, 4):
-        assert automata.accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
+        assert accepts(d, w) == ast_matches(ast, w, sigma), (ast, w)
     # an n-state automaton accepts a word of length >= n only if it accepts
     # one of length in [n, 2n), and then infinitely many
     n = len(d.moves)
-    lengths = {len(w) for w in all_words(sigma, 2 * n - 1) if automata.accepts(d, w)}
+    lengths = {len(w) for w in all_words(sigma, 2 * n - 1) if accepts(d, w)}
     finite = all(k < n for k in lengths)
     longest = max(lengths) if finite and lengths else None
     assert automata.language_profile(d) == automata.LanguageProfile(not lengths, finite, longest), ast
@@ -279,7 +279,7 @@ def test_profile_matches_brute_force_on_random_asts():
         ast = random_ast(rng, sigma, depth=2)
         d = automata.compile(ast, sigma)
         p = automata.language_profile(d)
-        words = [w for w in all_words(sigma, 6) if automata.accepts(d, w)]
+        words = [w for w in all_words(sigma, 6) if accepts(d, w)]
         assert p.is_empty == (not words)
         if p.is_finite and p.max_word_length is not None:
             assert all(len(w) <= p.max_word_length for w in words)
