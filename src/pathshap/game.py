@@ -71,9 +71,12 @@ class ShapleyReport(NamedTuple):
 def sample_count(eps: float, delta: float) -> Union[int, float]:
     """Hoeffding trial count for an additive (eps, delta) guarantee, at
     least 1 however large eps is; ``math.inf`` when eps is too small for
-    the count to be a float (a multiplicative tolerance from a tiny gap)."""
+    the count to be a float (a multiplicative tolerance from a tiny gap).
+    ln(2/delta) reads as ln 2 - ln delta where 2/delta overflows."""
     try:
-        return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
+        ratio = 2.0 / delta
+        spread = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
+        return max(1, math.ceil(spread / (2.0 * eps * eps)))
     except (ZeroDivisionError, OverflowError):
         return math.inf
 

@@ -91,8 +91,13 @@ def compile_crpq(text: str, graph_alphabet: Iterable[str]) -> Crpq:
     """Parse and compile a query; the alphabet is the union of the graph's
     labels and the labels mentioned by the query.  The result is memoized
     on (text, graph alphabet), so repeated calls share one read-only
-    ``Crpq``; a query that fails to compile is not memoized."""
-    return _compile(text, frozenset(graph_alphabet))
+    ``Crpq``; a query that fails to compile is not memoized.  The parser
+    and the compiler recurse on the tree, so a query that nests past the
+    interpreter's recursion limit is a syntax error."""
+    try:
+        return _compile(text, frozenset(graph_alphabet))
+    except RecursionError:
+        raise QuerySyntaxError("query nests too deeply") from None
 
 
 @functools.lru_cache(maxsize=COMPILE_MEMO)

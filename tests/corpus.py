@@ -40,7 +40,7 @@ PINNED = ROOT / "tests" / "corpus.sha256"
 HEADER = (
     "# tests/corpus.py: one line per request, its id and the first 8 hex digits of the SHA-256\n"
     "# of its exit code, stdout and stderr; a request that argparse refuses hashes its exit code\n"
-    "# alone, since argparse's messages change between Python releases.\n"
+    "# alone, since argparse's messages may change between Python releases.\n"
     "# Rewrite with: python3 tests/corpus.py --write\n"
 )
 
@@ -148,34 +148,34 @@ def requests() -> tuple[dict[str, str], list[list[str]]]:
 
     # the error exits, on the running example
     graphs["running.graph"] = RUNNING
-    run = ["--graph", "running.graph"]
-    abc = [*run, "--query", "(x, a b c, y)"]
+    running = ["--graph", "running.graph"]
+    abc = [*running, "--query", "(x, a b c, y)"]
     argvs += [
-        ["eval", *abc, "--bind", "x=v1"],                                    # 2: unbound variable
-        ["eval", *abc, "--bind", "x=v1,y"],                                  # 2: not var=vertex
-        ["eval", *abc, "--bind", "x=v1,x=v2,y=v6"],                          # 2: bound twice
-        ["eval", *abc, "--bind", "x=v1,y=v99"],                              # 2: unknown vertex
-        ["answers", *run, "--query", "(x, a b c, y) &"],                     # 2: trailing &
-        ["answers", *run, "--query", "& (x, a, y)"],                         # 2: leading &
-        ["answers", *run, "--query", ""],                                    # 2: no atom
-        ["answers", *run, "--query", "(x, a b c, y"],                        # 2: unbalanced
-        ["answers", *run, "--query", "(x, a [ b, y)"],                       # 2: regex syntax
-        ["answers", *run, "--query", "(x, a, 1y)"],                          # 2: variable name
-        ["shapley", *abc, "--bind", "x=v1,y=v6", "--focus", "v6->v1"],       # 2: not a player
-        ["shapley", *abc, "--bind", "x=v1,y=v6", "--eps", "nan"],            # 2: eps
-        ["shapley", *abc, "--bind", "x=v1,y=v6", "--delta", "1"],            # 2: delta
-        ["nonzero", *abc, "--bind", "x=v1,y=v6"],                            # 2: no focus
-        ["answers", *run, "--query", "(x, .*, y)", "--cap", "2"],            # 3: answers
-        ["shapley", *run, "--query", "(x, a*, y)", "--bind", "x=v1,y=v6",
-         "--mode", "approx-multiplicative"],                                 # 4: infinite
-        ["nonzero", *run, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6",
-         "--focus", "v3->v5", "--budget", "3"],                              # 5: budget
+        ["eval", *abc, "--bind", "x=v1"],                                      # 2: unbound variable
+        ["eval", *abc, "--bind", "x=v1,y"],                                    # 2: not var=vertex
+        ["eval", *abc, "--bind", "x=v1,x=v2,y=v6"],                            # 2: bound twice
+        ["eval", *abc, "--bind", "x=v1,y=v99"],                                # 2: unknown vertex
+        ["answers", *running, "--query", "(x, a b c, y) &"],                   # 2: trailing &
+        ["answers", *running, "--query", "& (x, a, y)"],                       # 2: leading &
+        ["answers", *running, "--query", ""],                                  # 2: no atom
+        ["answers", *running, "--query", "(x, a b c, y"],                      # 2: unbalanced
+        ["answers", *running, "--query", "(x, a [ b, y)"],                     # 2: regex syntax
+        ["answers", *running, "--query", "(x, a, 1y)"],                        # 2: variable name
+        ["shapley", *abc, "--bind", "x=v1,y=v6", "--focus", "v6->v1"],         # 2: not a player
+        ["shapley", *abc, "--bind", "x=v1,y=v6", "--eps", "nan"],              # 2: eps
+        ["shapley", *abc, "--bind", "x=v1,y=v6", "--delta", "1"],              # 2: delta
+        ["nonzero", *abc, "--bind", "x=v1,y=v6"],                              # 2: no focus
+        ["answers", *running, "--query", "(x, .*, y)", "--cap", "2"],          # 3: answers
+        ["shapley", *running, "--query", "(x, a*, y)", "--bind", "x=v1,y=v6",
+         "--mode", "approx-multiplicative"],                                   # 4: infinite
+        ["nonzero", *running, "--query", "(x, .*, y)", "--bind", "x=v1,y=v6",
+         "--focus", "v3->v5", "--budget", "3"],                                # 5: budget
         ["shapley", *abc, "--bind", "x=v1,y=v6", "--mode", "approx-additive",
-         "--eps", "0.0001"],                                                 # 5: trial cap
+         "--eps", "0.0001"],                                                   # 5: trial cap
         ["shapley", *abc, "--bind", "x=v1,y=v6", "--mode", "approx-multiplicative",
-         "--player-kind", "vertex", "--eps", "0.001"],                       # 5: trial cap
+         "--player-kind", "vertex", "--eps", "0.001"],                         # 5: trial cap
         # argparse refusals, exit 2
-        ["answers", *run, "--query", "(x, .*, y)", "--cap", "-1"],
+        ["answers", *running, "--query", "(x, .*, y)", "--cap", "-1"],
         ["nonzero", *abc, "--bind", "x=v1,y=v6", "--focus", "v3->v5", "--cap", "3"],
         ["shapley", *abc, "--bind", "x=v1,y=v6", "--mode", "fast"],
         ["shapley", *abc, "--bind", "x=v1,y=v6", "--seed", "-1"],
@@ -185,6 +185,11 @@ def requests() -> tuple[dict[str, str], list[list[str]]]:
     for i, text in enumerate(MALFORMED):
         graphs[f"bad{i}.graph"] = text
         argvs.append(["eval", "--graph", f"bad{i}.graph", "--query", "(x, a, y)", "--bind", "x=p,y=q"])
+
+    # a word past the recursion limit exits 2, and a delta whose 2/delta
+    # overflows samples a finite count
+    argvs.append(["eval", *running, "--query", f"(x, {'a' * 3000}, y)", "--bind", "x=v1,y=v6"])
+    argvs.append(["shapley", *abc, "--bind", "x=v1,y=v6", "--mode", "approx-additive", "--delta", "1e-308"])
     return graphs, argvs
 
 
@@ -194,8 +199,8 @@ def digest(code, stdout: str, stderr: str) -> str:
 
 def run(graphs: dict[str, str], argvs: list[list[str]]) -> list[str]:
     """Every request's digest, in order.  A request that argparse refuses
-    is hashed by its exit code alone: argparse's messages change between
-    Python releases."""
+    is hashed by its exit code alone: argparse's messages may change
+    between Python releases."""
     from pathshap import cli
 
     digests = []
@@ -228,10 +233,10 @@ def differences(limit: int = 5) -> list[str]:
     graphs, argvs = requests()
     actual, expected = run(graphs, argvs), pinned()
     found = [f"id {i}: {expected[i] if i < len(expected) else None} -> {d}: {shlex.join(argvs[i])}"
-             for i, d in enumerate(actual) if i >= len(expected) or d != expected[i]]
+             for i, d in enumerate(actual) if i >= len(expected) or d != expected[i]][:limit]
     if len(actual) != len(expected):
         found.append(f"{len(actual)} requests, {len(expected)} pinned")
-    return found[:limit]
+    return found
 
 
 def main(argv: list[str]) -> int:

@@ -10,13 +10,13 @@ never trust the code paths they check.  ``Game`` is the one game in two
 forms: the library's mask predicate, and a valuation on frozensets of
 players for the textbook oracles; ``edge_game`` and ``vertex_game`` give a
 request's baseline-shifted game in it, built on the request predicate,
-which the tests check against the definition's subgraphs: the library's
-``graph.edge_subgraph`` and ``vertex_subgraph`` here.  Three functions
-that only tests call live here, not in the library: ``accepts`` (a word
-test on a compiled automaton), ``serialize`` (a graph writer) and
-``vertex_subgraph``.  ``mc_estimates`` is the one library composition kept
-here: the sampler on a bare game, which the library runs only inside
-``explain.solve``.
+which the tests check against the definition's subgraphs,
+``graph.edge_subgraph`` from the library and ``vertex_subgraph`` from
+here.  Three functions that only tests call live here, not in the
+library: ``accepts`` (a word test on a compiled automaton), ``serialize``
+(a graph writer) and ``vertex_subgraph``.  ``mc_estimates`` is the one
+library composition kept here: the sampler on a bare game, which the
+library runs only inside ``explain.solve``.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ SUPPORT = "tests/test_game.py::test_support_sampler_matches_the_oracle_over_the_
 MALFORMED = "tests/test_graph.py::test_malformed_inputs"
 PROPERTY = "tests/test_graph.py::test_loader_matches_the_reference_loader"
 COLLISION = "tests/test_graph.py::test_an_edge_id_collision_is_not_a_parallel_edge"
+CORPUS = "tests/test_corpus.py::test_every_pinned_request_keeps_its_exit_code_and_bytes"
 
 MUTANTS = (
     Mutant(
@@ -121,12 +122,31 @@ MUTANTS = (
         (PROPERTY,),
     ),
     Mutant(
+        "loader: a line whose first field starts with v read as a vertex line, on the CLI path", GRAPH,
+        '        elif fields[0] == "v":\n',
+        '        elif fields[0].startswith("v"):\n',
+        (CORPUS,),
+    ),
+    Mutant(
         "compile memo: the key without the graph alphabet", "pathshap/query.py",
-        '    return _compile(text, frozenset(graph_alphabet))\n',
-        '    return _compile(text, _first_alphabet.setdefault(text, frozenset(graph_alphabet)))\n\n\n'
-        '_first_alphabet: dict = {}\n',
+        '        return _compile(text, frozenset(graph_alphabet))\n',
+        '        return _compile(text, compile_crpq.__dict__.setdefault(text, frozenset(graph_alphabet)))\n',
         ("tests/test_query.py::test_compile_crpq_memo_keys_on_the_alphabet",
          "tests/test_cli.py::test_main_compiles_a_query_per_graph_alphabet_as_fresh_processes_do"),
+    ),
+    Mutant(
+        "compile_crpq: a query nested past the recursion limit raises RecursionError", "pathshap/query.py",
+        '    except RecursionError:\n'
+        '        raise QuerySyntaxError("query nests too deeply") from None\n',
+        '    except QuerySyntaxError:\n'
+        '        raise\n',
+        ("tests/test_cli.py::test_a_query_nested_past_the_recursion_limit_exits_2", CORPUS),
+    ),
+    Mutant(
+        "eval_crpq_bound: edge_ok ignored", "pathshap/query.py",
+        '    return holds_on_mask(_filtered(g, edge_ok), bind_atoms(q, mu), 0)\n',
+        '    return holds_on_mask(_filtered(g, None), bind_atoms(q, mu), 0)\n',
+        ("tests/test_query.py::test_eval_rpq_edge_filter",),
     ),
     Mutant(
         "regex nodes: equality without the type check", REGEX,
@@ -154,6 +174,13 @@ MUTANTS = (
         '            c.add_argument("--seed", type=_count, default=0)\n',
         '            c.add_argument("--seed", type=int, default=0)\n',
         ("tests/test_cli.py::test_negative_seed_is_refused_at_parse_time",),
+    ),
+    Mutant(
+        "sample_count: no fallback where 2/delta overflows", GAME,
+        '        spread = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)\n',
+        '        spread = math.log(ratio)\n',
+        ("tests/test_game.py::test_sample_count_past_the_overflow_of_two_over_delta",
+         "tests/test_cli.py::test_a_tiny_delta_samples_a_finite_count"),
     ),
     Mutant(
         "sampler: the draws' rejection bound at i", GAME,
@@ -216,6 +243,24 @@ MUTANTS = (
         '    return 1 << counts.index(max(counts))\n',
         '    return 1 << len(counts) - 1 - counts[::-1].index(max(counts))\n',
         (PINNED,),
+    ),
+    Mutant(
+        "minimal_masks: only the candidate's lowest-bit bucket compared", GAME,
+        '        while rest and not covered:\n',
+        '        if rest and not covered:\n',
+        ("tests/test_game.py::test_minimal_masks_matches_the_scan",),
+    ),
+    Mutant(
+        "term components: a shared player's component not joined", GAME,
+        '            parent[root] = t\n',
+        '',
+        ("tests/test_game.py::test_term_components_matches_the_scan",),
+    ),
+    Mutant(
+        "json report: non-ASCII text left unescaped", "pathshap/cli.py",
+        'from json.encoder import encode_basestring_ascii as _string\n',
+        'from json.encoder import encode_basestring as _string\n',
+        ("tests/test_cli.py::test_json_report_is_json_dumps_byte_for_byte",),
     ),
     Mutant(
         "cli: the sort key without the common denominator", "pathshap/cli.py",

@@ -20,8 +20,8 @@ from helpers import (
     edge_on_simple_path,
     mc_estimates,
     random_labeled_graph,
-    serialize,
     random_monotone_game,
+    serialize,
     shapley_exact_permutation_all,
     shapley_exact_subset_all,
     vertex_game,

@@ -84,6 +84,24 @@ def test_a_trailing_ampersand_exits_2(fig_graph_text, capsys):
         assert "atom must be parenthesized: ''" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["a" * 1000, "(" * 1200 + "a" + ")" * 1200, "a" + "*" * 3000],
+                         ids=["a-long-word", "nested-parentheses", "stars"])
+def test_a_query_nested_past_the_recursion_limit_exits_2(fig_graph_text, expr, capsys):
+    """The parser and the compiler recurse on the tree: a query that nests
+    past the recursion limit is a syntax error, not a traceback."""
+    code, out = run(["eval", "--graph", str(fig_graph_text), "--query", f"(x, {expr}, y)", "--bind", "x=v1,y=v6"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: query nests too deeply\n"
+
+
+def test_a_400_letter_word_evaluates(tmp_path):
+    path = tmp_path / "chain.graph"
+    path.write_text("".join(f"u{i} a u{i + 1} n\n" for i in range(400)))
+    argv = ["eval", "--graph", str(path), "--query", f"(x, {'a' * 400}, y)"]
+    assert run(argv + ["--bind", "x=u0,y=u400"]) == (0, "1\n")
+    assert run(argv + ["--bind", "x=u1,y=u400"]) == (0, "0\n")
+
+
 def test_eval_on_a_graph_without_labels(tmp_path):
     """A graph of vertex lines only gives an empty alphabet: atoms without
     symbols compile over it, and a vertex answers an atom with the empty word."""
@@ -439,6 +457,14 @@ def test_shapley_nan_eps_exit_2(fig_graph_text, mode, capsys):
     )
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: eps must be positive and finite and delta must lie in (0, 1)\n"
+
+
+def test_a_tiny_delta_samples_a_finite_count(fig_graph_text):
+    """2/delta overflows at delta 1e-308, and the count is still ln(2/delta)/(2 eps^2)."""
+    code, out = run(["shapley", "--graph", str(fig_graph_text), "--query", "(x, a b c, y)", "--bind", "x=v1,y=v6",
+                     "--mode", "approx-additive", "--delta", "1e-308", "--format", "json"])
+    assert code == 0
+    assert {row["samples"] for row in json.loads(out)["players"]} == {141978}
 
 
 # --- nonzero ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -322,6 +323,19 @@ def test_sample_count_formula():
     # never 0 trials, however vacuous the tolerance
     assert game.sample_count(1.5, 0.01) == 2
     assert game.sample_count(1e200, 0.01) == game.sample_count(math.inf, 0.01) == 1
+
+
+def test_sample_count_past_the_overflow_of_two_over_delta():
+    """Where 2/delta overflows, ln(2/delta) reads as ln 2 - ln delta, so a
+    tiny delta is a finite count; wherever 2/delta is finite, every normal
+    delta included, the count is the formula as written."""
+    assert game.sample_count(0.05, 1.2e-308) == 141942  # 2/delta is still finite
+    assert game.sample_count(0.05, 1e-308) == 141978
+    assert game.sample_count(0.05, 5e-324) < math.inf  # the least subnormal
+    deltas = [m * 10.0 ** -k for k in range(1, 308) for m in (1.0, 2.5, 7.0)] + [0.5, 0.99, sys.float_info.min]
+    for eps in (1e-4, 0.05, 0.3, 2.0):
+        for delta in deltas:
+            assert game.sample_count(eps, delta) == max(1, math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
 
 
 def test_mc_exact_on_degenerate_games():
