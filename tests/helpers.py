@@ -3,20 +3,21 @@
 Everything here recomputes results from first principles (direct language
 semantics, path enumeration, simple-path search, subset enumeration, the
 textbook subset-form Shapley sum, a sweep of every coalition counted by
-size, per-player marginals over a permutation stream, the quadratic scans
-the lineage search and counter indexed, the report through ``json.dumps``,
-the graph loader as it parsed before it split each line once) so the tests
-never trust the code paths they check.  ``Game`` is the one game in two
-forms: the library's mask predicate, and a valuation on frozensets of
-players for the textbook oracles; ``edge_game`` and ``vertex_game`` give a
-request's baseline-shifted game in it, built on the request predicate,
-which the tests check against the definition's subgraphs,
-``graph.edge_subgraph`` from the library and ``vertex_subgraph`` from
-here.  Three functions that only tests call live here, not in the
-library: ``accepts`` (a word test on a compiled automaton), ``serialize``
-(a graph writer) and ``vertex_subgraph``.  ``mc_estimates`` is the one
-library composition kept here: the sampler on a bare game, which the
-library runs only inside ``explain.solve``.
+size, per-player marginals over a permutation stream, the sampler's
+stream and forward pivot as they were read before its veto rule, the
+quadratic scans the lineage search and counter indexed, the report
+through ``json.dumps``, the graph loader as it parsed before it split
+each line once) so the tests never trust the code paths they check.
+``Game`` is the one game in two forms: the library's mask predicate, and
+a valuation on frozensets of players for the textbook oracles;
+``edge_game`` and ``vertex_game`` give a request's baseline-shifted game
+in it, built on the request predicate, which the tests check against the
+definition's subgraphs, ``graph.edge_subgraph`` from the library and
+``vertex_subgraph`` from here.  Three functions that only tests call live
+here, not in the library: ``accepts`` (a word test on a compiled
+automaton), ``serialize`` (a graph writer) and ``vertex_subgraph``.
+``mc_estimates`` is the one library composition kept here: the sampler on
+a bare game, which the library runs only inside ``explain.solve``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -335,8 +337,60 @@ def mc_estimates(players, value, eps: float, delta: float, seed: int, support=No
     those decisions."""
     if support is None:
         support = (1 << len(players)) - 1
-    return game.sample_pivots(players, game.search_pivot(value), support if value(support) else 0,
+    return game.sample_pivots(players, game.search_pivot(value), support if value(support) else 0, 0,
                               game.sample_count(eps, delta), eps, delta, seed)
+
+
+def shuffles(order: list[int], seed: int, trials: int):
+    """``trials`` shuffles of ``order`` in place, yielding it after each:
+    the draws of ``random.Random(seed).shuffle`` inlined, as the sampler
+    draws them.  For i from len(order) - 1 down to 1, j is drawn from
+    getrandbits of (i + 1)'s bit length, redrawn while it exceeds i, and
+    positions i and j swap."""
+    getrandbits = random.Random(seed).getrandbits
+    draws = [(i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)]
+    for _ in range(trials):
+        for i, k in draws:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        yield order
+
+
+def forward_pivot(terms: Sequence[int]):
+    """The pivot of an order from the terms by a forward scan, with no veto
+    rule: the first player whose arrival completes a term, testing only the
+    terms that hold it."""
+    holding: dict[int, list[int]] = {}
+    for t in terms:
+        for b in game._bits(t):
+            holding.setdefault(b, []).append(t)
+
+    def pivot(order: list[int]) -> int:
+        prefix = 0
+        for b in order:
+            prefix |= b
+            for t in holding.get(b, ()):
+                if t & prefix == t:
+                    return b
+
+    return pivot
+
+
+def pivot_oracle_estimates(players, terms: Sequence[int], trials: int, eps: float, delta: float, seed: int,
+                           support=None):
+    """The sampler's estimates of the game of ``terms``, a monotone DNF
+    over the player bits, as they were read before the veto rule: the
+    forward pivot of each of ``shuffles``' orders of the bits of
+    ``support``, the terms' own support when None, counted; a one-player
+    support pivots in every trial."""
+    bits = game._bits(reduce(or_, terms, 0) if support is None else support)
+    if len(bits) > 1:
+        pivots = Counter(map(forward_pivot(terms), shuffles(bits, seed, trials)))
+    else:
+        pivots = Counter(dict.fromkeys(bits, trials))
+    return {p: game.SampledEstimate(pivots[1 << i], trials, eps, delta, seed) for i, p in enumerate(players)}
 
 
 def pivot_oracle_counts(players, valuation, trials: int, seed: int) -> dict[str, int]:

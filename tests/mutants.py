@@ -50,6 +50,8 @@ TRIMMED = "tests/test_regex.py::test_compiled_automaton_is_trimmed_and_exact"
 SHUFFLES = "tests/test_game.py::test_shuffles_draw_the_stdlib_shuffle_stream"
 PINNED = "tests/test_game.py::test_lineage_counter_spends_the_pinned_steps"
 SUPPORT = "tests/test_game.py::test_support_sampler_matches_the_oracle_over_the_support"
+ORACLE = "tests/test_game.py::test_sampler_matches_the_forward_pivot_oracle"
+ON_SOLVE = "tests/test_explain.py::test_sampler_reports_the_forward_pivot_oracle"
 MALFORMED = "tests/test_graph.py::test_malformed_inputs"
 PROPERTY = "tests/test_graph.py::test_loader_matches_the_reference_loader"
 COLLISION = "tests/test_graph.py::test_an_edge_id_collision_is_not_a_parallel_edge"
@@ -184,8 +186,8 @@ MUTANTS = (
     ),
     Mutant(
         "sampler: the draws' rejection bound at i", GAME,
-        '            while j > i:\n',
-        '            while j >= i:\n',
+        '                    while j > i:\n',
+        '                    while j >= i:\n',
         (SHUFFLES,),
     ),
     Mutant(
@@ -196,14 +198,14 @@ MUTANTS = (
     ),
     Mutant(
         "sampler: every player shuffled instead of the support", GAME,
-        '        pivots = Counter(map(pivot, shuffles(bits, seed, trials)))\n',
-        '        pivots = Counter(map(pivot, shuffles([1 << i for i in range(len(players))], seed, trials)))\n',
+        '    order = _bits(support)\n',
+        '    order = _bits((1 << len(players)) - 1)\n',
         (SUPPORT,),
     ),
     Mutant(
         "sampler: a one-player support draws its trials", GAME,
-        '    if len(bits) > 1:\n',
-        '    if bits:\n',
+        '    if len(order) < 2:\n',
+        '    if not order:\n',
         ("tests/test_game.py::test_one_player_support_pivots_in_every_order_without_a_draw",),
     ),
     Mutant(
@@ -214,17 +216,33 @@ MUTANTS = (
     ),
     Mutant(
         "sampler: the permutation read reversed", GAME,
-        '            order[i], order[j] = order[j], order[i]\n'
-        '        yield order\n',
-        '            order[i], order[j] = order[j], order[i]\n'
-        '        yield order[::-1]\n',
+        '                append(last if last & veto else pivot(order))\n',
+        '                append(last if last & veto else pivot(order[::-1]))\n',
         (SHUFFLES,),
     ),
     Mutant(
         "sampler: the draws' bit length of i", GAME,
-        '    draws = [(i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
-        '    draws = [(i, i.bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
+        '        draws = [(i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
+        '        draws = [(i, i.bit_length()) for i in range(len(order) - 1, 0, -1)]\n',
         (SHUFFLES,),
+    ),
+    Mutant(
+        "sampler: the veto test reads the first arrival", GAME,
+        '                last = order[-1]\n',
+        '                last = order[0]\n',
+        (ORACLE,),
+    ),
+    Mutant(
+        "solve: the veto mask as the OR of the terms", "pathshap/explain.py",
+        '        veto = functools.reduce(and_, terms, support)\n',
+        '        veto = functools.reduce(or_, terms, support)\n',
+        (ON_SOLVE, CORPUS),
+    ),
+    Mutant(
+        "solve: a nonzero veto mask when the search ran out", "pathshap/explain.py",
+        '        support, veto = (everyone if holds(everyone) else 0), 0\n',
+        '        support, veto = (everyone if holds(everyone) else 0), everyone\n',
+        (ON_SOLVE,),
     ),
     Mutant(
         "solve: the term rule's bound exclusive", "pathshap/explain.py",

@@ -26,6 +26,7 @@ from helpers import (
     edge_game,
     edge_on_simple_path,
     mc_estimates,
+    pivot_oracle_estimates,
     random_labeled_graph,
     shapley_exact_subset_all,
     vertex_game,
@@ -531,9 +532,10 @@ def test_multiplicative_reports_are_additive_reports_at_the_tolerance(seed, qtex
     assert {(est.eps, est.samples) for est in report.values.values()} == {(eps, trials)}
     exact = explain.solve(req._replace(mode="exact")).values
     null = [p for p in players if exact[p] == 0]
-    on_terms = game.sample_pivots(players, game.term_pivot(terms), reduce(or_, terms, 0), trials, eps, 0.5, seed)
-    on_search = game.sample_pivots(players, game.search_pivot(game.memoized(holds)), everyone, trials, eps, 0.5,
-                                   seed)
+    on_terms = game.sample_pivots(players, game.term_pivot(terms), reduce(or_, terms, 0), 0, trials, eps, 0.5,
+                                  seed)
+    on_search = game.sample_pivots(players, game.search_pivot(game.memoized(holds)), everyone, 0, trials, eps,
+                                   0.5, seed)
     for estimates in (report.values, on_terms, on_search):
         assert all(estimates[p].successes == 0 for p in null)
     for bad in (math.inf, math.nan):
@@ -571,6 +573,42 @@ LAYERED3 = "".join(f"{u} a {v} n\n" for a, b in zip(LAYERS3, LAYERS3[1:]) for u 
 # a lineage of 12 terms over 12 edges, at the term rule's bound
 AT_THE_RULE = ("s0 a s1 n\ns0 a m0 n\nm0 a s1 n\ns1 a s2 n\ns1 a m1 n\nm1 a s2 n\n"
                "s2 a s3 n\ns2 a m2 n\nm2 a s3 n\ns2 a n2 n\nn2 a s3 n\ns0 b z n\n")
+
+
+# two two-edge branches from x to y: no edge lies in both terms
+OR_FAN = "x a m0 n\nm0 a y n\nx a m1 n\nm1 a y n\n"
+# two a-routes from x to y that share their last edge z -> y
+SHARED_EDGE = "x a m0 n\nm0 a z n\nx a z n\nz a y n\n"
+
+
+@pytest.mark.parametrize("graph_text, qtext, btext, player_kind, eps, ran_out", [
+    (RUNNING_EXAMPLE, "(x, a b c, y)", "x=v1,y=v6", "edge", 0.05, False),
+    (OR_FAN, "(x, a a, y)", "x=x,y=y", "edge", 0.05, False),
+    (SHARED_EDGE, "(x, a*, y)", "x=x,y=y", "edge", 0.05, False),
+    (OR_FAN, "(x, a a, y)", "x=x,y=y", "vertex", 0.05, False),
+    (LADDER4, "(x, a*, y)", "x=s0,y=s4", "edge", 0.04, False),
+    (LADDER4, "(x, a*, y)", "x=s0,y=s4", "edge", 0.3, True),
+], ids=["one-term", "or-like", "shared-edge", "bound-vertices", "past-the-term-rule", "search-ran-out"])
+def test_sampler_reports_the_forward_pivot_oracle(graph_text, qtext, btext, player_kind, eps, ran_out):
+    """``solve``'s additive estimates are the forward scan of every order of
+    the stdlib stream over the support, with the veto players (those of
+    every term, a vertex game's bound vertices among them) read without a
+    scan and none when the search ran out, where the support is every
+    player."""
+    g = load_graph(graph_text)
+    req = request(g, qtext, btext, player_kind=player_kind, mode="approx-additive", eps=eps, delta=0.1, seed=11)
+    players, _, lineage = explain._request_game(g, req.query, req.binding, player_kind)
+    trials = game.sample_count(eps, 0.1)
+    terms = lineage([10**6])
+    if ran_out:
+        with pytest.raises(BudgetExceeded):
+            lineage([trials])
+    else:
+        lineage([trials])
+    support = (1 << len(players)) - 1 if ran_out else None
+    report = explain.solve(req)
+    assert report.method == "mc-additive"
+    assert report.values == pivot_oracle_estimates(players, terms, trials, eps, 0.1, 11, support)
 
 
 @pytest.mark.parametrize("graph_text, btext, player_kind, terms", [

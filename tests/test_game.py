@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from unittest import mock
 
 import pytest
@@ -22,12 +22,14 @@ from helpers import (
     edge_game,
     mc_estimates,
     pivot_oracle_counts,
+    pivot_oracle_estimates,
     random_monotone_game,
     reference_minimal_masks,
     reference_term_components,
     shapley_exact_permutation,
     shapley_exact_permutation_all,
     shapley_exact_subset_all,
+    shuffles,
 )
 
 
@@ -376,17 +378,94 @@ def test_pivot_sampler_matches_linear_scan_oracle(players_winners, eps, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
 def test_shuffles_draw_the_stdlib_shuffle_stream(seed):
-    """The inlined draws give the permutations that random.Random(seed)
-    shuffling the same list in place gives, trial after trial."""
-    for n in range(1, 41):
+    """At veto mask 0 the sampler hands its pivot every order it draws, and
+    those are the permutations that random.Random(seed) shuffling the same
+    list in place gives, trial after trial."""
+    for n in range(2, 41):
+        orders = []
+        game.sample_pivots([f"p{i}" for i in range(n)], lambda order: orders.append(order.copy()) or order[0],
+                           (1 << n) - 1, 0, 200, 0.1, 0.1, seed)
         expected = [1 << i for i in range(n)]
         rng = random.Random(seed)
-        trials = 0
-        for order in game.shuffles([1 << i for i in range(n)], seed, 200):
+        for trial, order in enumerate(orders):
             rng.shuffle(expected)
-            assert order == expected, (n, trials)
-            trials += 1
-        assert trials == 200
+            assert order == expected, (n, trial)
+        assert len(orders) == 200
+
+
+@st.composite
+def monotone_dnfs(draw):
+    """A random monotone DNF over 1-12 player bits: 1-6 nonempty terms,
+    not reduced to the minimal ones."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    terms = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=6))
+    return [f"p{i}" for i in range(n)], terms
+
+
+def _pivot_rule(terms, rule):
+    if rule == "term":
+        return game.term_pivot(terms)
+    return game.search_pivot(lambda mask: any(t & mask == t for t in terms))
+
+
+def _sampled(players, terms, pivot, trials, seed):
+    """``sample_pivots`` as ``solve`` calls it: over the terms' support, with
+    their AND as the veto mask."""
+    support = reduce(or_, terms, 0)
+    return game.sample_pivots(players, pivot, support, reduce(and_, terms, support), trials, 0.1, 0.05, seed)
+
+
+@given(monotone_dnfs(), st.sampled_from(["term", "search"]), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=2**32))
+@example((["p0", "p1", "p2"], [0b111]), "term", 50, 1)  # one term: every pivot arrives last
+@example((["p0", "p1", "p2"], [0b001, 0b010, 0b100]), "search", 50, 1)  # disjoint singletons: veto mask 0
+@example((["p0", "p1", "p2", "p3"], [0b0011, 0b0101, 0b1001]), "term", 50, 1)  # one shared player
+@settings(max_examples=150, deadline=None)
+def test_sampler_matches_the_forward_pivot_oracle(dnf, rule, trials, seed):
+    """With the veto rule, on either pivot rule, the sampler returns exactly
+    the estimates of the forward scan of every order of the stdlib stream."""
+    players, terms = dnf
+    assert (_sampled(players, terms, _pivot_rule(terms, rule), trials, seed)
+            == pivot_oracle_estimates(players, terms, trials, 0.1, 0.05, seed))
+
+
+def _pivot_calls(players, terms, rule, trials, seed):
+    """The last player of each order the sampler hands its pivot, after
+    checking its estimates against the oracle's."""
+    calls = []
+    inner = _pivot_rule(terms, rule)
+    estimates = _sampled(players, terms, lambda order: calls.append(order[-1]) or inner(order), trials, seed)
+    assert estimates == pivot_oracle_estimates(players, terms, trials, 0.1, 0.05, seed)
+    return calls
+
+
+@pytest.mark.parametrize("rule", ["term", "search"])
+def test_a_one_term_lineage_reads_every_pivot_last(rule):
+    """Every player of a single term is a veto player: the pivot is never
+    asked, and each player pivots about a third of the trials."""
+    assert _pivot_calls(["a", "b", "c", "d"], [0b0111], rule, 3000, 5) == []
+    estimates = pivot_oracle_estimates(["a", "b", "c", "d"], [0b0111], 3000, 0.1, 0.05, 5)
+    assert all(900 < estimates[p].successes < 1100 for p in "abc") and estimates["d"].successes == 0
+
+
+@pytest.mark.parametrize("rule", ["term", "search"])
+def test_disjoint_singletons_ask_the_pivot_of_every_order(rule):
+    """Terms that share no player leave the veto mask 0: every order goes
+    to the pivot, and the first arrival pivots."""
+    assert len(_pivot_calls(["a", "b", "c"], [0b001, 0b010, 0b100], rule, 500, 9)) == 500
+
+
+@pytest.mark.parametrize("rule", ["term", "search"])
+@pytest.mark.parametrize("terms", [[0b0011, 0b0101], [0b0111, 0b1011], [0b00111, 0b01101, 0b10101]])
+def test_a_shared_player_pivots_whenever_it_arrives_last(rule, terms):
+    """On lineages whose terms share players, as paths that share an edge
+    do, the orders that end with a shared player never reach the pivot,
+    and every other order does."""
+    veto = reduce(and_, terms)
+    calls = _pivot_calls(["a", "b", "c", "d", "e"], terms, rule, 2000, 3)
+    assert calls and not any(b & veto for b in calls)
+    orders = shuffles(game._bits(reduce(or_, terms)), 3, 2000)
+    assert len(calls) == sum(1 for order in orders if not order[-1] & veto)
 
 
 @given(
@@ -412,7 +491,8 @@ def test_support_sampler_matches_the_oracle_over_the_support(players_winners, nu
     inside = [p for i, p in enumerate(everyone) if support >> i & 1]
     trials = game.sample_count(eps, 0.1)
     expected = pivot_oracle_counts(inside, g.valuation, trials, seed)
-    for estimates in (game.sample_pivots(everyone, game.term_pivot(terms), support, trials, eps, 0.1, seed),
+    for estimates in (game.sample_pivots(everyone, game.term_pivot(terms), support, reduce(and_, terms, support),
+                                         trials, eps, 0.1, seed),
                       mc_estimates(everyone, g.value, eps, 0.1, seed, support)):
         assert {p: estimates[p].successes for p in inside} == expected
         assert all(est.successes == 0 for p, est in estimates.items() if p not in inside)
@@ -443,9 +523,10 @@ def test_one_player_support_pivots_in_every_order_without_a_draw():
         raise AssertionError("no order is drawn")
 
     for support, successes in ((0b010, [0, 100, 0]), (0, [0, 0, 0])):
-        estimates = game.sample_pivots(["a", "b", "c"], pivot, support, 100, 0.1, 0.05, 7)
-        assert [est.successes for est in estimates.values()] == successes
-        assert all(est.samples == 100 for est in estimates.values())
+        for veto in (0, support):
+            estimates = game.sample_pivots(["a", "b", "c"], pivot, support, veto, 100, 0.1, 0.05, 7)
+            assert [est.successes for est in estimates.values()] == successes
+            assert all(est.samples == 100 for est in estimates.values())
 
 
 def test_mc_close_to_exact():
